@@ -468,12 +468,15 @@ def _retract(mat):
     return Matrix(R, rows)
 
 
-def _retract_codes(cr, vecs, n):
-    out = np.full_like(vecs, cr.zero)
+def _window_flat(n):
+    return [(i - 1) * n + (j - 1) for i, j in _WINDOW]
+
+
+def _retract_codes(cr, window, n):
+    """Coded retractions from the window entries, one row per matrix."""
+    out = np.full((window.shape[0], n * n), cr.zero, np.int64)
     out[:, :: n + 1] = cr.one
-    for i, j in _WINDOW:
-        flat = (i - 1) * n + (j - 1)
-        out[:, flat] = vecs[:, flat]
+    out[:, _window_flat(n)] = window
     return out
 
 
@@ -532,11 +535,17 @@ def check_abels_retraction(n, ring, budget=None):
         if total <= budget:
             cr = kernels.coded_ring(ring)
             V = amb.elements_encoded(budget)
-            RV = _retract_codes(cr, V, n)
+            flat = _window_flat(n)
+            RV = _retract_codes(cr, V[:, flat], n)
+            # retractions of g*x: identity off the window, whose entries
+            # (2,2), (2,3), (3,3) come from the block of rows and columns 2-3
+            lhs = RV.copy()
+            block = [0, 1, 3]
             for g in amb.generators:
                 gv = kernels.encode_matrix(cr, g)
-                lhs = _retract_codes(cr, kernels.mul_batch_left(cr, gv, V, n), n)
-                rg = _retract_codes(cr, gv[None, :], n)[0]
+                window = kernels.mul_batch_left(cr, gv, V, n, rows=(1, 2), cols=(1, 2))
+                lhs[:, flat] = window[:, block]
+                rg = _retract_codes(cr, gv[None, flat], n)[0]
                 rhs = kernels.mul_batch_left(cr, rg, RV, n)
                 if not (lhs == rhs).all():
                     return False
@@ -701,12 +710,9 @@ def check_abelian(spec, budget=None):
         raise BudgetExceeded(
             f"inconclusive-budget: {total * total} pairs exceed budget {budget}"
         )
-    elems = list(spec.elements())
-    for idx, a in enumerate(elems):
-        for b in elems[idx + 1 :]:
-            if a.mul(b) != b.mul(a):
-                return False
-    return True
+    cr = kernels.coded_ring(spec.ring)
+    X = spec.elements_encoded(budget)
+    return bool(kernels.center_mask(cr, X, X, spec.n).all())
 
 
 def _inner_unitriangular_pattern(n):

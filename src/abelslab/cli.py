@@ -23,6 +23,7 @@ from .abels import (
     verify_abels,
 )
 from .chevalley import (
+    SUPPORTED_LABELS,
     ChevalleyError,
     borel_cases,
     borel_gln_check,
@@ -53,7 +54,6 @@ from .reports import (
 )
 from .rings import RingError, make_ring
 
-STEINBERG_TYPES = ("A1", "A2", "A3", "C2", "C3", "B3", "D4", "G2")
 FORM_TYPES = ("C2", "C3", "B3", "D4")
 
 _USAGE_ERRORS = (
@@ -164,7 +164,7 @@ def _budget_report(suite, config, exc):
 
 def _steinberg_suite(descriptor, type_token, seed=None):
     ring = _parse_ring(descriptor)
-    labels, skipped = _select_types(type_token, ring, STEINBERG_TYPES)
+    labels, skipped = _select_types(type_token, ring, SUPPORTED_LABELS)
     rep = Report(
         "steinberg", {"ring": ring.descriptor, "types": ",".join(labels)}
     )

@@ -401,16 +401,17 @@ def fundamental_group(cx, basepoint=0):
     return Presentation(tuple(names), tuple(relators))
 
 
-def is_simply_connected(cx, budget=None):
+def is_simply_connected(cx, budget=None, h1=None):
     """"yes", "no", or "inconclusive" (enumeration overflow).
 
     Nonzero first homology settles "no" outright; otherwise the reduced
     spanning-tree presentation is enumerated, and only a complete
-    enumeration with a single coset yields "yes".
+    enumeration with a single coset yields "yes".  ``h1`` is the
+    (rank, torsion) of ``homology_h1(cx)`` when the caller already has it.
     """
     if connected_components(cx) != 1:
         raise ComplexError("simple connectivity needs a connected complex")
-    rank, torsion = homology_h1(cx)
+    rank, torsion = homology_h1(cx) if h1 is None else h1
     if rank or torsion:
         return "no"
     pres = tietze_reduce(fundamental_group(cx))
@@ -829,7 +830,7 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
                 counterexample=None,
             )
         else:
-            verdict = is_simply_connected(cx, budget=budget)
+            verdict = is_simply_connected(cx, budget=budget, h1=(rank, torsion))
             rep.config["pi1"] = verdict
             if verdict == "inconclusive":
                 status, detail = INCONCLUSIVE, None

@@ -7,33 +7,24 @@ packs into a single int64 key (row-major, base q) whenever q**(n*n) fits,
 which gives sorted-array membership tests and canonical minimal coset
 representatives for free.
 
-Hot loops exist twice: numba @njit kernels and a pure-numpy fallback.  The
-environment variable ABELSLAB_BACKEND ("numba" or "numpy") picks one at call
-time; the default is numba when importable.  Both implementations stay
-exposed so tests can assert they agree and benchmarks can race them.
+Every batch product multiplies many matrices by one fixed matrix g, and runs
+as a table gather.  The left product g*B reads each column of B, the right
+product B*g each row, in chunks of w consecutive entries.  The base-q code
+of a chunk is its key, and for each output index i a table holds
+T[i, key] = sum_k g[i, k] * v[k] over the chunk's entries v.  One key per
+column and one gather per output row then replace the 2n lookups in the
+ring's mul and add tables, and the chunks' partial sums are combined with
+add.  w is the largest width with q**w <= min(TABLE_CAP, batch rows), so a
+table is never larger than the batch it serves; at w = 1 the gather is the
+plain per-k loop.  Closure and the center scan build each generator's
+tables once and reuse them.
 """
-
-import os
-from types import SimpleNamespace
 
 import numpy as np
 
 from .config import get_budget
 from .matrices import Matrix
 from .rings import RingError
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - mirror exercised via env flag
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
 
 
 class KernelError(RuntimeError):
@@ -128,72 +119,129 @@ def pack_keys(cr, vecs, n):
     return vecs @ pw
 
 
-# -- numpy backend -----------------------------------------------------
+# -- table gather ------------------------------------------------------
+
+TABLE_CAP = 4096
 
 
-def _np_mul_single(a, b, add, mul, n):
-    A = a.reshape(n, n)
-    B = b.reshape(n, n)
-    acc = None
-    for k in range(n):
-        term = mul[A[:, k][:, None], B[k, :][None, :]]
-        acc = term if acc is None else add[acc, term]
-    return acc.reshape(n * n)
+def _width(q, n, rows):
+    """Largest chunk width w <= n with q**w <= min(TABLE_CAP, rows), at least 1."""
+    limit = min(TABLE_CAP, rows)
+    w = 1
+    while w < n and q ** (w + 1) <= limit:
+        w += 1
+    return w
 
 
-def _np_mul_batch_right(As, b, add, mul, n):
+def _tables(cr, lines, w):
+    """One gather table per chunk of w entries.
+
+    ``lines[i, k]`` is the coefficient of entry k of a batch column in output
+    index i.  Row i of a chunk's table holds sum_k lines[i, k] * v[k] at the
+    base-q key of the chunk's entries v, first entry most significant.
+    """
+    n_out, n = lines.shape
+    tables = []
+    for k0 in range(0, n, w):
+        table = cr.mul[lines[:, k0]]
+        for k in range(k0 + 1, min(k0 + w, n)):
+            table = cr.add[table[:, :, None], cr.mul[lines[:, k]][:, None, :]]
+            table = table.reshape(n_out, -1)
+        tables.append(table)
+    return tables
+
+
+def _batch_keys(cr, cols, w):
+    """Chunk keys of every batch column; entry k of column c is cols[:, k, c]."""
+    n = cols.shape[1]
+    return [
+        _powers(cr.q, min(w, n - k0)) @ cols[:, k0 : k0 + w]
+        for k0 in range(0, n, w)
+    ]
+
+
+def _gather(cr, tables, keys, dst):
+    """dst[r, i, c] = sum over chunks t of tables[t][i, keys[t][r, c]]."""
+    for t, (table, key) in enumerate(zip(tables, keys)):
+        for i, row in enumerate(table):
+            if t:
+                dst[:, i] = cr.add[dst[:, i], row[key]]
+            else:
+                dst[:, i] = row[key]
+    return dst
+
+
+def _rows(vecs, n):
+    """Batch rows as columns: entry k of column c is B[c, k]."""
+    return vecs.reshape(-1, n, n).transpose(0, 2, 1)
+
+
+def mul_batch_left(cr, a, Bs, n, rows=None, cols=None):
+    """a*B for every coded matrix B in ``Bs``, as (m, n*n) codes.
+
+    ``rows`` and ``cols`` restrict each product to that block of entries,
+    returned row-major as (m, len(rows) * len(cols)).
+    """
+    A = a.reshape(n, n)[slice(None) if rows is None else list(rows)]
+    B = Bs.reshape(-1, n, n)[:, :, slice(None) if cols is None else list(cols)]
+    m = B.shape[0]
+    w = _width(cr.q, n, m)
+    out = np.empty((m, A.shape[0], B.shape[2]), np.int64)
+    _gather(cr, _tables(cr, A, w), _batch_keys(cr, B, w), out)
+    return out.reshape(m, A.shape[0] * B.shape[2])
+
+
+def mul_batch_right(cr, As, b, n):
+    """A*b for every coded matrix A in ``As``, as (m, n*n) codes."""
     m = As.shape[0]
-    A = As.reshape(m, n, n)
-    B = b.reshape(n, n)
-    acc = None
-    for k in range(n):
-        term = mul[A[:, :, k][:, :, None], B[k, :][None, None, :]]
-        acc = term if acc is None else add[acc, term]
-    return acc.reshape(m, n * n)
+    w = _width(cr.q, n, m)
+    out = np.empty((m, n, n), np.int64)
+    tables = _tables(cr, b.reshape(n, n).T, w)
+    _gather(cr, tables, _batch_keys(cr, _rows(As, n), w), out.transpose(0, 2, 1))
+    return out.reshape(m, n * n)
 
 
-def _np_mul_batch_left(a, Bs, add, mul, n):
-    m = Bs.shape[0]
-    A = a.reshape(n, n)
-    B = Bs.reshape(m, n, n)
-    acc = None
-    for k in range(n):
-        term = mul[A[:, k][None, :, None], B[:, k, :][:, None, :]]
-        acc = term if acc is None else add[acc, term]
-    return acc.reshape(m, n * n)
+def group_closure(cr, gens, n, budget=None):
+    """BFS closure of the generated subgroup, seeded with the identity.
 
-
-def _np_mul_pairwise(As, Bs, add, mul, n):
-    m = As.shape[0]
-    A = As.reshape(m, n, n)
-    B = Bs.reshape(m, n, n)
-    acc = None
-    for k in range(n):
-        term = mul[A[:, :, k][:, :, None], B[:, k, :][:, None, :]]
-        acc = term if acc is None else add[acc, term]
-    return acc.reshape(m, n * n)
-
-
-def _np_closure_impl(seed, gens, add, mul, n, q, budget):
+    Returns (status, elems, keys) with elems sorted by packed key; status is
+    "complete" or "overflow" (partial set, still sorted and deduplicated).
+    Each generator's gather tables are built once and serve every level.
+    """
+    budget = get_budget(budget)
+    if not fits_packing(cr.q, n):
+        raise KernelError(f"q={cr.q}, n={n} does not pack into int64")
+    if gens.ndim != 2 or gens.shape[1] != n * n:
+        raise KernelError("generator array must have shape (m, n*n)")
     nn = n * n
-    pw = _powers(q, nn)
-    elems = np.unique(seed, axis=0)
+    pw = _powers(cr.q, nn)
+    ident = identity_vec(cr, n)[None, :]
+    if gens.shape[0] == 0:
+        return "complete", ident, ident @ pw
+    w = _width(cr.q, n, budget)
+    tables = [_tables(cr, g.reshape(n, n).T, w) for g in gens]
+    elems = np.unique(np.concatenate([ident, gens]), axis=0)
     keys = elems @ pw
     order = np.argsort(keys, kind="stable")
     elems, keys = elems[order], keys[order]
+    if elems.shape[0] > budget:
+        return "overflow", elems[:budget], keys[:budget]
     frontier = elems
     status = "complete"
     while frontier.shape[0]:
-        prods = np.concatenate(
-            [_np_mul_batch_right(frontier, g, add, mul, n) for g in gens]
-        )
-        pk = prods @ pw
-        pk, first = np.unique(pk, return_index=True)
-        prods = prods[first]
-        pos = np.searchsorted(keys, pk)
-        pos_c = np.clip(pos, 0, keys.shape[0] - 1)
-        fresh = keys[pos_c] != pk
-        prods, pk = prods[fresh], pk[fresh]
+        fkeys = _batch_keys(cr, _rows(frontier, n), w)
+        prod = np.empty((frontier.shape[0], n, n), np.int64)
+        flat = prod.reshape(-1, nn)
+        fresh_elems, fresh_keys = [], []
+        for gtables in tables:
+            _gather(cr, gtables, fkeys, prod.transpose(0, 2, 1))
+            pk = flat @ pw
+            pos = np.searchsorted(keys, pk).clip(max=keys.shape[0] - 1)
+            fresh = keys[pos] != pk
+            fresh_elems.append(flat[fresh])
+            fresh_keys.append(pk[fresh])
+        pk, first = np.unique(np.concatenate(fresh_keys), return_index=True)
+        prods = np.concatenate(fresh_elems)[first]
         if not prods.shape[0]:
             break
         if elems.shape[0] + prods.shape[0] > budget:
@@ -207,29 +255,58 @@ def _np_closure_impl(seed, gens, add, mul, n, q, budget):
     return status, elems, keys
 
 
-def _np_center_mask(elems, gens, add, mul, n):
+def center_mask(cr, elems, gens, n):
+    """True where an element commutes with every generator.
+
+    Elements are filtered generator by generator: each generator tests only
+    the elements that commute with all the generators before it.
+    """
     N = elems.shape[0]
-    out = np.ones(N, bool)
+    w = _width(cr.q, n, N)
+    sides = [
+        (_tables(cr, g.reshape(n, n), w), _tables(cr, g.reshape(n, n).T, w))
+        for g in gens
+    ]
+    mask = np.zeros(N, bool)
     chunk = 1 << 14
-    for g in gens:
-        for lo in range(0, N, chunk):
-            part = elems[lo : lo + chunk]
-            L = _np_mul_batch_right(part, g, add, mul, n)
-            R = _np_mul_batch_left(g, part, add, mul, n)
-            out[lo : lo + chunk] &= (L == R).all(axis=1)
-    return out
+    for lo in range(0, N, chunk):
+        part = elems[lo : lo + chunk]
+        alive = np.arange(lo, lo + part.shape[0])
+        col_keys = _batch_keys(cr, part.reshape(-1, n, n), w)
+        row_keys = _batch_keys(cr, _rows(part, n), w)
+        for left, right in sides:
+            m = alive.shape[0]
+            gx = _gather(cr, left, col_keys, np.empty((m, n, n), np.int64))
+            xg = np.empty((m, n, n), np.int64)
+            _gather(cr, right, row_keys, xg.transpose(0, 2, 1))
+            keep = (gx == xg).all(axis=(1, 2))
+            alive = alive[keep]
+            col_keys = [k[keep] for k in col_keys]
+            row_keys = [k[keep] for k in row_keys]
+        mask[alive] = True
+    return mask
 
 
-def _np_coset_labels(elems, keys, sub, add, mul, n, q):
+def coset_labels(cr, elems, keys, sub, n):
+    """Left-coset labels g*H over a group sorted by packed key.
+
+    Labels are assigned in element (key) order, so the representative of
+    each coset is automatically its minimal element.  Returns (labels,
+    rep_indices).  The subgroup's chunk keys are computed once and every
+    representative only builds its own gather tables.
+    """
     N = elems.shape[0]
-    pw = _powers(q, n * n)
+    pw = _powers(cr.q, n * n)
+    w = _width(cr.q, n, sub.shape[0])
+    sub_keys = _batch_keys(cr, sub.reshape(-1, n, n), w)
+    members = np.empty((sub.shape[0], n, n), np.int64)
     labels = np.full(N, -1, np.int64)
     reps = []
     for i in range(N):
         if labels[i] >= 0:
             continue
-        members = _np_mul_batch_left(elems[i], sub, add, mul, n)
-        mk = members @ pw
+        _gather(cr, _tables(cr, elems[i].reshape(n, n), w), sub_keys, members)
+        mk = members.reshape(-1, n * n) @ pw
         pos = np.searchsorted(keys, mk)
         if (pos >= N).any() or (keys[pos.clip(max=N - 1)] != mk).any():
             raise KernelError("coset member escapes the element set")
@@ -238,341 +315,30 @@ def _np_coset_labels(elems, keys, sub, add, mul, n, q):
     return labels, np.array(reps, np.int64)
 
 
-# -- numba backend -----------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _nb_mul_single(a, b, add, mul, n):
-        out = np.empty(n * n, np.int64)
-        for i in range(n):
-            for j in range(n):
-                acc = mul[a[i * n], b[j]]
-                for k in range(1, n):
-                    acc = add[acc, mul[a[i * n + k], b[k * n + j]]]
-                out[i * n + j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_mul_batch_right(As, b, add, mul, n):
-        m = As.shape[0]
-        out = np.empty((m, n * n), np.int64)
-        for r in range(m):
-            a = As[r]
-            for i in range(n):
-                for j in range(n):
-                    acc = mul[a[i * n], b[j]]
-                    for k in range(1, n):
-                        acc = add[acc, mul[a[i * n + k], b[k * n + j]]]
-                    out[r, i * n + j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_mul_batch_left(a, Bs, add, mul, n):
-        m = Bs.shape[0]
-        out = np.empty((m, n * n), np.int64)
-        for r in range(m):
-            b = Bs[r]
-            for i in range(n):
-                for j in range(n):
-                    acc = mul[a[i * n], b[j]]
-                    for k in range(1, n):
-                        acc = add[acc, mul[a[i * n + k], b[k * n + j]]]
-                    out[r, i * n + j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_mul_pairwise(As, Bs, add, mul, n):
-        m = As.shape[0]
-        out = np.empty((m, n * n), np.int64)
-        for r in range(m):
-            a = As[r]
-            b = Bs[r]
-            for i in range(n):
-                for j in range(n):
-                    acc = mul[a[i * n], b[j]]
-                    for k in range(1, n):
-                        acc = add[acc, mul[a[i * n + k], b[k * n + j]]]
-                    out[r, i * n + j] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_hash_slot(key, cap_mask):
-        x = key
-        x ^= x >> 33
-        x *= -49064778989728563
-        x ^= x >> 29
-        return x & cap_mask
-
-    @njit(cache=True)
-    def _nb_closure_impl(seed, gens, add, mul, n, q, budget):
-        nn = n * n
-        pw = np.empty(nn, np.int64)
-        pw[nn - 1] = 1
-        for t in range(nn - 2, -1, -1):
-            pw[t] = pw[t + 1] * q
-        cap = 16
-        while cap < 2 * (budget + 2):
-            cap <<= 1
-        cap_mask = cap - 1
-        slots = np.full(cap, -1, np.int64)
-        cap_e = 1024
-        elems = np.empty((cap_e, nn), np.int64)
-        keys = np.empty(cap_e, np.int64)
-        count = 0
-        overflow = False
-        for s in range(seed.shape[0]):
-            vec = seed[s]
-            key = np.int64(0)
-            for t in range(nn):
-                key += vec[t] * pw[t]
-            h = _nb_hash_slot(key, cap_mask)
-            while slots[h] != -1 and keys[slots[h]] != key:
-                h = (h + 1) & cap_mask
-            if slots[h] == -1:
-                if count == cap_e:
-                    cap_e *= 2
-                    new_e = np.empty((cap_e, nn), np.int64)
-                    new_e[:count] = elems[:count]
-                    elems = new_e
-                    new_k = np.empty(cap_e, np.int64)
-                    new_k[:count] = keys[:count]
-                    keys = new_k
-                elems[count] = vec
-                keys[count] = key
-                slots[h] = count
-                count += 1
-        head = 0
-        ngens = gens.shape[0]
-        while head < count:
-            base = elems[head]
-            for gi in range(ngens):
-                g = gens[gi]
-                prod = np.empty(nn, np.int64)
-                for i in range(n):
-                    for j in range(n):
-                        acc = mul[base[i * n], g[j]]
-                        for k in range(1, n):
-                            acc = add[acc, mul[base[i * n + k], g[k * n + j]]]
-                        prod[i * n + j] = acc
-                key = np.int64(0)
-                for t in range(nn):
-                    key += prod[t] * pw[t]
-                h = _nb_hash_slot(key, cap_mask)
-                while slots[h] != -1 and keys[slots[h]] != key:
-                    h = (h + 1) & cap_mask
-                if slots[h] == -1:
-                    if count >= budget:
-                        overflow = True
-                        break
-                    if count == cap_e:
-                        cap_e *= 2
-                        new_e = np.empty((cap_e, nn), np.int64)
-                        new_e[:count] = elems[:count]
-                        elems = new_e
-                        new_k = np.empty(cap_e, np.int64)
-                        new_k[:count] = keys[:count]
-                        keys = new_k
-                    elems[count] = prod
-                    keys[count] = key
-                    slots[h] = count
-                    count += 1
-            if overflow:
-                break
-            head += 1
-        out_keys = keys[:count]
-        out_elems = elems[:count]
-        order = np.argsort(out_keys, kind="mergesort")
-        return (not overflow), out_elems[order], out_keys[order]
-
-    @njit(cache=True)
-    def _nb_center_mask(elems, gens, add, mul, n):
-        N = elems.shape[0]
-        out = np.ones(N, np.bool_)
-        ngens = gens.shape[0]
-        for idx in range(N):
-            e = elems[idx]
-            ok = True
-            for gi in range(ngens):
-                g = gens[gi]
-                for i in range(n):
-                    for j in range(n):
-                        acc1 = mul[e[i * n], g[j]]
-                        acc2 = mul[g[i * n], e[j]]
-                        for k in range(1, n):
-                            acc1 = add[acc1, mul[e[i * n + k], g[k * n + j]]]
-                            acc2 = add[acc2, mul[g[i * n + k], e[k * n + j]]]
-                        if acc1 != acc2:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            out[idx] = ok
-        return out
-
-    @njit(cache=True)
-    def _nb_coset_labels(elems, keys, sub, add, mul, n, q):
-        nn = n * n
-        pw = np.empty(nn, np.int64)
-        pw[nn - 1] = 1
-        for t in range(nn - 2, -1, -1):
-            pw[t] = pw[t + 1] * q
-        N = elems.shape[0]
-        m = sub.shape[0]
-        labels = np.full(N, -1, np.int64)
-        reps = np.empty(N, np.int64)
-        ncos = 0
-        ok = True
-        for i in range(N):
-            if labels[i] >= 0:
-                continue
-            e = elems[i]
-            for s in range(m):
-                b = sub[s]
-                key = np.int64(0)
-                for r in range(n):
-                    for c in range(n):
-                        acc = mul[e[r * n], b[c]]
-                        for k in range(1, n):
-                            acc = add[acc, mul[e[r * n + k], b[k * n + c]]]
-                        key += acc * pw[r * n + c]
-                lo = 0
-                hi = N
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if keys[mid] < key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if lo >= N or keys[lo] != key:
-                    ok = False
-                else:
-                    labels[lo] = ncos
-            reps[ncos] = i
-            ncos += 1
-        return ok, labels, reps[:ncos]
-
-
-# -- dispatch ----------------------------------------------------------
-
-
-def available_backends():
-    names = ["numpy"]
-    if NUMBA_AVAILABLE:
-        names.append("numba")
-    return names
-
-
-def active_backend_name(override=None):
-    name = override or os.environ.get("ABELSLAB_BACKEND")
-    if name is None:
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    name = name.strip().lower()
-    if name not in ("numba", "numpy"):
-        raise KernelError(f"unknown backend {name!r}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise KernelError("numba backend requested but numba is unavailable")
-    return name
-
-
-def mul_single(cr, a, b, n, backend=None):
-    if active_backend_name(backend) == "numba":
-        return _nb_mul_single(a, b, cr.add, cr.mul, n)
-    return _np_mul_single(a, b, cr.add, cr.mul, n)
-
-
-def mul_batch_right(cr, As, b, n, backend=None):
-    if active_backend_name(backend) == "numba":
-        return _nb_mul_batch_right(As, b, cr.add, cr.mul, n)
-    return _np_mul_batch_right(As, b, cr.add, cr.mul, n)
-
-
-def mul_batch_left(cr, a, Bs, n, backend=None):
-    if active_backend_name(backend) == "numba":
-        return _nb_mul_batch_left(a, Bs, cr.add, cr.mul, n)
-    return _np_mul_batch_left(a, Bs, cr.add, cr.mul, n)
-
-
-def mul_pairwise(cr, As, Bs, n, backend=None):
-    if active_backend_name(backend) == "numba":
-        return _nb_mul_pairwise(As, Bs, cr.add, cr.mul, n)
-    return _np_mul_pairwise(As, Bs, cr.add, cr.mul, n)
-
-
-def group_closure(cr, gens, n, budget=None, backend=None):
-    """BFS closure of the generated subgroup, seeded with the identity.
-
-    Returns (status, elems, keys) with elems sorted by packed key; status is
-    "complete" or "overflow" (partial set, still sorted and deduplicated).
-    """
-    budget = get_budget(budget)
-    if budget > 2**26:
-        raise KernelError("closure budget too large for the hash table")
-    if not fits_packing(cr.q, n):
-        raise KernelError(f"q={cr.q}, n={n} does not pack into int64")
-    if gens.ndim != 2 or gens.shape[1] != n * n:
-        raise KernelError("generator array must have shape (m, n*n)")
-    if gens.shape[0] == 0:
-        ident = identity_vec(cr, n)[None, :]
-        return "complete", ident, ident @ _powers(cr.q, n * n)
-    seed = np.concatenate([identity_vec(cr, n)[None, :], gens])
-    if active_backend_name(backend) == "numba":
-        ok, elems, keys = _nb_closure_impl(
-            seed, gens, cr.add, cr.mul, n, cr.q, budget
-        )
-        return ("complete" if ok else "overflow"), elems, keys
-    return _np_closure_impl(seed, gens, cr.add, cr.mul, n, cr.q, budget)
-
-
-def center_mask(cr, elems, gens, n, backend=None):
-    if active_backend_name(backend) == "numba":
-        return _nb_center_mask(elems, gens, cr.add, cr.mul, n)
-    return _np_center_mask(elems, gens, cr.add, cr.mul, n)
-
-
-def coset_labels(cr, elems, keys, sub, n, backend=None):
-    """Left-coset labels g*H over a group sorted by packed key.
-
-    Labels are assigned in element (key) order, so the representative of
-    each coset is automatically its minimal element.  Returns (labels,
-    rep_indices).
-    """
-    if active_backend_name(backend) == "numba":
-        ok, labels, reps = _nb_coset_labels(
-            elems, keys, sub, cr.add, cr.mul, n, cr.q
-        )
-        if not ok:
-            raise KernelError("coset member escapes the element set")
-        return labels, reps
-    return _np_coset_labels(elems, keys, sub, cr.add, cr.mul, n, cr.q)
-
-
 def closure_python(ring, gen_mats, budget=None):
-    """Set-based closure over Matrix objects; no packing requirement."""
+    """Set-based closure over Matrix objects; no packing requirement.
+
+    The budget is checked at every new element, so ``seen`` never holds
+    more than ``budget`` matrices; the status is "overflow" exactly when the
+    closure is larger than the budget.
+    """
     budget = get_budget(budget)
     if not gen_mats:
         raise KernelError("empty generator list")
-    n = gen_mats[0].n
-    ident = Matrix.identity(ring, n)
+    if budget < 1:
+        return "overflow", set()
+    ident = Matrix.identity(ring, gen_mats[0].n)
     seen = {ident}
     frontier = [ident]
-    for g in gen_mats:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    status = "complete"
     while frontier:
         nxt = []
         for x in frontier:
             for g in gen_mats:
                 y = x.mul(g)
                 if y not in seen:
+                    if len(seen) >= budget:
+                        return "overflow", seen
                     seen.add(y)
                     nxt.append(y)
-        if len(seen) > budget:
-            status = "overflow"
-            break
         frontier = nxt
-    return status, seen
+    return "complete", seen

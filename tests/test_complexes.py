@@ -7,6 +7,7 @@ from abelslab.abels import (
     horospherical_family,
     unipotent_and_torus,
 )
+from abelslab import complexes
 from abelslab.complexes import (
     ComplexError,
     CosetComplex,
@@ -22,6 +23,7 @@ from abelslab.complexes import (
     homology_h1,
     is_simply_connected,
     nerve_oracle,
+    verify_complex,
 )
 from abelslab.matrices import Matrix
 from abelslab.presentation import todd_coxeter
@@ -167,6 +169,21 @@ def test_contracting_complex_rank_five():
     assert connected_components(cx) == 1
     assert homology_h1(cx) == (0, ())
     assert is_simply_connected(cx) == "yes"
+
+
+def test_verify_complex_runs_smith_form_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return smith(*args, **kwargs)
+
+    smith = complexes.smith_invariant_factors
+    monkeypatch.setattr(complexes, "smith_invariant_factors", counted)
+    rep = verify_complex(4, Z2, family="contracting")
+    assert rep.ok
+    assert rep.config["pi1"] == "yes"
+    assert len(calls) == 1
 
 
 def test_pi1_enumeration_confirms_simple_connectivity():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abelslab import kernels
+from abelslab.abels import subgroup_by_name
 from abelslab.kernels import (
     KernelError,
     coded_ring,
@@ -14,14 +17,13 @@ from abelslab.kernels import (
     identity_vec,
     mul_batch_left,
     mul_batch_right,
-    mul_pairwise,
-    mul_single,
     pack_keys,
 )
 from abelslab.matrices import Matrix
 from abelslab.rings import ZModRing, make_ring
 
-BACKENDS = kernels.available_backends()
+# deterministic and bounded, so the properties run the same way every time
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
 def unitriangular_generators(ring, n):
@@ -63,8 +65,7 @@ def test_packing_guard():
     assert not fits_packing(2, 8)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_mul_matches_exact(backend):
+def test_mul_matches_exact():
     R = ZModRing(5)
     cr = coded_ring(R)
     rng = np.random.default_rng(42)
@@ -73,12 +74,12 @@ def test_mul_matches_exact(backend):
         a = Matrix.from_rows(R, rng.integers(0, 5, (n, n)).tolist())
         b = Matrix.from_rows(R, rng.integers(0, 5, (n, n)).tolist())
         va, vb = encode_matrix(cr, a), encode_matrix(cr, b)
-        out = mul_single(cr, va, vb, n, backend=backend)
-        assert decode_matrix(cr, out, n) == a.mul(b)
+        out = mul_batch_left(cr, va, vb[None, :], n)
+        assert out.shape == (1, n * n)
+        assert decode_matrix(cr, out[0], n) == a.mul(b)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_muls(backend):
+def test_batch_muls():
     R = ZModRing(3)
     cr = coded_ring(R)
     rng = np.random.default_rng(7)
@@ -89,22 +90,25 @@ def test_batch_muls(backend):
     fixed = Matrix.from_rows(R, rng.integers(0, 3, (n, n)).tolist())
     As = encode_matrices(cr, mats)
     vf = encode_matrix(cr, fixed)
-    right = mul_batch_right(cr, As, vf, n, backend=backend)
-    left = mul_batch_left(cr, vf, As, n, backend=backend)
-    pair = mul_pairwise(cr, As, As[::-1].copy(), n, backend=backend)
+    right = mul_batch_right(cr, As, vf, n)
+    left = mul_batch_left(cr, vf, As, n)
+    block = mul_batch_left(cr, vf, As, n, rows=(0, 2), cols=(1,))
     for idx, m in enumerate(mats):
         assert decode_matrix(cr, right[idx], n) == m.mul(fixed)
         assert decode_matrix(cr, left[idx], n) == fixed.mul(m)
-        assert decode_matrix(cr, pair[idx], n) == m.mul(mats[len(mats) - 1 - idx])
+        prod = fixed.mul(m)
+        assert [R.decode(int(c)) for c in block[idx]] == [
+            prod.entry(1, 2),
+            prod.entry(3, 2),
+        ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_closure_unitriangular_order(backend):
+def test_closure_unitriangular_order():
     R = ZModRing(3)
     cr = coded_ring(R)
     n = 4
     gens = encode_matrices(cr, unitriangular_generators(R, n))
-    status, elems, keys = group_closure(cr, gens, n, backend=backend)
+    status, elems, keys = group_closure(cr, gens, n)
     assert status == "complete"
     assert elems.shape[0] == 3**6
     assert (np.diff(keys) > 0).all()
@@ -112,62 +116,44 @@ def test_closure_unitriangular_order(backend):
     assert (recomputed == keys).all()
 
 
-def test_backends_agree_on_closure():
-    if len(BACKENDS) < 2:
-        pytest.skip("single backend available")
-    R = ZModRing(2)
-    cr = coded_ring(R)
-    n = 5
-    gens = encode_matrices(cr, unitriangular_generators(R, n))
-    results = {}
-    for b in BACKENDS:
-        status, elems, keys = group_closure(cr, gens, n, backend=b)
-        assert status == "complete"
-        results[b] = (elems, keys)
-    e0, k0 = results["numpy"]
-    e1, k1 = results["numba"]
-    assert (k0 == k1).all()
-    assert (e0 == e1).all()
-    assert e0.shape[0] == 2**10
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_closure_overflow(backend):
+def test_closure_overflow():
     R = ZModRing(3)
     cr = coded_ring(R)
     n = 4
     gens = encode_matrices(cr, unitriangular_generators(R, n))
-    status, elems, keys = group_closure(cr, gens, n, budget=50, backend=backend)
+    status, elems, keys = group_closure(cr, gens, n, budget=50)
     assert status == "overflow"
     assert (np.diff(keys) > 0).all()
+    # no budget-sized table is allocated, so a large budget is no error
+    status, elems, _ = group_closure(cr, gens, n, budget=2**26 + 1)
+    assert status == "complete"
+    assert elems.shape[0] == 3**6
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_center_mask(backend):
+def test_center_mask():
     R = ZModRing(3)
     cr = coded_ring(R)
     n = 3
     gen_mats = unitriangular_generators(R, n)
     gens = encode_matrices(cr, gen_mats)
-    status, elems, keys = group_closure(cr, gens, n, backend=backend)
+    status, elems, keys = group_closure(cr, gens, n)
     assert status == "complete"
-    mask = kernels.center_mask(cr, elems, gens, n, backend=backend)
+    mask = kernels.center_mask(cr, elems, gens, n)
     # center of the Heisenberg group over zmod(3) is the corner subgroup
     center = {Matrix.elementary(R, n, 1, 3, r) for r in range(3)}
     got = {decode_matrix(cr, elems[i], n) for i in np.where(mask)[0]}
     assert got == center
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_coset_labels(backend):
+def test_coset_labels():
     R = ZModRing(2)
     cr = coded_ring(R)
     n = 3
     gens = encode_matrices(cr, unitriangular_generators(R, n))
-    status, elems, keys = group_closure(cr, gens, n, backend=backend)
+    status, elems, keys = group_closure(cr, gens, n)
     sub_mats = [Matrix.identity(R, n), Matrix.elementary(R, n, 1, 2, 1)]
     sub = encode_matrices(cr, sub_mats)
-    labels, reps = coset_labels(cr, elems, keys, sub, n, backend=backend)
+    labels, reps = coset_labels(cr, elems, keys, sub, n)
     assert labels.min() == 0
     assert labels.max() == len(reps) - 1
     assert len(reps) == elems.shape[0] // 2
@@ -202,8 +188,7 @@ def test_trivial_generator_closure():
     assert elems.shape[0] == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_closure_python_agrees(backend):
+def test_closure_python_agrees():
     R = ZModRing(3)
     n = 3
     gen_mats = unitriangular_generators(R, n)
@@ -211,6 +196,107 @@ def test_closure_python_agrees(backend):
     assert status == "complete"
     cr = coded_ring(R)
     gens = encode_matrices(cr, gen_mats)
-    _, elems, _ = group_closure(cr, gens, n, backend=backend)
+    _, elems, _ = group_closure(cr, gens, n)
     coded = {decode_matrix(cr, elems[i], n) for i in range(elems.shape[0])}
     assert coded == pyset
+
+
+def test_closure_python_budget_is_exact():
+    R = ZModRing(3)
+    gen_mats = unitriangular_generators(R, 3)
+    # levels of U_3(Z/3) from the identity: 1, 3, 6, ... of 27 elements
+    status, seen = kernels.closure_python(R, gen_mats, budget=7)
+    assert status == "overflow"
+    assert len(seen) == 7
+    status, seen = kernels.closure_python(R, gen_mats, budget=26)
+    assert status == "overflow"
+    assert len(seen) == 26
+    status, seen = kernels.closure_python(R, gen_mats, budget=27)
+    assert status == "complete"
+    assert len(seen) == 27
+
+
+# -- properties against plain Matrix arithmetic -------------------------
+
+PRODUCT_RINGS = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "gf:5",
+                 "polyq:2:1,1,1", "polyq:3:0,0,1")
+
+
+@PROPERTY
+@given(
+    descriptor=st.sampled_from(PRODUCT_RINGS),
+    n=st.integers(2, 6),
+    size=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+# q**n = 5**6 is above the table cap: the chunks' partial sums are combined
+@example(descriptor="gf:5", n=6, size=5000, seed=0)
+def test_batch_products_match_matrix(descriptor, n, size, seed):
+    R = make_ring(descriptor)
+    cr = coded_ring(R)
+    # batches run from one row to past q**n, so narrow and full chunks occur
+    size = min(size, cr.q**n + 3)
+    rng = np.random.default_rng(seed)
+    batch = rng.integers(0, cr.q, (size, n * n))
+    fixed = rng.integers(0, cr.q, n * n)
+    left = mul_batch_left(cr, fixed, batch, n)
+    right = mul_batch_right(cr, batch, fixed, n)
+    g = decode_matrix(cr, fixed, n)
+    rows = {0, size - 1} | set(rng.integers(0, size, 6).tolist())
+    for r in rows:
+        x = decode_matrix(cr, batch[r], n)
+        assert decode_matrix(cr, left[r], n) == g.mul(x)
+        assert decode_matrix(cr, right[r], n) == x.mul(g)
+
+
+SMALL_GROUPS = (
+    ("A", 3, "zmod:2"),
+    ("A", 3, "zmod:4"),
+    ("A", 3, "gf:5"),
+    ("U", 3, "polyq:2:1,1,1"),
+    ("A", 4, "zmod:2"),
+    ("H1", 4, "zmod:3"),
+    ("T", 4, "zmod:5"),
+    ("U", 2, "zmod:6"),
+)
+
+
+@PROPERTY
+@given(case=st.sampled_from(SMALL_GROUPS), data=st.data())
+def test_center_mask_matches_matrix(case, data):
+    name, n, descriptor = case
+    R = make_ring(descriptor)
+    cr = coded_ring(R)
+    spec = subgroup_by_name(name, n, R)
+    gens = data.draw(
+        st.lists(st.sampled_from(spec.generators), min_size=1, max_size=4)
+    )
+    elems = spec.elements_encoded()
+    mask = kernels.center_mask(cr, elems, encode_matrices(cr, gens), n)
+    for idx, x in enumerate(spec.elements()):
+        expected = all(x.mul(g) == g.mul(x) for g in gens)
+        assert bool(mask[idx]) == expected
+
+
+@PROPERTY
+@given(case=st.sampled_from(SMALL_GROUPS), data=st.data())
+def test_group_closure_matches_closure_python(case, data):
+    name, n, descriptor = case
+    R = make_ring(descriptor)
+    cr = coded_ring(R)
+    spec = subgroup_by_name(name, n, R)
+    gens = data.draw(
+        st.lists(st.sampled_from(spec.generators), min_size=1, max_size=4)
+    )
+    budget = data.draw(st.integers(1, spec.order() + 1))
+    status, elems, keys = group_closure(
+        cr, encode_matrices(cr, gens), n, budget=budget
+    )
+    py_status, seen = kernels.closure_python(R, gens, budget=budget)
+    assert status == py_status
+    assert len(seen) <= budget
+    assert elems.shape[0] <= budget
+    assert (np.diff(keys) > 0).all()
+    if status == "complete":
+        coded = {decode_matrix(cr, elems[i], n) for i in range(elems.shape[0])}
+        assert coded == seen
