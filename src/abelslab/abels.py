@@ -407,9 +407,7 @@ def check_closure_matches_pattern(spec, budget=None):
         expected = spec.elements_encoded(budget)
         return elems.shape == expected.shape and bool((elems == expected).all())
     gens = list(spec.generators) or [Matrix.identity(R, n)]
-    status, seen = kernels.closure_python(R, gens, budget=budget)
-    if status != "complete":
-        raise BudgetExceeded("inconclusive-budget: closure overflowed")
+    seen = kernels.closure_set(R, gens, budget, what="closure")
     return seen == set(spec.elements())
 
 
@@ -537,17 +535,16 @@ def check_abels_retraction(n, ring, budget=None):
             V = amb.elements_encoded(budget)
             flat = _window_flat(n)
             RV = _retract_codes(cr, V[:, flat], n)
-            # retractions of g*x: identity off the window, whose entries
-            # (2,2), (2,3), (3,3) come from the block of rows and columns 2-3
-            lhs = RV.copy()
-            block = [0, 1, 3]
+            # r(g*x) and r(g)*r(x) are both the identity off the block of
+            # rows and columns 2-3, and zero at its entry (3,2): compare the
+            # window entries of that block, laid out row-major
+            block = [2 * (i - 2) + (j - 2) for i, j in _WINDOW]
             for g in amb.generators:
                 gv = kernels.encode_matrix(cr, g)
                 window = kernels.mul_batch_left(cr, gv, V, n, rows=(1, 2), cols=(1, 2))
-                lhs[:, flat] = window[:, block]
                 rg = _retract_codes(cr, gv[None, flat], n)[0]
-                rhs = kernels.mul_batch_left(cr, rg, RV, n)
-                if not (lhs == rhs).all():
+                rhs = kernels.mul_batch_left(cr, rg, RV, n, rows=(1, 2), cols=(1, 2))
+                if not (window[:, block] == rhs[:, block]).all():
                     return False
     return True
 

@@ -24,6 +24,7 @@ from .kernels import (
     fits_packing,
     group_closure,
     closure_python,
+    closure_set,
 )
 from .matrices import Matrix
 from .presentation import (
@@ -153,13 +154,6 @@ def _packed_key(ring, mat):
     return key
 
 
-def _closure_sorted_python(ring, gens, budget):
-    status, seen = closure_python(ring, gens, budget=budget)
-    if status != "complete":
-        raise BudgetExceeded("inconclusive-budget: group closure overflowed")
-    return sorted(seen, key=lambda m: _python_element_key(ring, m))
-
-
 def coset_complex(group, family, budget=None):
     """Left-coset complex of a finite matrix group over a subgroup family.
 
@@ -207,7 +201,10 @@ def coset_complex(group, family, budget=None):
             labels.append((lab, reps))
             member_keys.append(mkeys)
     else:
-        elements = _closure_sorted_python(ring, gens, budget)
+        elements = sorted(
+            closure_set(ring, gens, budget),
+            key=lambda m: _python_element_key(ring, m),
+        )
         index = {m: i for i, m in enumerate(elements)}
         keys = np.array(
             [_packed_key(ring, m) for m in elements], dtype=object
@@ -281,7 +278,10 @@ def nerve_oracle(group, family, budget=200):
         raise ComplexError("family must be nonempty")
     gens = _generator_list(group)
     ring = gens[0].ring
-    elements = _closure_sorted_python(ring, gens, budget)
+    elements = sorted(
+        closure_set(ring, gens, budget),
+        key=lambda m: _python_element_key(ring, m),
+    )
     element_set = set(elements)
     cosets = []
     vertices = []

@@ -22,7 +22,7 @@ tables once and reuse them.
 
 import numpy as np
 
-from .config import get_budget
+from .config import BudgetExceeded, get_budget
 from .matrices import Matrix
 from .rings import RingError
 
@@ -342,3 +342,15 @@ def closure_python(ring, gen_mats, budget=None):
                     nxt.append(y)
         frontier = nxt
     return "complete", seen
+
+
+def closure_set(ring, gen_mats, budget=None, what="group closure"):
+    """The complete closure of ``closure_python`` as a set of Matrix objects.
+
+    Overflow raises ``BudgetExceeded("inconclusive-budget: <what>
+    overflowed")``; callers that need key order sort the set.
+    """
+    status, seen = closure_python(ring, gen_mats, budget=budget)
+    if status != "complete":
+        raise BudgetExceeded(f"inconclusive-budget: {what} overflowed")
+    return seen

@@ -1,10 +1,14 @@
 """Immutable square matrices over an exact ring.
 
 Rows are stored as nested tuples of canonical ring element values; public
-row/column indices are 1-based throughout.  Inversion is exact: triangular
-matrices with unit diagonal go through back-substitution, everything else
-through the adjugate with a subset-DP determinant (intended for the small
-ambient sizes used here, n <= 8).
+row/column indices are 1-based throughout.  A product is one call to the
+ring's `matmul`, which sees the whole row-column pairs: modular and
+polynomial-quotient rings sum each pair and reduce once per entry, while
+the other rings fold `add` and `mul` term by term, so that Laurent rings
+check their term-count budget on every step (see `rings.Ring`).  Inversion is exact:
+triangular matrices with unit diagonal go through back-substitution,
+everything else through the adjugate with a subset-DP determinant (intended
+for the small ambient sizes used here, n <= 8).
 """
 
 class MatrixError(ValueError):
@@ -22,6 +26,16 @@ class Matrix:
             if len(r) != self.n:
                 raise MatrixError("matrix must be square")
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, ring, rows):
+        """A matrix from rows already known to be n tuples of length n."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.rows = rows
+        out.n = len(rows)
+        out._hash = None
+        return out
 
     # -- construction ------------------------------------------------
     @classmethod
@@ -127,7 +141,7 @@ class Matrix:
         return tuple(self.rows[i][i] for i in range(self.n))
 
     def transpose(self):
-        return Matrix(self.ring, tuple(zip(*self.rows)))
+        return Matrix._trusted(self.ring, tuple(zip(*self.rows)))
 
     # -- arithmetic --------------------------------------------------
     def _require_compatible(self, other):
@@ -140,25 +154,7 @@ class Matrix:
 
     def mul(self, other):
         self._require_compatible(other)
-        R = self.ring
-        add, mul, z = R.add, R.mul, R.zero
-        a, b = self.rows, other.rows
-        n = self.n
-        bt = tuple(zip(*b))
-        out = []
-        for i in range(n):
-            ai = a[i]
-            row = []
-            for j in range(n):
-                bj = bt[j]
-                acc = z
-                for k in range(n):
-                    aik = ai[k]
-                    if aik != z:
-                        acc = add(acc, mul(aik, bj[k]))
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix(R, tuple(out))
+        return Matrix._trusted(self.ring, self.ring.matmul(self.rows, other.rows))
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -218,7 +214,11 @@ class Matrix:
                         f"diagonal entry {R.element_repr(d)} is not a unit"
                     )
                 invs.append(iv)
-            return Matrix.diagonal(R, tuple(invs))
+            z = R.zero
+            return Matrix._trusted(R, tuple(
+                tuple(iv if i == j else z for j in range(n))
+                for i, iv in enumerate(invs)
+            ))
         if self.is_upper_triangular() and all(
             R.is_unit(d) for d in self.diagonal_entries()
         ):
@@ -234,7 +234,7 @@ class Matrix:
                 f"matrix is not invertible (determinant {R.element_repr(d)})"
             )
         adj = self._adjugate()
-        return Matrix(R, tuple(
+        return Matrix._trusted(R, tuple(
             tuple(R.mul(dinv, v) for v in row) for row in adj.rows
         ))
 
@@ -255,7 +255,7 @@ class Matrix:
                     if a[i][k] != z and out[k][j] != z:
                         acc = R.add(acc, R.mul(a[i][k], out[k][j]))
                 out[i][j] = R.neg(R.mul(dinv[i], acc))
-        return Matrix(R, tuple(tuple(row) for row in out))
+        return Matrix._trusted(R, tuple(tuple(row) for row in out))
 
     def _minor(self, drop_i, drop_j):
         rows = tuple(
@@ -299,13 +299,14 @@ def conjugate_by_diagonal(d, e):
         raise MatrixError("conjugating matrix is not diagonal")
     d._require_compatible(e)
     R = d.ring
+    mul, z = R.mul, R.zero
     diag = d.diagonal_entries()
     inv = tuple(R.inverse(v) for v in diag)
     rows = tuple(
-        tuple(R.mul(R.mul(diag[i], e.rows[i][j]), inv[j]) for j in range(e.n))
-        for i in range(e.n)
+        tuple(v if v == z else mul(mul(di, v), inv[j]) for j, v in enumerate(row))
+        for di, row in zip(diag, e.rows)
     )
-    return Matrix(R, rows)
+    return Matrix._trusted(R, rows)
 
 
 def hall_identity_check(a, b, c):

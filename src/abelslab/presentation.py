@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .config import BudgetExceeded, get_budget
+from .kernels import closure_set
 from .matrices import Matrix, MatrixError
 from .reports import FAIL, INCONCLUSIVE, PASS, Report
 from .rings import additive_presentation
@@ -1012,7 +1013,7 @@ def verify_presentations(n, ring, budget=None):
 
         start = perf_counter()
         try:
-            generated = len(_closure_set(ring, list(images.values()), budget))
+            generated = len(closure_set(ring, list(images.values()), budget))
         except BudgetExceeded as exc:
             rep.check(
                 f"{name}-generates",
@@ -1043,17 +1044,6 @@ def verify_presentations(n, ring, budget=None):
 def _as_generator_list(obj):
     gens = list(obj.generators) if hasattr(obj, "generators") else list(obj)
     return gens
-
-
-def _closure_set(ring, gens, budget):
-    from .kernels import closure_python
-
-    if not gens:
-        raise PresentationError("need at least one generator")
-    status, seen = closure_python(ring, gens, budget=budget)
-    if status != "complete":
-        raise BudgetExceeded("inconclusive-budget: group closure overflowed")
-    return seen
 
 
 def _is_unipotent_pattern(spec):
@@ -1101,7 +1091,7 @@ def family_diagram(family, budget=None):
     closures = []
     crs = []
     for gens in gen_lists:
-        member = _closure_set(gens[0].ring, gens, budget)
+        member = closure_set(gens[0].ring, gens, budget)
         cp = regular_representation_presentation(gens, budget=budget)
         closures.append(member)
         crs.append(cp)
@@ -1138,7 +1128,7 @@ def tits_criterion_check(group, family, budget=None):
     budget = get_budget(budget)
     group_gens = _as_generator_list(group)
     ring = group_gens[0].ring
-    elements = _closure_set(ring, group_gens, budget)
+    elements = closure_set(ring, group_gens, budget)
     order = len(elements)
     rep = Report(
         suite="tits",
@@ -1154,7 +1144,7 @@ def tits_criterion_check(group, family, budget=None):
     union_gens = []
     for member in family:
         union_gens.extend(_as_generator_list(member))
-    generated = len(_closure_set(ring, union_gens, budget))
+    generated = len(closure_set(ring, union_gens, budget))
     start = perf_counter()
     agree = (components == 1) == (generated == order)
     rep.check(

@@ -24,7 +24,7 @@ different rings on purpose.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
+from operator import mul as _mul
 
 from . import snf
 
@@ -53,8 +53,26 @@ def _is_prime(p):
     return _prime_factors(p) == [p]
 
 
+def _convolve(conv, a, b):
+    """Add the coefficient convolution of a and b into conv."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+
+
 class Ring:
-    """Base handle.  Subclasses set `descriptor`, `finite`, `zero`, `one`."""
+    """Base handle.  Subclasses set `descriptor`, `finite`, `zero`, `one`.
+
+    `matmul` multiplies two square matrices given as row tuples, one call
+    per product.  The base version folds `add` and `mul` over each
+    row-column pair, skipping zero left entries, and serves every ring.
+    The finite rings `ZModRing`, `GFRing` and `PolyQuotientRing` override
+    it to sum a whole row-column pair first and reduce once per entry.
+    `LaurentRing` keeps the fold, so its term-count budget is still checked
+    on every add and mul.
+    """
 
     finite = False
     descriptor = "?"
@@ -77,6 +95,22 @@ class Ring:
 
     def mul(self, a, b):
         raise NotImplementedError
+
+    def matmul(self, a, b):
+        """Rows of the product of the square matrices with rows a and b."""
+        add, mul, z = self.add, self.mul, self.zero
+        cols = tuple(zip(*b))
+        out = []
+        for row in a:
+            entries = []
+            for col in cols:
+                acc = z
+                for x, y in zip(row, col):
+                    if x != z:
+                        acc = add(acc, mul(x, y))
+                entries.append(acc)
+            out.append(tuple(entries))
+        return tuple(out)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -203,6 +237,13 @@ class ZModRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.modulus
 
+    def matmul(self, a, b):
+        m = self.modulus
+        cols = tuple(zip(*b))
+        return tuple([
+            tuple([sum(map(_mul, row, col)) % m for col in cols]) for row in a
+        ])
+
     def try_inverse(self, a):
         try:
             return pow(a, -1, self.modulus)
@@ -291,14 +332,34 @@ class PolyQuotientRing(Ring):
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
+        conv = [0] * (2 * self.degree - 1)
+        _convolve(conv, a, b)
+        return self._reduce(conv)
+
+    def matmul(self, a, b):
+        """Each entry sums the convolutions of its row-column pairs and is
+        reduced once; reduction is linear, so this equals the fold."""
+        width = 2 * self.degree - 1
+        z = self.zero
+        cols = tuple(zip(*b))
+        out = []
+        for row in a:
+            entries = []
+            for col in cols:
+                conv = [0] * width
+                for x, y in zip(row, col):
+                    if x != z and y != z:
+                        _convolve(conv, x, y)
+                entries.append(self._reduce(conv))
+            out.append(tuple(entries))
+        return tuple(out)
+
+    def _reduce(self, conv):
+        """The element with integer coefficient list conv (length 2d-1)."""
+        if not any(conv):
+            return self.zero
         p = self.p
         d = self.degree
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
         out = [c % p for c in conv[:d]]
         for k in range(d, 2 * d - 1):
             c = conv[k] % p

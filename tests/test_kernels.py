@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from abelslab import kernels
 from abelslab.abels import subgroup_by_name
+from abelslab.config import BudgetExceeded
 from abelslab.kernels import (
     KernelError,
     coded_ring,
@@ -214,6 +215,18 @@ def test_closure_python_budget_is_exact():
     status, seen = kernels.closure_python(R, gen_mats, budget=27)
     assert status == "complete"
     assert len(seen) == 27
+
+
+def test_closure_set_raises_on_overflow():
+    R = ZModRing(3)
+    gen_mats = unitriangular_generators(R, 3)
+    assert len(kernels.closure_set(R, gen_mats, budget=27)) == 27
+    with pytest.raises(
+        BudgetExceeded, match=r"^inconclusive-budget: group closure overflowed$"
+    ):
+        kernels.closure_set(R, gen_mats, budget=26)
+    with pytest.raises(BudgetExceeded, match=r"^inconclusive-budget: closure overflowed$"):
+        kernels.closure_set(R, gen_mats, budget=26, what="closure")
 
 
 # -- properties against plain Matrix arithmetic -------------------------

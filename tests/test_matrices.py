@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abelslab.chevalley import SUPPORTED_LABELS, matrix_model, root_element
 from abelslab.matrices import (
     Matrix,
     MatrixError,
@@ -203,3 +207,48 @@ def test_polyq_matrices():
     d = Matrix.diagonal(R, ((1, 1), (1, 0)))
     conj = conjugate_by_diagonal(d, e)
     assert conj == Matrix.elementary(R, 2, 1, 2, R.mul((1, 1), x))
+
+
+CONJUGATION_RINGS = ("zmod:4", "zmod:6", "zmod:7", "gf:5", "polyq:2:0,0,1",
+                     "polyq:3:1,0,1", "z", "zloc:6")
+
+
+def _units(R):
+    if R.finite:
+        return R.units()
+    if R.descriptor == "z":
+        return [1, -1]
+    return [Fraction(s * 2**i, 3**j) for s in (1, -1) for i in range(3) for j in range(3)]
+
+
+def _entries(R):
+    if R.finite:
+        return R.elements()
+    extra = [Fraction(5, 6), Fraction(-7, 4)] if R.descriptor != "z" else []
+    return [R.from_int(k) for k in range(-4, 5)] + extra
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(descriptor=st.sampled_from(CONJUGATION_RINGS), data=st.data())
+def test_conjugate_by_diagonal_matches_products(descriptor, data):
+    R = make_ring(descriptor)
+    r = data.draw(st.sampled_from(_entries(R)))
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(2, 8))
+        i, j = data.draw(
+            st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        )
+        e = Matrix.elementary(R, n, i, j, r)
+    else:
+        labels = [
+            label for label in SUPPORTED_LABELS
+            if R.characteristic() != 2 or label not in ("B3", "G2")
+        ]
+        model = matrix_model(data.draw(st.sampled_from(labels)), R)
+        alpha = data.draw(st.sampled_from(sorted(model.tabulated_roots)))
+        e = root_element(model, alpha, r)
+    units = _units(R)
+    d = Matrix.diagonal(
+        R, data.draw(st.lists(st.sampled_from(units), min_size=e.n, max_size=e.n))
+    )
+    assert conjugate_by_diagonal(d, e) == d.mul(e).mul(d.inverse())

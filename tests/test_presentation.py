@@ -26,6 +26,7 @@ from abelslab.presentation import (
     todd_coxeter,
     un_canonical_presentation,
     un_economic_presentation,
+    verify_presentations,
     von_dyck_check,
 )
 from abelslab.rings import additive_presentation, make_ring
@@ -448,3 +449,10 @@ def test_tits_accepts_subgroup_spec_family():
     by_id = {c.id: c for c in rep.checks}
     assert by_id["connectivity-vs-generation"].counts["group_order"] == 64
     assert by_id["colimit-index"].counts["index"] == 64
+
+
+def test_generation_overflow_is_inconclusive():
+    rep = verify_presentations(3, make_ring("zmod:3"), budget=20)
+    record = {c.id: c for c in rep.checks}["canonical-generates"]
+    assert record.status == "inconclusive"
+    assert record.counterexample == "inconclusive-budget: group closure overflowed"

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from abelslab.snf import (
     dense_to_triplets,
     quotient_order,
@@ -67,3 +71,28 @@ def test_invariant_factors_chain():
         fs = smith_invariant_factors(dense_to_triplets(rows), nrows, ncols)
         for a, b in zip(fs, fs[1:]):
             assert b % a == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    data=st.data(),
+)
+def test_invariant_factors_match_sympy(shape, data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    nrows, ncols = shape
+    entry = st.one_of(st.just(0), st.integers(-12, 12))
+    rows = data.draw(
+        st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    diagonal = [abs(int(snf[i, i])) for i in range(min(nrows, ncols))]
+    # positive factors in a divisibility chain are in increasing order
+    expected = sorted(d for d in diagonal if d)
+    assert factors_of(rows) == expected
