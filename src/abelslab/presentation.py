@@ -12,14 +12,19 @@ two overlapping index windows plus explicit bridging commutators.
 Todd-Coxeter is HLT with row filling: scan each relator at each live coset,
 define cosets to fill gaps, merge coincidences via union-find with the
 smaller index surviving, and run a definition-free lookahead pass before
-declaring overflow.  The main loop repeats until a full pass makes no table
-mutation, which makes completeness a checked property rather than an
-artifact of processing order.  Enumeration is deterministic: relators in
-definition order, cosets in creation order.
+declaring overflow.  Each coset is processed once, in creation order; a
+complete table is then checked to be a closed coset action (total, every
+relator acting trivially, every subgroup word fixing coset 0), so
+completeness is a checked property rather than an artifact of processing
+order.  Enumeration is deterministic: relators in definition order, cosets
+in creation order.
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from time import perf_counter
+
+import numpy as np
 
 from .config import BudgetExceeded, get_budget
 from .kernels import closure_set
@@ -296,50 +301,81 @@ def tietze_reduce(pres):
     """Eliminate generators via length-1 and length-2 relators.
 
     A relator of length one forces its generator trivial; one of length two
-    on distinct generators makes one the inverse-or-equal of the other.
-    Both moves preserve the presented group.  Repeats until stable, so
-    spanning-tree presentations of highly collapsible complexes shrink to
-    a few generators before enumeration.
+    on distinct generators, ``a b``, makes b the inverse-or-equal of a, so b
+    is eliminated.  Both moves preserve the presented group.  Each step
+    takes the first relator of length one if there is one, else the first
+    length-two relator on distinct generators, and steps repeat until
+    neither kind is left, so spanning-tree presentations of highly
+    collapsible complexes shrink to a few generators before enumeration.
+
+    Only the relators that contain the eliminated generator are rewritten
+    and freely reduced: an occurrence set per generator finds them, and two
+    min-index heaps, checked lazily, hold the candidates for each move
+    (substitution never lengthens a word, so a relator only joins a heap
+    when rewritten).  Surviving generators keep their order and names and
+    are renumbered once at the end; equal relators are dropped, first
+    occurrence wins.
     """
-    names = list(pres.generators)
-    rels = [w for w in pres.relators]
+    ngens = len(pres.generators)
+    rels = list(pres.relators)
+    occurs = [set() for _ in range(ngens + 1)]
+    ones, twos = [], []
+
+    def is_pair(w):
+        return len(w) == 2 and abs(w[0]) != abs(w[1])
+
+    def enter(i, w):
+        for x in w:
+            occurs[abs(x)].add(i)
+        if len(w) == 1:
+            heappush(ones, i)
+        elif is_pair(w):
+            heappush(twos, i)
+
+    for i, w in enumerate(rels):
+        enter(i, w)
+    killed = [False] * (ngens + 1)
     while True:
-        rels = [w for w in (free_reduce(r) for r in rels) if w]
-        kill = None
-        alias = None
-        for w in rels:
-            if len(w) == 1:
-                kill = abs(w[0])
-                break
-            if len(w) == 2 and abs(w[0]) != abs(w[1]) and alias is None:
-                alias = (w[0], w[1])
-        if kill is not None:
-            rels = [tuple(x for x in w if abs(x) != kill) for w in rels]
+        while ones and len(rels[ones[0]]) != 1:
+            heappop(ones)
+        while twos and not is_pair(rels[twos[0]]):
+            heappop(twos)
+        if ones:
+            kill = abs(rels[ones[0]][0])
             sub = None
-        elif alias is not None:
-            a, b = alias
+        elif twos:
+            a, b = rels[twos[0]]
             kill = abs(b)
             # a then b vanishes: g_b = g_a**(-1) when b is positive,
             # g_b = g_a when b is negative (signs fold into `sub`)
             sub = -a if b > 0 else a
-            rels = [
-                tuple(
-                    (sub if x > 0 else -sub) if abs(x) == kill else x
-                    for x in w
-                )
-                for w in rels
-            ]
         else:
             break
-        names.pop(kill - 1)
-        rels = [
-            tuple((abs(x) - 1) * (1 if x > 0 else -1) if abs(x) > kill else x for x in w)
-            for w in rels
-        ]
+        killed[kill] = True
+        touched, occurs[kill] = occurs[kill], set()
+        for i in touched:
+            w = rels[i]
+            for x in w:
+                occurs[abs(x)].discard(i)
+            if sub is None:
+                w = free_reduce(x for x in w if abs(x) != kill)
+            else:
+                w = free_reduce(
+                    (sub if x > 0 else -sub) if abs(x) == kill else x for x in w
+                )
+            rels[i] = w
+            enter(i, w)
+    number = {}
+    names = []
+    for g, name in enumerate(pres.generators, 1):
+        if not killed[g]:
+            names.append(name)
+            number[g] = len(names)
     seen = set()
     out = []
     for w in rels:
-        if w not in seen:
+        w = tuple(number[x] if x > 0 else -number[-x] for x in w)
+        if w and w not in seen:
             seen.add(w)
             out.append(w)
     return Presentation(tuple(names), tuple(out))
@@ -355,12 +391,24 @@ class CosetTable:
     inverse actions: column 2k is the action of generator k+1, column 2k+1
     of its inverse.  Entries are coset indices, -1 when undefined.  A
     "complete" table is total, closed under all relators, and transitive.
+
+    The enumeration's deterministic counters: ``defined`` cosets created
+    after coset 0, ``peak_live`` the largest number alive at once,
+    ``coincidences`` the cosets that died, and ``lookaheads`` the lookahead
+    passes run.  A complete table has ``count == 1 + defined -
+    coincidences``.
     """
 
-    def __init__(self, ngens, rows, status):
+    def __init__(
+        self, ngens, rows, status, defined=0, peak_live=0, coincidences=0, lookaheads=0
+    ):
         self.ngens = ngens
         self.rows = [list(r) for r in rows]
         self.status = status
+        self.defined = defined
+        self.peak_live = peak_live
+        self.coincidences = coincidences
+        self.lookaheads = lookaheads
 
     @property
     def count(self):
@@ -404,6 +452,19 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
 
     Returns a compressed CosetTable; status "overflow" means the live coset
     count could not be kept within budget even after lookahead.
+
+    HLT order: cosets are processed once each, in definition order; coset
+    0 first scans the subgroup words, then every live coset scans each
+    relator with filling and then fills the rest of its row.  A coset that
+    dies while processed is left, and dead cosets are skipped.  Entries are
+    always set together with their inverse entries, so once a coincidence
+    has been processed no live row points at a dead coset: scans follow
+    table entries directly, and the union-find is consulted only inside
+    coincidence processing and to re-resolve a coset after a death.  The
+    compressed table of a complete enumeration is checked before it is
+    returned: it must be total with inverse columns, every relator must act
+    as the identity and every subgroup word must fix coset 0; a table that
+    fails raises PresentationError.
     """
     budget = get_budget(budget)
     if budget < 1:
@@ -424,15 +485,13 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
         if w:
             subwords.append(tuple(col_of(x) for x in w))
 
-    rows = [[-1] * ncols]
+    # entry (coset a, column c) at table[a * ncols + c]
+    blank = [-1] * ncols
+    table = list(blank)
     parent = [0]
-    state = {
-        "live": 1,
-        "deaths": 0,
-        "overflow": False,
-        "rev": 0,
-        "lookahead_spent": False,
-    }
+    live = peak_live = 1
+    defined = coincidences = lookaheads = 0
+    overflow = lookahead_spent = False
 
     def rep(k):
         r = k
@@ -443,15 +502,15 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
         return r
 
     def merge(a, b, queue):
+        nonlocal live, coincidences
         a, b = rep(a), rep(b)
         if a == b:
             return
         if a > b:
             a, b = b, a
         parent[b] = a
-        state["live"] -= 1
-        state["deaths"] += 1
-        state["rev"] += 1
+        live -= 1
+        coincidences += 1
         queue.append(b)
 
     def coincidence(a, b):
@@ -461,133 +520,171 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
         while qi < len(queue):
             dead = queue[qi]
             qi += 1
+            base = dead * ncols
             for c in range(ncols):
-                d = rows[dead][c]
+                d = table[base + c]
                 if d == -1:
                     continue
-                rows[dead][c] = -1
-                if rows[d][c ^ 1] == dead:
-                    rows[d][c ^ 1] = -1
+                table[base + c] = -1
+                back = d * ncols + (c ^ 1)
+                if table[back] == dead:
+                    table[back] = -1
                 mu, nu = rep(dead), rep(d)
-                if rows[mu][c] != -1:
-                    merge(nu, rows[mu][c], queue)
-                elif rows[nu][c ^ 1] != -1:
-                    merge(mu, rows[nu][c ^ 1], queue)
+                fwd = mu * ncols + c
+                back = nu * ncols + (c ^ 1)
+                if table[fwd] != -1:
+                    merge(nu, table[fwd], queue)
+                elif table[back] != -1:
+                    merge(mu, table[back], queue)
                 else:
-                    rows[mu][c] = nu
-                    rows[nu][c ^ 1] = mu
-                    state["rev"] += 1
+                    table[fwd] = nu
+                    table[back] = mu
 
     def define(f, c):
         # may run a lookahead pass; callers must restart their scan when
         # any coset died (re-resolving representatives), so here it is
         # enough to re-resolve f and bail out if the slot got filled
-        if state["live"] >= budget:
-            if state["lookahead_spent"]:
-                state["overflow"] = True
+        nonlocal live, peak_live, defined, lookaheads, overflow, lookahead_spent
+        if live >= budget:
+            if lookahead_spent:
+                overflow = True
                 return -1
+            lookaheads += 1
             lookahead()
-            state["lookahead_spent"] = True
+            lookahead_spent = True
             f = rep(f)
-            if rows[f][c] != -1:
-                return rows[f][c]
-            if state["live"] >= budget:
-                state["overflow"] = True
+            if table[f * ncols + c] != -1:
+                return table[f * ncols + c]
+            if live >= budget:
+                overflow = True
                 return -1
-        new = len(rows)
-        rows.append([-1] * ncols)
+        new = len(parent)
+        table.extend(blank)
         parent.append(new)
-        rows[f][c] = new
-        rows[new][c ^ 1] = f
-        state["live"] += 1
-        state["rev"] += 1
-        state["lookahead_spent"] = False
+        table[f * ncols + c] = new
+        table[new * ncols + (c ^ 1)] = f
+        live += 1
+        defined += 1
+        if live > peak_live:
+            peak_live = live
+        lookahead_spent = False
         return new
 
     def scan(alpha, word, fill):
+        # alpha is live; it is re-resolved only after a death
         while True:
-            alpha = rep(alpha)
-            f = alpha
+            f = b = alpha
             i = 0
-            b = alpha
             j = len(word) - 1
-            restart = False
             while True:
-                while i <= j and rows[f][word[i]] != -1:
-                    f = rep(rows[f][word[i]])
+                while i <= j:
+                    nxt = table[f * ncols + word[i]]
+                    if nxt == -1:
+                        break
+                    f = nxt
                     i += 1
                 if i > j:
                     if f != b:
                         coincidence(f, b)
-                    return True
-                while j >= i and rows[b][word[j] ^ 1] != -1:
-                    b = rep(rows[b][word[j] ^ 1])
+                    return
+                while j >= i:
+                    nxt = table[b * ncols + (word[j] ^ 1)]
+                    if nxt == -1:
+                        break
+                    b = nxt
                     j -= 1
                 if j < i:
                     coincidence(f, b)
-                    return True
+                    return
                 if j == i:
-                    rows[f][word[i]] = b
-                    rows[b][word[i] ^ 1] = f
-                    state["rev"] += 1
-                    return True
+                    table[f * ncols + word[i]] = b
+                    table[b * ncols + (word[i] ^ 1)] = f
+                    return
                 if not fill:
-                    return True
-                deaths = state["deaths"]
+                    return
+                deaths = coincidences
                 if define(f, word[i]) == -1:
-                    return False
-                if state["deaths"] != deaths:
-                    restart = True
+                    return
+                if coincidences != deaths:
+                    alpha = rep(alpha)
                     break
-            if not restart:
-                return True
 
     def lookahead():
-        for a in range(len(rows)):
-            if rep(a) != a:
+        for a in range(len(parent)):
+            if parent[a] != a:
                 continue
             for r in relators:
                 scan(a, r, False)
-                if rep(a) != a:
+                if parent[a] != a:
                     break
 
-    prev = -1
-    while not state["overflow"] and prev != state["rev"]:
-        prev = state["rev"]
-        for alpha in range(len(rows)):
-            if state["overflow"]:
-                break
-            if rep(alpha) != alpha:
-                continue
+    alpha = 0
+    while alpha < len(parent) and not overflow:
+        if parent[alpha] == alpha:
             if alpha == 0:
                 for w in subwords:
-                    if not scan(0, w, True):
+                    if overflow:
                         break
-                if state["overflow"] or rep(alpha) != alpha:
-                    continue
+                    scan(0, w, True)
             for r in relators:
-                if not scan(alpha, r, True):
+                if overflow or parent[alpha] != alpha:
                     break
-                if rep(alpha) != alpha:
-                    break
-            if state["overflow"] or rep(alpha) != alpha:
-                continue
+                scan(alpha, r, True)
+            base = alpha * ncols
             for c in range(ncols):
-                if rows[alpha][c] == -1:
-                    if define(alpha, c) == -1:
-                        break
-                    if rep(alpha) != alpha:
-                        break
+                if overflow or parent[alpha] != alpha:
+                    break
+                if table[base + c] == -1:
+                    define(alpha, c)
+        alpha += 1
 
-    alive = [a for a in range(len(rows)) if rep(a) == a]
-    index = {a: k for k, a in enumerate(alive)}
-    out = []
-    for a in alive:
-        out.append(
-            [index[rep(v)] if v != -1 else -1 for v in rows[a]]
-        )
-    status = "overflow" if state["overflow"] else "complete"
-    return CosetTable(ngens, out, status)
+    status = "overflow" if overflow else "complete"
+    rows = _compress(table, parent, ncols)
+    if status == "complete":
+        _check_complete(rows, relators, subwords)
+    return CosetTable(
+        ngens,
+        rows.tolist(),
+        status,
+        defined=defined,
+        peak_live=peak_live,
+        coincidences=coincidences,
+        lookaheads=lookaheads,
+    )
+
+
+def _compress(table, parent, ncols):
+    """Live rows renumbered in creation order; entries at dead cosets -> -1."""
+    total = len(parent)
+    rows = np.array(table, dtype=np.int64).reshape(total, ncols)
+    alive = np.flatnonzero(np.array(parent) == np.arange(total))
+    renumber = np.full(total + 1, -1, dtype=np.int64)
+    renumber[alive] = np.arange(len(alive))
+    # -1 entries index renumber[total], which stays -1
+    return renumber[rows[alive]]
+
+
+def _check_complete(rows, relators, subwords):
+    """Raise PresentationError unless the table is a closed coset action."""
+    count, ncols = rows.shape
+    ident = np.arange(count)
+    if (rows < 0).any():
+        raise PresentationError("complete coset table has undefined entries")
+    for c in range(0, ncols, 2):
+        if (rows[rows[:, c], c + 1] != ident).any():
+            raise PresentationError("coset table columns are not inverse pairs")
+    for w in relators:
+        image = ident
+        for c in w:
+            image = rows[image, c]
+        if (image != ident).any():
+            raise PresentationError("a relator does not act trivially on the cosets")
+    for w in subwords:
+        image = 0
+        for c in w:
+            image = rows[image, c]
+        if image != 0:
+            raise PresentationError("a subgroup word does not fix coset 0")
 
 
 # -- colimits ----------------------------------------------------------------

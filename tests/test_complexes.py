@@ -186,6 +186,24 @@ def test_verify_complex_runs_smith_form_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_complex_ranks_each_boundary_once(monkeypatch):
+    ranked = []
+
+    def counted(triplets, rows, cols):
+        ranked.append((rows, cols))
+        return rank(triplets, rows, cols)
+
+    rank = complexes.rational_rank
+    monkeypatch.setattr(complexes, "rational_rank", counted)
+    cx = coset_complex(abels_group(4, Z2), horospherical_family(4, Z2))
+    rep = verify_complex(4, Z2)
+    assert rep.ok
+    # ∂1 for homology_h1, ∂2 for the rational b1; not ∂1 again, nor ∂3
+    assert ranked == [(40, 192), (192, 224)]
+    (check,) = [c for c in rep.checks if c.id == "first-homology"]
+    assert check.counts["rational_rank"] == betti_numbers(cx)[1]
+
+
 def test_pi1_enumeration_confirms_simple_connectivity():
     cx = coset_complex(abels_group(4, Z2), horospherical_family(4, Z2))
     table = todd_coxeter(fundamental_group(cx))

@@ -1,5 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_presentation as reference
+from abelslab import presentation
 from abelslab.abels import contracting_family, subgroup_by_name, unipotent_and_torus
 from abelslab.config import BudgetExceeded
 from abelslab.matrices import Matrix
@@ -249,6 +254,143 @@ def test_tietze_reduce():
     assert r.relators == ()
     # group-preserving on a nontrivial example
     assert todd_coxeter(tietze_reduce(S3)).count == todd_coxeter(S3).count
+
+
+# -- one-pass enumeration and linear Tietze against the reference versions ----
+
+def property_settings(examples):
+    return settings(
+        derandomize=True, database=None, deadline=None, max_examples=examples
+    )
+
+
+def words(ngens, max_size):
+    letters = st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    return st.lists(letters, max_size=max_size).map(tuple)
+
+
+@st.composite
+def enumeration_cases(draw):
+    ngens = draw(st.integers(1, 3))
+    relators = draw(st.lists(words(ngens, 7), max_size=4))
+    subgroup = draw(st.one_of(st.just(()), words(ngens, 7).map(lambda w: (w,))))
+    budget = draw(st.sampled_from((1, 8, 30, 200)))
+    names = tuple(f"x{k + 1}" for k in range(ngens))
+    return Presentation(names, tuple(relators)), subgroup, budget
+
+
+def assert_same_enumeration(pres, subgroup=(), budget=None):
+    new = todd_coxeter(pres, subgroup, budget)
+    old = reference.todd_coxeter(pres, subgroup, budget)
+    assert (new.status, new.rows) == (old.status, old.rows)
+
+
+@property_settings(400)
+@given(case=enumeration_cases())
+def test_todd_coxeter_matches_reference(case):
+    assert_same_enumeration(*case)
+
+
+@pytest.mark.parametrize(
+    "build,n,ringpres",
+    [
+        (un_canonical_presentation, 4, P_Z3),
+        (un_economic_presentation, 4, P_Z3),
+        (un_canonical_presentation, 5, P_Z2),
+        (un_economic_presentation, 5, P_Z2),
+        (un_canonical_presentation, 4, P_Z4),
+        (un_economic_presentation, 4, P_Z4),
+    ],
+)
+def test_todd_coxeter_matches_reference_on_triangular_groups(build, n, ringpres):
+    assert_same_enumeration(build(n, ringpres))
+
+
+def test_todd_coxeter_matches_reference_at_overflow():
+    # U_4(Z/2) runs lookahead at the budget: at 63 it frees cosets and the
+    # enumeration still overflows, at 64 it completes after the lookahead
+    infinite_dihedral = Presentation(("a", "b"), ((1, 1), (2, 2)))
+    for budget in (1, 2, 5, 64):
+        assert_same_enumeration(infinite_dihedral, (), budget)
+    pres = un_canonical_presentation(4, P_Z2)
+    for budget in (8, 40, 63, 64):
+        assert_same_enumeration(pres, (), budget)
+        assert_same_enumeration(pres, ((1,), (4,)), budget)
+
+
+def test_coset_table_counters():
+    cases = [
+        (S3, ()),
+        (S3, ((1,),)),
+        (un_canonical_presentation(4, P_Z3), ()),
+        (un_economic_presentation(5, P_Z2), ()),
+        (Presentation(("a", "b"), ((1, 1), (2, 2))), ()),
+    ]
+    for pres, subgroup in cases:
+        runs = [todd_coxeter(pres, subgroup, 200) for _ in range(2)]
+        counters = [
+            (t.defined, t.peak_live, t.coincidences, t.lookaheads) for t in runs
+        ]
+        assert counters[0] == counters[1]
+        t = runs[0]
+        if t.status == "complete":
+            assert t.count == 1 + t.defined - t.coincidences
+            assert t.count <= t.peak_live <= 1 + t.defined
+        else:
+            assert t.lookaheads >= 1 and t.peak_live <= 200
+    assert todd_coxeter(un_economic_presentation(5, P_Z2)).coincidences > 0
+
+
+def test_closing_check_rejects_broken_tables():
+    check = presentation._check_complete
+    cyclic = np.array([[1, 2], [2, 0], [0, 1]])
+    check(cyclic, [(0, 0, 0)], [(0, 0, 0)])
+    with pytest.raises(PresentationError, match="undefined"):
+        check(np.array([[1, -1], [-1, 0]]), [], [])
+    with pytest.raises(PresentationError, match="inverse"):
+        check(np.array([[1, 1], [2, 2], [0, 0]]), [], [])
+    with pytest.raises(PresentationError, match="relator"):
+        check(cyclic, [(0, 0)], [])
+    with pytest.raises(PresentationError, match="subgroup"):
+        check(cyclic, [(0, 0, 0)], [(0,)])
+
+
+@st.composite
+def tietze_cases(draw):
+    ngens = draw(st.integers(1, 6))
+    relators = draw(st.lists(words(ngens, 5), max_size=8))
+    return Presentation(tuple(f"x{k + 1}" for k in range(ngens)), tuple(relators))
+
+
+@property_settings(500)
+@given(pres=tietze_cases())
+def test_tietze_matches_reference(pres):
+    assert tietze_reduce(pres) == reference.tietze_reduce(pres)
+
+
+@pytest.mark.parametrize(
+    "ngens,relators,generators,reduced",
+    [
+        (
+            3,
+            ((2, 3, 1), (-3,), (3,), (-2, -2), (-1, -2), (2, -1)),
+            ("x2",),
+            ((-1, -1), (1, 1)),
+        ),
+        (
+            6,
+            ((-1, -3, 4), (-1,), (-4, -3), (-3, 1, -4)),
+            ("x2", "x3", "x5", "x6"),
+            ((-2, -2),),
+        ),
+    ],
+)
+def test_tietze_order_of_moves(ngens, relators, generators, reduced):
+    # a pass-based union-find resolves these differently
+    pres = Presentation(tuple(f"x{k + 1}" for k in range(ngens)), relators)
+    out = tietze_reduce(pres)
+    assert (out.generators, out.relators) == (generators, reduced)
+    assert out == reference.tietze_reduce(pres)
 
 
 # -- matrix-side checks --------------------------------------------------------
