@@ -21,14 +21,13 @@ two displayed projections over the shared diagonal coordinate.
 
 import itertools
 from fractions import Fraction
-from time import perf_counter
 
 import numpy as np
 
 from . import kernels
 from .config import BudgetExceeded, get_budget
 from .matrices import Matrix
-from .reports import FAIL, INCONCLUSIVE, PASS, Report
+from .reports import Report
 from .rings import (
     IntegerRing,
     LocalizedIntegersRing,
@@ -726,29 +725,6 @@ def verify_abels(n, ring, budget=None):
     """Run the whole structural battery for one ambient size and ring."""
     rep = Report(suite="abels", config={"n": n, "ring": ring.descriptor})
 
-    def run(check_id, anchor, fn, cases):
-        start = perf_counter()
-        try:
-            ok = fn()
-        except BudgetExceeded as exc:
-            rep.check(
-                check_id,
-                anchor,
-                INCONCLUSIVE,
-                counts={"cases": 0},
-                elapsed=perf_counter() - start,
-                counterexample=str(exc),
-            )
-            return
-        rep.check(
-            check_id,
-            anchor,
-            PASS if ok else FAIL,
-            counts={"cases": cases},
-            elapsed=perf_counter() - start,
-            counterexample=None if ok else f"{check_id} predicate returned false",
-        )
-
     families = [1, 2, 3] + ([4] if n == 4 else [])
     specs = [abels_group(n, ring)]
     specs.extend(unipotent_and_torus(n, ring))
@@ -758,13 +734,13 @@ def verify_abels(n, ring, budget=None):
             specs.append(horospherical(n, ring, i))
             specs.append(contracting(n, ring, i))
     for spec in specs:
-        run(
+        rep.run(
             f"closure:{spec.name}",
             "closure-matches-pattern",
             lambda s=spec: check_closure_matches_pattern(s, budget),
             spec.order(),
         )
-    run(
+    rep.run(
         "factorization:A",
         "unipotent-torus-factorization",
         lambda: check_semidirect(abels_group(n, ring), budget),
@@ -772,20 +748,20 @@ def verify_abels(n, ring, budget=None):
     )
     if n >= 4:
         for i in families:
-            run(
+            rep.run(
                 f"factorization:H{i}",
                 "unipotent-torus-factorization",
                 lambda k=i: check_semidirect(horospherical(n, ring, k), budget),
                 horospherical(n, ring, i).order(),
             )
     if n >= 3:
-        run(
+        rep.run(
             "center",
             "center-equals-corner-root",
             lambda: center_check(n, ring, budget),
             abels_group(n, ring).order(),
         )
-    run(
+    rep.run(
         "normality:U",
         "unipotent-normal-in-ambient",
         lambda: check_normality(
@@ -795,13 +771,13 @@ def verify_abels(n, ring, budget=None):
     )
     if n >= 4:
         torus_cases = unipotent_and_torus(n, ring)[1].order()
-        run(
+        rep.run(
             "torus-invariance",
             "contracting-torus-invariance",
             lambda: check_torus_invariance(n, ring),
             torus_cases,
         )
-        run(
+        rep.run(
             "retraction",
             "window-retraction-homomorphism",
             lambda: check_abels_retraction(n, ring, budget),
@@ -810,26 +786,26 @@ def verify_abels(n, ring, budget=None):
         meet = intersections([contracting(n, ring, 1), contracting(n, ring, 2)])
         inner = _inner_unitriangular_pattern(n)
         expected_order = ring.order() ** ((n - 2) * (n - 3) // 2)
-        run(
+        rep.run(
             "contracting-meet",
             "contracting-meet-is-inner-unitriangular",
             lambda: meet.pattern == inner and meet.order() == expected_order,
             expected_order,
         )
-        run(
+        rep.run(
             "abelian:U3",
             "contracting-family-abelian",
             lambda: check_abelian(contracting(n, ring, 3), budget),
             contracting(n, ring, 3).order() ** 2,
         )
     if n == 4:
-        run(
+        rep.run(
             "abelian:U4",
             "contracting-family-abelian",
             lambda: check_abelian(contracting(n, ring, 4), budget),
             contracting(n, ring, 4).order() ** 2,
         )
-        run(
+        rep.run(
             "fiber-product",
             "fiber-product-bijection",
             lambda: check_h4_fiber_product(ring, budget),

@@ -15,11 +15,10 @@ factorizations of the Borel-type subgroups into two-by-two blocks.
 """
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .matrices import Matrix, conjugate_by_diagonal
-from .reports import FAIL, INCONCLUSIVE, PASS, Report
+from .reports import INCONCLUSIVE, Report
 from .rings import (
     LaurentRing,
     RingError,
@@ -393,7 +392,6 @@ def _steinberg_finite(model, rep):
         cache[alpha] = {R.encode(r): root_element(model, alpha, r) for r in elements}
 
     for alpha in model.tabulated_roots:
-        t0 = time.perf_counter()
         xs = cache[alpha]
         cases = 1
         bad = None
@@ -412,15 +410,12 @@ def _steinberg_finite(model, rep):
         rep.check(
             f"one-parameter-additivity:{_rname(alpha)}",
             "root-subgroup-additivity",
-            FAIL if bad else PASS,
-            {"cases": cases, "failures": 1 if bad else 0},
-            time.perf_counter() - t0,
-            bad,
+            counts={"cases": cases, "failures": 1 if bad else 0},
+            counterexample=bad,
         )
 
     h_roots = model.system.simples + tuple(_neg(s) for s in model.system.simples)
     for beta in h_roots:
-        t0 = time.perf_counter()
         hs = {R.encode(u): _h_diagonal(model, beta, u) for u in units}
         cases = 1
         bad = None
@@ -439,16 +434,13 @@ def _steinberg_finite(model, rep):
         rep.check(
             f"torus-multiplicativity:{_rname(beta)}",
             "semisimple-multiplicativity",
-            FAIL if bad else PASS,
-            {"cases": cases, "failures": 1 if bad else 0},
-            time.perf_counter() - t0,
-            bad,
+            counts={"cases": cases, "failures": 1 if bad else 0},
+            counterexample=bad,
         )
 
     for alpha in model.tabulated_roots:
         xs = cache[alpha]
         for beta in h_roots:
-            t0 = time.perf_counter()
             pairing = cartan_pairing(alpha, beta)
             cases = 0
             bad = None
@@ -469,10 +461,8 @@ def _steinberg_finite(model, rep):
             rep.check(
                 f"torus-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "torus-conjugation-scaling",
-                FAIL if bad else PASS,
-                {"cases": cases, "failures": 1 if bad else 0},
-                time.perf_counter() - t0,
-                bad,
+                counts={"cases": cases, "failures": 1 if bad else 0},
+                counterexample=bad,
             )
 
     if model.label == "G2":
@@ -485,7 +475,6 @@ def _g2_torus_display(model, rep, cache):
     R = model.ring
     gamma = (1, -1, 0)
     xs = cache[gamma]
-    t0 = time.perf_counter()
     cases = 0
     bad = None
     for u in R.units():
@@ -518,10 +507,8 @@ def _g2_torus_display(model, rep, cache):
     rep.check(
         "torus-display-conjugation",
         "two-parameter-torus-display",
-        FAIL if bad else PASS,
-        {"cases": cases, "failures": 1 if bad else 0},
-        time.perf_counter() - t0,
-        bad,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
     )
 
 
@@ -535,7 +522,6 @@ def _steinberg_symbolic(model, rep):
         s = L.variable("s")
         ident = Matrix.identity(L, sym.n)
         for alpha in sym.tabulated_roots:
-            t0 = time.perf_counter()
             ok = (
                 root_element(sym, alpha, L.zero) == ident
                 and root_element(sym, alpha, r) @ root_element(sym, alpha, s)
@@ -544,16 +530,13 @@ def _steinberg_symbolic(model, rep):
             rep.check(
                 f"one-parameter-additivity:{_rname(alpha)}",
                 "root-subgroup-additivity",
-                PASS if ok else FAIL,
-                {"cases": 1, "failures": 0 if ok else 1},
-                time.perf_counter() - t0,
-                None if ok else "symbolic additivity mismatch",
+                counts={"cases": 1, "failures": 0 if ok else 1},
+                counterexample=None if ok else "symbolic additivity mismatch",
             )
         h_roots = sym.system.simples + tuple(_neg(x) for x in sym.system.simples)
         for alpha in sym.tabulated_roots:
             xr = root_element(sym, alpha, r)
             for beta in h_roots:
-                t0 = time.perf_counter()
                 pairing = cartan_pairing(alpha, beta)
                 h = _h_diagonal(sym, beta, u)
                 lhs = conjugate_by_diagonal(h, xr)
@@ -562,19 +545,17 @@ def _steinberg_symbolic(model, rep):
                 rep.check(
                     f"torus-conjugation:{_rname(alpha)}|{_rname(beta)}",
                     "torus-conjugation-scaling",
-                    PASS if ok else FAIL,
-                    {"cases": 1, "failures": 0 if ok else 1},
-                    time.perf_counter() - t0,
-                    None if ok else f"symbolic mismatch, pairing={pairing}",
+                    counts={"cases": 1, "failures": 0 if ok else 1},
+                    counterexample=None
+                    if ok
+                    else f"symbolic mismatch, pairing={pairing}",
                 )
     except RingError as exc:
         rep.check(
             "symbolic-budget",
             "symbolic-term-budget",
             INCONCLUSIVE,
-            {"cases": 0},
-            0.0,
-            None,
+            counts={"cases": 0},
         )
         rep.config["budget_note"] = str(exc)
 
@@ -621,9 +602,7 @@ def check_weyl_conjugation(model, ring=None):
             "weyl-conjugation",
             "weyl-reflection-conjugation",
             INCONCLUSIVE,
-            {"cases": 0},
-            0.0,
-            None,
+            counts={"cases": 0},
         )
         return rep
 
@@ -641,7 +620,6 @@ def check_weyl_conjugation(model, ring=None):
             delta = reflect(alpha, beta)
             if delta not in tabset:
                 continue
-            t0 = time.perf_counter()
             cases = 0
             sign = None
             bad = None
@@ -687,13 +665,10 @@ def check_weyl_conjugation(model, ring=None):
             rep.check(
                 f"weyl-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "weyl-reflection-conjugation",
-                FAIL if bad else PASS,
-                {"cases": cases, "failures": 1 if bad else 0},
-                time.perf_counter() - t0,
-                bad,
+                counts={"cases": cases, "failures": 1 if bad else 0},
+                counterexample=bad,
             )
 
-        t0 = time.perf_counter()
         bad = None
         sign = None
         cases = 0
@@ -719,10 +694,8 @@ def check_weyl_conjugation(model, ring=None):
         rep.check(
             f"weyl-double-conjugation:{_rname(alpha)}",
             "weyl-double-conjugation-sign",
-            FAIL if bad else PASS,
-            {"cases": cases, "failures": 1 if bad else 0},
-            time.perf_counter() - t0,
-            bad,
+            counts={"cases": cases, "failures": 1 if bad else 0},
+            counterexample=bad,
         )
 
     if model.label in _NONSIMPLE_SPOT:
@@ -731,7 +704,6 @@ def check_weyl_conjugation(model, ring=None):
         delta = reflect(alpha, beta)
         if delta in tabset:
             raise ChevalleyError("spot-check pair unexpectedly tabulated")
-        t0 = time.perf_counter()
         w = weyl_element(model, alpha)
         winv = w.inverse()
         images = {}
@@ -762,10 +734,8 @@ def check_weyl_conjugation(model, ring=None):
         rep.check(
             "weyl-nonsimple-membership",
             "nonsimple-root-subgroup-membership",
-            FAIL if bad else PASS,
-            {"cases": len(elements) ** 2, "failures": 1 if bad else 0},
-            time.perf_counter() - t0,
-            bad,
+            counts={"cases": len(elements) ** 2, "failures": 1 if bad else 0},
+            counterexample=bad,
         )
     return rep
 
@@ -850,7 +820,6 @@ def check_form_invariance(model, ring=None):
         {"type": model.label, "ring": R.descriptor, "kind": kind},
     )
 
-    t0 = time.perf_counter()
     rows = []
     for _name, G, L in _symbolic_generators(model):
         for a in range(n):
@@ -889,18 +858,16 @@ def check_form_invariance(model, ring=None):
     rep.check(
         "invariant-form-exists",
         f"invariant-{kind}-form",
-        PASS if dim >= 1 else FAIL,
-        {"dimension": dim},
-        time.perf_counter() - t0,
-        None if dim else "the constraint system has trivial nullspace",
+        counts={"dimension": dim},
+        counterexample=None if dim else "the constraint system has trivial nullspace",
     )
     rep.check(
         "invariant-form-unique-ray",
         "invariant-form-space-dimension",
-        PASS if dim == 1 else FAIL,
-        {"dimension": dim},
-        0.0,
-        None if dim == 1 else f"expected a one-dimensional solution space, got {dim}",
+        counts={"dimension": dim},
+        counterexample=None
+        if dim == 1
+        else f"expected a one-dimensional solution space, got {dim}",
     )
     if not basis:
         return rep
@@ -912,19 +879,15 @@ def check_form_invariance(model, ring=None):
     F = Matrix.from_rows(R, [[vec[i * n + j] for j in range(n)] for i in range(n)])
     rep.config["form"] = str([list(r) for r in F.rows])
 
-    t0 = time.perf_counter()
     fr, _ = _rref_mod_p([list(r) for r in F.rows], n, p)
     rank = len(fr)
     rep.check(
         "invariant-form-rank",
         "invariant-form-nondegenerate",
-        PASS if rank == n else FAIL,
-        {"rank": rank},
-        time.perf_counter() - t0,
-        None if rank == n else f"rank {rank} < {n}",
+        counts={"rank": rank},
+        counterexample=None if rank == n else f"rank {rank} < {n}",
     )
 
-    t0 = time.perf_counter()
     cases = 0
     bad = None
     det_bad = None
@@ -953,18 +916,14 @@ def check_form_invariance(model, ring=None):
     rep.check(
         "invariant-form-preserved",
         "generators-preserve-form",
-        FAIL if bad else PASS,
-        {"cases": cases, "failures": 1 if bad else 0},
-        time.perf_counter() - t0,
-        bad,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
     )
     rep.check(
         "generator-determinants",
         "generators-have-determinant-one",
-        FAIL if det_bad else PASS,
-        {"cases": cases, "failures": 1 if det_bad else 0},
-        0.0,
-        det_bad,
+        counts={"cases": cases, "failures": 1 if det_bad else 0},
+        counterexample=det_bad,
     )
     return rep
 
@@ -994,7 +953,6 @@ def check_elementary_relations(n, ring):
     def elem(pos, r):
         return E[pos][R.encode(r)]
 
-    t0 = time.perf_counter()
     cases = 0
     bad = None
     for pos in positions:
@@ -1011,16 +969,13 @@ def check_elementary_relations(n, ring):
     rep.check(
         "elementary-additivity",
         "elementary-matrix-additivity",
-        FAIL if bad else PASS,
-        {"cases": cases, "failures": 1 if bad else 0},
-        time.perf_counter() - t0,
-        bad,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
     )
 
     def comm(x, xinv, y, yinv):
         return x @ y @ xinv @ yinv
 
-    t0 = time.perf_counter()
     chain_cases = 0
     chain_bad = None
     inv_cases = 0
@@ -1052,21 +1007,16 @@ def check_elementary_relations(n, ring):
     rep.check(
         "elementary-chain-commutator",
         "chain-commutator-collapse",
-        FAIL if chain_bad else PASS,
-        {"cases": chain_cases, "failures": 1 if chain_bad else 0},
-        time.perf_counter() - t0,
-        chain_bad,
+        counts={"cases": chain_cases, "failures": 1 if chain_bad else 0},
+        counterexample=chain_bad,
     )
     rep.check(
         "elementary-inverse-commutator",
         "commutator-with-inverse-argument",
-        FAIL if inv_bad else PASS,
-        {"cases": inv_cases, "failures": 1 if inv_bad else 0},
-        0.0,
-        inv_bad,
+        counts={"cases": inv_cases, "failures": 1 if inv_bad else 0},
+        counterexample=inv_bad,
     )
 
-    t0 = time.perf_counter()
     cases = 0
     bad = None
     for (i, j) in positions:
@@ -1087,13 +1037,10 @@ def check_elementary_relations(n, ring):
     rep.check(
         "elementary-disjoint-commutator",
         "disjoint-positions-commute",
-        FAIL if bad else PASS,
-        {"cases": cases, "failures": 1 if bad else 0},
-        time.perf_counter() - t0,
-        bad,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
     )
 
-    t0 = time.perf_counter()
     cases = 0
     bad = None
     for tup in itertools.product(units, repeat=n):
@@ -1112,10 +1059,8 @@ def check_elementary_relations(n, ring):
     rep.check(
         "diagonal-conjugation",
         "diagonal-conjugation-scaling",
-        FAIL if bad else PASS,
-        {"cases": cases, "failures": 1 if bad else 0},
-        time.perf_counter() - t0,
-        bad,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
     )
     return rep
 
@@ -1390,7 +1335,6 @@ def borel_isomorphism_check(model, eta, ring=None):
     units = R.units()
     kparams = len(model.torus_rows)
 
-    t0 = time.perf_counter()
     source = []
     seen = {}
     collision = None
@@ -1408,10 +1352,8 @@ def borel_isomorphism_check(model, eta, ring=None):
     rep.check(
         "parametrization-injective",
         "borel-parametrization",
-        FAIL if collision else PASS,
-        {"cases": len(source), "failures": 1 if collision else 0},
-        time.perf_counter() - t0,
-        collision,
+        counts={"cases": len(source), "failures": 1 if collision else 0},
+        counterexample=collision,
     )
 
     kind = case["target"]
@@ -1440,44 +1382,34 @@ def borel_isomorphism_check(model, eta, ring=None):
             )
             return (m, tuple(g.entry(t, t) for t in gm_pos))
 
-    t0 = time.perf_counter()
     target = _target_tuples(R, kind, gm_count)
     predicted = R.order() * len(units) ** k_exp
     card_ok = len(target) == predicted and len(source) == predicted
     rep.check(
         "target-cardinality",
         "borel-target-cardinality",
-        PASS if card_ok else FAIL,
-        {"target": len(target), "source": len(source), "predicted": predicted},
-        time.perf_counter() - t0,
-        None
+        counts={"target": len(target), "source": len(source), "predicted": predicted},
+        counterexample=None
         if card_ok
         else f"target {len(target)}, source {len(source)}, predicted {predicted}",
     )
 
-    t0 = time.perf_counter()
     images = [phi(g) for g in source]
     inj = len(set(images)) == len(source)
     rep.check(
         "map-injective",
         "borel-map-injectivity",
-        PASS if inj else FAIL,
-        {"cases": len(source)},
-        time.perf_counter() - t0,
-        None if inj else "two source elements share an image",
+        counts={"cases": len(source)},
+        counterexample=None if inj else "two source elements share an image",
     )
-    t0 = time.perf_counter()
     surj = set(images) == set(target)
     rep.check(
         "map-bijective",
         "borel-map-image",
-        PASS if surj else FAIL,
-        {"cases": len(target)},
-        time.perf_counter() - t0,
-        None if surj else "image differs from the enumerated target",
+        counts={"cases": len(target)},
+        counterexample=None if surj else "image differs from the enumerated target",
     )
 
-    t0 = time.perf_counter()
     if len(source) * len(source) <= _PAIR_BUDGET:
         pair_pool = source
     else:
@@ -1511,18 +1443,14 @@ def borel_isomorphism_check(model, eta, ring=None):
     rep.check(
         "source-closed",
         "borel-source-closure",
-        FAIL if closed_bad else PASS,
-        {"cases": cases},
-        0.0,
-        closed_bad,
+        counts={"cases": cases},
+        counterexample=closed_bad,
     )
     rep.check(
         "map-homomorphism",
         "borel-map-homomorphism",
-        FAIL if bad else PASS,
-        {"cases": cases, "failures": 1 if bad else 0},
-        time.perf_counter() - t0,
-        bad,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
     )
     return rep
 
@@ -1541,7 +1469,6 @@ def borel_gln_check(n, i, j, ring):
     units = R.units()
     gm_pos = tuple(k for k in range(1, n + 1) if k not in (i, j))
 
-    t0 = time.perf_counter()
     source = []
     seen = {}
     collision = None
@@ -1556,10 +1483,8 @@ def borel_gln_check(n, i, j, ring):
     rep.check(
         "parametrization-injective",
         "borel-parametrization",
-        FAIL if collision else PASS,
-        {"cases": len(source), "failures": 1 if collision else 0},
-        time.perf_counter() - t0,
-        collision,
+        counts={"cases": len(source), "failures": 1 if collision else 0},
+        counterexample=collision,
     )
 
     def phi(g):
@@ -1568,41 +1493,34 @@ def borel_gln_check(n, i, j, ring):
         m = Matrix.from_rows(R, [[g.entry(i, i), g.entry(i, j)], [zero, g.entry(j, j)]])
         return (m, tuple(g.entry(k, k) for k in gm_pos))
 
-    t0 = time.perf_counter()
     target = _target_tuples(R, "B2", n - 2)
     predicted = R.order() * len(units) ** n
     card_ok = len(target) == predicted and len(source) == predicted
     rep.check(
         "target-cardinality",
         "borel-target-cardinality",
-        PASS if card_ok else FAIL,
-        {"target": len(target), "source": len(source), "predicted": predicted},
-        time.perf_counter() - t0,
-        None if card_ok else f"{len(target)} vs {len(source)} vs {predicted}",
+        counts={"target": len(target), "source": len(source), "predicted": predicted},
+        counterexample=None
+        if card_ok
+        else f"{len(target)} vs {len(source)} vs {predicted}",
     )
 
-    t0 = time.perf_counter()
     images = [phi(g) for g in source]
     inj = len(set(images)) == len(source)
     surj = set(images) == set(target)
     rep.check(
         "map-injective",
         "borel-map-injectivity",
-        PASS if inj else FAIL,
-        {"cases": len(source)},
-        time.perf_counter() - t0,
-        None if inj else "two source elements share an image",
+        counts={"cases": len(source)},
+        counterexample=None if inj else "two source elements share an image",
     )
     rep.check(
         "map-bijective",
         "borel-map-image",
-        PASS if surj else FAIL,
-        {"cases": len(target)},
-        0.0,
-        None if surj else "image differs from the enumerated target",
+        counts={"cases": len(target)},
+        counterexample=None if surj else "image differs from the enumerated target",
     )
 
-    t0 = time.perf_counter()
     if len(source) ** 2 <= _PAIR_BUDGET:
         pair_pool = source
     else:
@@ -1631,17 +1549,13 @@ def borel_gln_check(n, i, j, ring):
     rep.check(
         "source-closed",
         "borel-source-closure",
-        FAIL if closed_bad else PASS,
-        {"cases": cases},
-        0.0,
-        closed_bad,
+        counts={"cases": cases},
+        counterexample=closed_bad,
     )
     rep.check(
         "map-homomorphism",
         "borel-map-homomorphism",
-        FAIL if bad else PASS,
-        {"cases": cases, "failures": 1 if bad else 0},
-        time.perf_counter() - t0,
-        bad,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
     )
     return rep

@@ -10,7 +10,6 @@ ABELSLAB_BUDGET environment variable, then to the built-in default.
 
 import json
 import sys
-from time import perf_counter
 
 import click
 
@@ -44,14 +43,7 @@ from .presentation import (
     tits_criterion_check,
     verify_presentations,
 )
-from .reports import (
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
-    Report,
-    merge_reports,
-    report_from_dict,
-)
+from .reports import INCONCLUSIVE, Report, merge_reports, report_from_dict
 from .rings import RingError, make_ring
 
 FORM_TYPES = ("C2", "C3", "B3", "D4")
@@ -122,43 +114,6 @@ def _emit(rep, out, fmt):
     return 0 if rep.ok else 1
 
 
-def _bool_record(rep, check_id, anchor, thunk, cases):
-    start = perf_counter()
-    try:
-        ok = thunk()
-    except BudgetExceeded as exc:
-        rep.check(
-            check_id,
-            anchor,
-            INCONCLUSIVE,
-            counts={},
-            elapsed=perf_counter() - start,
-            counterexample=str(exc),
-        )
-        return
-    rep.check(
-        check_id,
-        anchor,
-        PASS if ok else FAIL,
-        counts={"cases": cases},
-        elapsed=perf_counter() - start,
-        counterexample=None if ok else "predicate returned false",
-    )
-
-
-def _budget_report(suite, config, exc):
-    rep = Report(suite, dict(config))
-    rep.check(
-        "budget",
-        "exploration-budget",
-        INCONCLUSIVE,
-        counts={},
-        elapsed=0.0,
-        counterexample=str(exc),
-    )
-    return rep
-
-
 # -- suite builders (shared between subcommands and `verify all`) -------------
 
 
@@ -218,15 +173,13 @@ def _borel_suite(descriptor, n, seed=None):
         rep.config["skipped_cases"] = ",".join(skipped)
     try:
         rep.extend(borel_gln_check(n, 1, 2, ring), prefix="gln:")
-        _bool_record(
-            rep,
+        rep.run(
             "affine-reflection-isomorphism",
             "affine-groups-are-isomorphic",
             lambda: check_affine_iso(ring),
             ring.order() * len(ring.units()),
         )
-        _bool_record(
-            rep,
+        rep.run(
             "triangular-retraction",
             "leading-block-retraction",
             lambda: check_borel_retraction(n, ring),
@@ -255,10 +208,6 @@ def _presentations_suite(descriptor, n, budget, seed=None):
         rep = verify_presentations(n, ring, budget)
     except PresentationError as exc:
         raise click.UsageError(str(exc))
-    except BudgetExceeded as exc:
-        rep = _budget_report(
-            "presentations", {"n": n, "ring": ring.descriptor}, exc
-        )
     _apply_seed(rep, seed)
     return rep
 
@@ -284,12 +233,12 @@ def _tits_suite(descriptor, n, family, budget, seed=None):
             members = contracting_family(n, ring)
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
-    config = {"n": n, "ring": ring.descriptor, "family": family}
     try:
         rep = tits_criterion_check(group, members, budget)
     except BudgetExceeded as exc:
-        rep = _budget_report("tits", config, exc)
-    rep.config.update(config)
+        rep = Report("tits")
+        rep.check("budget", "exploration-budget", INCONCLUSIVE, counterexample=str(exc))
+    rep.config.update({"n": n, "ring": ring.descriptor, "family": family})
     _apply_seed(rep, seed)
     return rep
 

@@ -12,7 +12,6 @@ Betti numbers.
 """
 
 from itertools import combinations
-from time import perf_counter
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .presentation import (
     tietze_reduce,
     todd_coxeter,
 )
-from .reports import FAIL, INCONCLUSIVE, PASS, Report
+from .reports import INCONCLUSIVE, Report
 from .snf import dense_to_triplets, rational_rank, smith_invariant_factors
 
 
@@ -174,7 +173,7 @@ def coset_complex(group, family, budget=None):
     n = gens[0].n
     fam_gens = [_generator_list(m) for m in family]
 
-    if fits_packing(ring.order(), n) and budget <= 2**26:
+    if fits_packing(ring.order(), n):
         cr = coded_ring(ring)
         status, elems, keys = group_closure(
             cr, encode_matrices(cr, gens), n, budget=budget
@@ -523,6 +522,7 @@ def action_analysis(group, cx, budget=None):
     gens = _generator_list(group)
     ring = gens[0].ring
     n = gens[0].n
+    rep = Report(suite="action", config={"ring": ring.descriptor, "n": n})
     cr = coded_ring(ring)
     status, elems, keys = group_closure(
         cr, encode_matrices(cr, gens), n, budget=budget
@@ -531,10 +531,7 @@ def action_analysis(group, cx, budget=None):
         raise BudgetExceeded("inconclusive-budget: group closure overflowed")
     if elems.shape[0] != cx.keys.shape[0] or not (keys == cx.keys).all():
         raise ComplexError("group does not match the complex")
-    rep = Report(
-        suite="action",
-        config={"ring": ring.descriptor, "n": n, "order": int(len(keys))},
-    )
+    rep.config["order"] = int(len(keys))
     order = elems.shape[0]
     m = len(cx.labels)
     stacked = np.stack([lab for lab, _ in cx.labels], axis=1)
@@ -549,7 +546,6 @@ def action_analysis(group, cx, budget=None):
         moved = mul_batch_left(cr, elems[gi], elems, n)
         perms[gi] = np.searchsorted(keys, pack_keys(cr, moved, n))
 
-    start = perf_counter()
     bad = None
     counts = 0
     for gi in range(order):
@@ -570,28 +566,22 @@ def action_analysis(group, cx, budget=None):
     rep.check(
         "vertex-action",
         "elements-permute-vertices-within-colors",
-        FAIL if bad else PASS,
         counts={"cases": counts},
-        elapsed=perf_counter() - start,
         counterexample=bad,
     )
 
-    start = perf_counter()
     chambers = {tuple(int(v) for v in row) for row in stacked}
     maximal = set(cx.simplices[m - 1])
     one_orbit = chambers == maximal
     rep.check(
         "chamber-orbit",
         "maximal-simplices-are-element-chambers",
-        PASS if one_orbit else FAIL,
         counts={"chambers": len(chambers), "maximal": len(maximal)},
-        elapsed=perf_counter() - start,
         counterexample=None
         if one_orbit
         else f"{len(chambers)} chambers vs {len(maximal)} maximal simplices",
     )
 
-    start = perf_counter()
     ident_pos = int(
         np.searchsorted(keys, _packed_key(ring, Matrix.identity(ring, n)))
     )
@@ -607,15 +597,12 @@ def action_analysis(group, cx, budget=None):
     rep.check(
         "base-stabilizer",
         "base-chamber-stabilizer-is-family-intersection",
-        PASS if inter_ok else FAIL,
         counts={"stabilizer": int(base_stab.size), "intersection": int(meet.size)},
-        elapsed=0.0,
         counterexample=None
         if inter_ok
         else f"stabilizer {base_stab.size} vs intersection {meet.size}",
     )
 
-    start = perf_counter()
     bad = None
     checked = 0
     hit_r, hit_c = np.nonzero(perms == ident_pos)
@@ -640,9 +627,7 @@ def action_analysis(group, cx, budget=None):
     rep.check(
         "chamber-stabilizer",
         "chamber-stabilizers-are-conjugated-intersections",
-        FAIL if bad else PASS,
         counts={"chambers_checked": checked, "base_stabilizer": int(base_stab.size)},
-        elapsed=perf_counter() - start,
         counterexample=bad,
     )
     return rep
@@ -655,60 +640,48 @@ def compare_complexes(n, ring, budget=None):
     from .abels import horospherical_family, contracting_family, abels_group, unipotent_and_torus
 
     budget = get_budget(budget)
-    amb_full = abels_group(n, ring)
-    amb_uni = unipotent_and_torus(n, ring)[0]
-    cx_full = coset_complex(amb_full, horospherical_family(n, ring), budget)
-    cx_uni = coset_complex(amb_uni, contracting_family(n, ring), budget)
     rep = Report(
         suite="complex-comparison",
         config={"n": n, "ring": ring.descriptor},
     )
+    amb_full = abels_group(n, ring)
+    amb_uni = unipotent_and_torus(n, ring)[0]
+    cx_full = coset_complex(amb_full, horospherical_family(n, ring), budget)
+    cx_uni = coset_complex(amb_uni, contracting_family(n, ring), budget)
 
-    start = perf_counter()
     c_full = connected_components(cx_full)
     c_uni = connected_components(cx_uni)
     rep.check(
         "components",
         "component-counts-agree",
-        PASS if c_full == c_uni else FAIL,
         counts={"full": c_full, "unipotent": c_uni},
-        elapsed=perf_counter() - start,
         counterexample=None
         if c_full == c_uni
         else f"{c_full} components vs {c_uni}",
     )
 
-    start = perf_counter()
     h_full = homology_h1(cx_full)
     h_uni = homology_h1(cx_uni)
     rep.check(
         "first-homology",
         "first-homology-agrees",
-        PASS if h_full == h_uni else FAIL,
         counts={
             "full_rank": h_full[0],
             "unipotent_rank": h_uni[0],
             "full_torsion": len(h_full[1]),
             "unipotent_torsion": len(h_uni[1]),
         },
-        elapsed=perf_counter() - start,
         counterexample=None if h_full == h_uni else f"{h_full} vs {h_uni}",
     )
 
-    start = perf_counter()
     s_full = is_simply_connected(cx_full, budget)
     s_uni = is_simply_connected(cx_uni, budget)
-    agree = s_full == s_uni
-    status = PASS if agree else FAIL
-    if agree and s_full == "inconclusive":
-        status = INCONCLUSIVE
     rep.check(
         "simple-connectivity",
         "simple-connectivity-verdicts-agree",
-        status,
+        INCONCLUSIVE if s_full == s_uni == "inconclusive" else None,
         counts={"full_vertices": len(cx_full.vertices), "unipotent_vertices": len(cx_uni.vertices)},
-        elapsed=perf_counter() - start,
-        counterexample=None if agree else f"{s_full!r} vs {s_uni!r}",
+        counterexample=None if s_full == s_uni else f"{s_full!r} vs {s_uni!r}",
     )
     return rep
 
@@ -749,21 +722,17 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
             "coset-complex-construction",
             INCONCLUSIVE,
             counts={"cases": 0},
-            elapsed=0.0,
             counterexample=str(exc),
         )
         return rep
     rep.config["vertices"] = len(cx.vertices)
     rep.config["dim"] = cx.dim
 
-    start = perf_counter()
     homogeneous = check_homogeneous_colorable(cx, len(members) - 1)
     rep.check(
         "homogeneous-colorable",
         "chambers-span-every-color",
-        PASS if homogeneous else FAIL,
         counts={"chambers": len(cx.simplices[-1])},
-        elapsed=perf_counter() - start,
         counterexample=None
         if homogeneous
         else "a simplex repeats a color or misses the top dimension",
@@ -772,7 +741,6 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
     components = connected_components(cx)
     rep.config["components"] = components
     if "components" in checks:
-        start = perf_counter()
         union_gens = []
         for m in members:
             union_gens.extend(_generator_list(m))
@@ -783,7 +751,6 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
                 "connected-iff-family-generates",
                 INCONCLUSIVE,
                 counts={"components": components},
-                elapsed=perf_counter() - start,
                 counterexample="inconclusive-budget: generation check overflowed",
             )
         else:
@@ -792,13 +759,11 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
             rep.check(
                 "components",
                 "connected-iff-family-generates",
-                PASS if agree else FAIL,
                 counts={
                     "components": components,
                     "generated": len(generated),
                     "group_order": order,
                 },
-                elapsed=perf_counter() - start,
                 counterexample=None
                 if agree
                 else f"components={components}, generated={len(generated)} of {order}",
@@ -808,7 +773,6 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
     rep.config["h1_rank"] = rank
     rep.config["h1_torsion"] = len(torsion)
     if "h1" in checks:
-        start = perf_counter()
         # b1 = e - rank ∂1 - rank ∂2 over the rationals, reusing rank ∂1
         betti1 = len(cx.simplices[1]) - r1 if cx.dim >= 1 else 0
         if cx.dim >= 2:
@@ -818,42 +782,31 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
         rep.check(
             "first-homology",
             "smith-rank-matches-rational-rank",
-            PASS if agree else FAIL,
             counts={"rank": rank, "rational_rank": betti1, "torsion": len(torsion)},
-            elapsed=perf_counter() - start,
             counterexample=None
             if agree
             else f"smith normal form gives rank {rank}, rational rank {betti1}",
         )
 
     if "pi1" in checks:
-        start = perf_counter()
         if components != 1:
             rep.config["pi1"] = "no"
             rep.check(
                 "simple-connectivity",
                 "disconnected-complexes-are-not-simply-connected",
-                PASS,
                 counts={"components": components},
-                elapsed=perf_counter() - start,
-                counterexample=None,
             )
         else:
             verdict = is_simply_connected(cx, budget=budget, h1=(rank, torsion))
             rep.config["pi1"] = verdict
-            if verdict == "inconclusive":
-                status, detail = INCONCLUSIVE, None
-            elif verdict == "yes" and (rank or torsion):
-                status = FAIL
+            detail = None
+            if verdict == "yes" and (rank or torsion):
                 detail = f"verdict yes but H1 = (rank {rank}, torsion {torsion})"
-            else:
-                status, detail = PASS, None
             rep.check(
                 "simple-connectivity",
                 "trivial-pi1-forces-trivial-h1",
-                status,
+                INCONCLUSIVE if verdict == "inconclusive" else None,
                 counts={"h1_rank": rank, "h1_torsion": len(torsion)},
-                elapsed=perf_counter() - start,
                 counterexample=detail,
             )
     return rep

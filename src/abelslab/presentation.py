@@ -22,14 +22,13 @@ in creation order.
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from time import perf_counter
 
 import numpy as np
 
 from .config import BudgetExceeded, get_budget
 from .kernels import closure_set
 from .matrices import Matrix, MatrixError
-from .reports import FAIL, INCONCLUSIVE, PASS, Report
+from .reports import INCONCLUSIVE, PASS, Report
 from .rings import additive_presentation
 
 
@@ -909,7 +908,6 @@ def check_missing_relations(n, ring):
 
     corner = {t: comm(e(1, 2, t), e(2, n, ring.one)) for t in T}
 
-    start = perf_counter()
     bad = None
     cases = 0
     for t in T:
@@ -920,13 +918,10 @@ def check_missing_relations(n, ring):
     rep.check(
         "corner-definition",
         "corner-element-matches-elementary",
-        FAIL if bad else PASS,
         counts={"cases": cases},
-        elapsed=perf_counter() - start,
         counterexample=bad,
     )
 
-    start = perf_counter()
     bad = None
     cases = 0
     ident = Matrix.identity(ring, n)
@@ -949,13 +944,10 @@ def check_missing_relations(n, ring):
     rep.check(
         "disjoint-row-column",
         "mixed-corner-commutators-vanish",
-        FAIL if bad else PASS,
         counts={"cases": cases},
-        elapsed=perf_counter() - start,
         counterexample=bad,
     )
 
-    start = perf_counter()
     bad = None
     cases = 0
     one = ring.one
@@ -973,13 +965,10 @@ def check_missing_relations(n, ring):
     rep.check(
         "chain-through-column",
         "corner-chain-commutators-agree",
-        FAIL if bad else PASS,
         counts={"cases": cases},
-        elapsed=perf_counter() - start,
         counterexample=bad,
     )
 
-    start = perf_counter()
     bad = None
     cases = 0
     for i in range(1, n + 1):
@@ -999,13 +988,10 @@ def check_missing_relations(n, ring):
     rep.check(
         "corner-central",
         "corner-element-is-central",
-        FAIL if bad else PASS,
         counts={"cases": cases},
-        elapsed=perf_counter() - start,
         counterexample=bad,
     )
 
-    start = perf_counter()
     bad = None
     cases = 0
     for row in pres.relators:
@@ -1019,9 +1005,7 @@ def check_missing_relations(n, ring):
     rep.check(
         "corner-additive",
         "corner-element-additive-relations",
-        FAIL if bad else PASS,
         counts={"cases": cases},
-        elapsed=perf_counter() - start,
         counterexample=bad,
     )
     return rep
@@ -1064,16 +1048,13 @@ def verify_presentations(n, ring, budget=None):
             ("economic", un_economic_presentation(n, ringpres), True)
         )
     for name, pres, economic in variants:
-        start = perf_counter()
         table = todd_coxeter(pres, (), budget)
         if table.status == "complete":
             ok = table.count == expected
             rep.check(
                 f"{name}-index",
                 "enumeration-matches-group-order",
-                PASS if ok else FAIL,
                 counts={"index": table.count, "expected": expected},
-                elapsed=perf_counter() - start,
                 counterexample=None
                 if ok
                 else f"enumerated {table.count} cosets, expected {expected}",
@@ -1084,7 +1065,6 @@ def verify_presentations(n, ring, budget=None):
                 "enumeration-matches-group-order",
                 INCONCLUSIVE,
                 counts={"expected": expected},
-                elapsed=perf_counter() - start,
                 counterexample="inconclusive-budget: enumeration overflowed",
             )
 
@@ -1095,20 +1075,16 @@ def verify_presentations(n, ring, budget=None):
                 images[pres.generators[pos_idx * len(T) + ti]] = (
                     Matrix.elementary(ring, n, i, j, t)
                 )
-        start = perf_counter()
         holds = von_dyck_check(pres, images)
         rep.check(
             f"{name}-relators-hold",
             "relators-vanish-on-elementary-matrices",
-            PASS if holds else FAIL,
             counts={"relators": len(pres.relators)},
-            elapsed=perf_counter() - start,
             counterexample=None
             if holds
             else "a relator evaluates to a non-identity matrix",
         )
 
-        start = perf_counter()
         try:
             generated = len(closure_set(ring, list(images.values()), budget))
         except BudgetExceeded as exc:
@@ -1117,7 +1093,6 @@ def verify_presentations(n, ring, budget=None):
                 "elementary-images-generate-group",
                 INCONCLUSIVE,
                 counts={"expected": expected},
-                elapsed=perf_counter() - start,
                 counterexample=str(exc),
             )
         else:
@@ -1125,9 +1100,7 @@ def verify_presentations(n, ring, budget=None):
             rep.check(
                 f"{name}-generates",
                 "elementary-images-generate-group",
-                PASS if ok else FAIL,
                 counts={"generated": generated, "expected": expected},
-                elapsed=perf_counter() - start,
                 counterexample=None
                 if ok
                 else f"images generate {generated} elements, expected {expected}",
@@ -1225,16 +1198,12 @@ def tits_criterion_check(group, family, budget=None):
     budget = get_budget(budget)
     group_gens = _as_generator_list(group)
     ring = group_gens[0].ring
-    elements = closure_set(ring, group_gens, budget)
-    order = len(elements)
     rep = Report(
         suite="tits",
-        config={
-            "group_order": order,
-            "family_size": len(family),
-            "ring": ring.descriptor,
-        },
+        config={"family_size": len(family), "ring": ring.descriptor},
     )
+    order = len(closure_set(ring, group_gens, budget))
+    rep.config["group_order"] = order
 
     cx = complexes.coset_complex(group, family, budget=budget)
     components = complexes.connected_components(cx)
@@ -1242,24 +1211,20 @@ def tits_criterion_check(group, family, budget=None):
     for member in family:
         union_gens.extend(_as_generator_list(member))
     generated = len(closure_set(ring, union_gens, budget))
-    start = perf_counter()
     agree = (components == 1) == (generated == order)
     rep.check(
         "connectivity-vs-generation",
         "connected-iff-family-generates",
-        PASS if agree else FAIL,
         counts={
             "components": components,
             "generated": generated,
             "group_order": order,
         },
-        elapsed=perf_counter() - start,
         counterexample=None
         if agree
         else f"components={components}, generated={generated}, order={order}",
     )
 
-    start = perf_counter()
     diagram = family_diagram(family, budget)
     colim = colimit_presentation(diagram, validate=True, budget=budget)
     table = todd_coxeter(colim, (), budget)
@@ -1268,56 +1233,35 @@ def tits_criterion_check(group, family, budget=None):
         "colimit-enumeration",
         PASS if table.status == "complete" else INCONCLUSIVE,
         counts={"index": table.count if table.status == "complete" else 0},
-        elapsed=perf_counter() - start,
-        counterexample=None,
     )
 
-    start = perf_counter()
+    status = detail = None
     if components != 1:
         # disconnected: the natural map is not surjective, hence not an
         # isomorphism, and a disconnected complex is not simply connected
-        status = PASS
         counts = {"components": components}
-        detail = None
     else:
         verdict = complexes.is_simply_connected(cx, budget=budget)
         counts = {"components": 1}
         if verdict == "yes":
-            if table.status == "complete":
-                ok = table.count == order
-                status = PASS if ok else FAIL
-                detail = (
-                    None
-                    if ok
-                    else f"simply connected but colimit index {table.count} != {order}"
-                )
-            else:
+            if table.status != "complete":
                 status = INCONCLUSIVE
-                detail = None
+            elif table.count != order:
+                detail = f"simply connected but colimit index {table.count} != {order}"
         elif verdict == "no":
-            if table.status == "complete":
-                ok = table.count != order
-                status = PASS if ok else FAIL
-                detail = (
-                    None
-                    if ok
-                    else f"not simply connected but colimit index equals {order}"
-                )
-            else:
+            if table.status != "complete":
                 # complex side is decisive; enumeration overflow is the
                 # expected behavior for an infinite colimit
-                status = PASS
                 counts["colimit_overflow"] = 1
-                detail = None
+            elif table.count == order:
+                detail = f"not simply connected but colimit index equals {order}"
         else:
             status = INCONCLUSIVE
-            detail = None
     rep.check(
         "simple-connectivity-vs-colimit",
         "simply-connected-iff-colimit-is-group",
         status,
         counts=counts,
-        elapsed=perf_counter() - start,
         counterexample=detail,
     )
     return rep

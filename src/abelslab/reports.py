@@ -4,13 +4,23 @@ A Report is a list of check records plus a config echo; it serializes to
 canonical JSON (sorted keys, fixed field order) so that repeated runs are
 byte-identical once the volatile fields (timestamp, elapsed) are stripped.
 Failing records must carry a minimal counterexample string.
+
+Checks time themselves.  A report keeps a mark: it is set when the report
+is constructed, when any record is written (`check`, `extend`), and when
+a `run` thunk starts.  A record's `elapsed` is the time since the mark, so
+the time a suite spends between records is charged to the next one, and a
+`run` check is timed from the start of its thunk.
+`check` derives the status when none is given: FAIL if there is a
+counterexample, PASS otherwise.  INCONCLUSIVE is always explicit.
 """
 
 import json
 import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from . import __version__
+from .config import BudgetExceeded
 
 SCHEMA_VERSION = 1
 
@@ -55,16 +65,44 @@ class Report:
         self.config = dict(config or {})
         self.checks = []
         self.created = time.time()
+        self._mark = perf_counter()
 
     def add(self, record):
         if any(c.id == record.id for c in self.checks):
             raise ValueError(f"duplicate check id {record.id!r}")
         self.checks.append(record)
+        self._mark = perf_counter()
         return record
 
-    def check(self, id, anchor, status, counts=None, elapsed=0.0, counterexample=None):
+    def check(self, id, anchor, status=None, *, counts=None, counterexample=None):
+        """Record a check timed since the mark; no status means PASS or FAIL
+        as the counterexample is absent or present."""
+        if status is None:
+            status = PASS if counterexample is None else FAIL
+        elapsed = perf_counter() - self._mark
         return self.add(
             CheckRecord(id, anchor, status, dict(counts or {}), elapsed, counterexample)
+        )
+
+    def run(self, check_id, anchor, thunk, cases):
+        """Record the boolean verdict of `thunk()`, timed from its start; a
+        BudgetExceeded it raises makes the check INCONCLUSIVE."""
+        self._mark = perf_counter()
+        try:
+            ok = thunk()
+        except BudgetExceeded as exc:
+            return self.check(
+                check_id,
+                anchor,
+                INCONCLUSIVE,
+                counts={"cases": 0},
+                counterexample=str(exc),
+            )
+        return self.check(
+            check_id,
+            anchor,
+            counts={"cases": cases},
+            counterexample=None if ok else f"{check_id} predicate returned false",
         )
 
     def extend(self, other, prefix=""):
@@ -79,6 +117,7 @@ class Report:
                     c.counterexample,
                 )
             )
+        self._mark = perf_counter()
 
     @property
     def ok(self):
@@ -150,12 +189,14 @@ def merge_reports(reports, suite="merged"):
 def report_from_dict(data):
     rep = Report(data["suite"], data.get("config", {}))
     for c in data.get("checks", []):
-        rep.check(
-            c["id"],
-            c.get("anchor", ""),
-            c["status"],
-            c.get("counts", {}),
-            c.get("elapsed", 0.0),
-            c.get("counterexample"),
+        rep.add(
+            CheckRecord(
+                c["id"],
+                c.get("anchor", ""),
+                c["status"],
+                dict(c.get("counts") or {}),
+                c.get("elapsed", 0.0),
+                c.get("counterexample"),
+            )
         )
     return rep

@@ -25,6 +25,7 @@ from abelslab.complexes import (
     nerve_oracle,
     verify_complex,
 )
+from abelslab.kernels import fits_packing
 from abelslab.matrices import Matrix
 from abelslab.presentation import todd_coxeter
 from abelslab.rings import make_ring
@@ -33,8 +34,9 @@ Z2 = make_ring("zmod:2")
 Z3 = make_ring("zmod:3")
 
 
-def perm_matrix(images):
-    rows = [[Z2.zero] * 3 for _ in range(3)]
+def perm_matrix(images, size=3):
+    images = tuple(images) + tuple(range(len(images), size))
+    rows = [[Z2.zero] * size for _ in range(size)]
     for src, dst in enumerate(images):
         rows[src][dst] = Z2.one
     return Matrix.from_rows(Z2, rows)
@@ -132,14 +134,25 @@ def test_construction_guards():
 
 
 def test_python_route_matches_coded_route():
+    # a budget above 2**26 keeps the coded route and its complex
     coded = s3_complex()
-    plain = coset_complex([S3_A, S3_B], ([S3_A], [S3_B]), budget=2**26 + 1)
-    assert plain == coded
-    assert [int(k) for k in plain.keys] == [int(k) for k in coded.keys]
-
+    big = coset_complex([S3_A, S3_B], ([S3_A], [S3_B]), budget=2**26 + 1)
+    assert big == coded
+    assert [int(k) for k in big.keys] == [int(k) for k in coded.keys]
     u4 = unipotent_and_torus(4, Z2)[0]
     fam = contracting_family(4, Z2)
     assert coset_complex(u4, fam, budget=2**26 + 1) == coset_complex(u4, fam)
+
+    # S3 as 8x8 permutation matrices: 2**64 keys do not pack into int64, so
+    # the Python-object route builds the complex
+    a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
+    assert not fits_packing(Z2.order(), 8)
+    plain = coset_complex([a, b], ([a], [b]))
+    assert plain == nerve_oracle([a, b], ([a], [b]))
+    assert plain.f_vector == (6, 6)
+    assert (plain.colors, plain.simplices) == (coded.colors, coded.simplices)
+    assert homology_h1(plain) == (1, ())
+    assert is_simply_connected(plain) == "no"
 
 
 # -- flagship instances ----------------------------------------------------------

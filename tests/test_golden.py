@@ -1,0 +1,99 @@
+"""Golden reports: every check record of small suites, pinned byte for byte.
+
+Each case runs one suite and compares its JSON report, with the volatile
+fields (timestamp and per-check elapsed) stripped, against a file under
+tests/golden/.  The files pin ids, anchors, statuses, counts, counterexample
+texts and config, so any change to how a record is written shows up here.
+
+Regenerate the files with `python tests/test_golden.py` only when a change
+to a report is intended, and say so where the change is recorded.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from abelslab.abels import abels_group, horospherical_family
+from abelslab.cli import run
+from abelslab.complexes import action_analysis, compare_complexes, coset_complex
+from abelslab.rings import make_ring
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CLI_CASES = {
+    "steinberg-A2-zmod3": ["steinberg", "--type", "A2", "--ring", "zmod:3"],
+    "steinberg-A1-zloc6": ["steinberg", "--type", "A1", "--ring", "zloc:6"],
+    "commutators-n3-zmod2": ["commutators", "--n", "3", "--ring", "zmod:2"],
+    "borel-iso-n3-zmod2": ["borel-iso", "--n", "3", "--ring", "zmod:2"],
+    "forms-C2-zmod5": ["forms", "--type", "C2", "--ring", "zmod:5"],
+    "abels-n4-zmod2": ["abels", "--n", "4", "--ring", "zmod:2"],
+    "abels-n4-zmod2-max-order-20": [
+        "abels", "--n", "4", "--ring", "zmod:2", "--max-order", "20",
+    ],
+    "presentations-n4-zmod2": ["presentations", "--n", "4", "--ring", "zmod:2"],
+    "presentations-n4-zmod2-max-cosets-10": [
+        "presentations", "--n", "4", "--ring", "zmod:2", "--max-cosets", "10",
+    ],
+    "complex-n4-zmod2": ["complex", "--n", "4", "--ring", "zmod:2"],
+    "complex-n4-zmod2-max-order-5": [
+        "complex", "--n", "4", "--ring", "zmod:2", "--max-order", "5",
+    ],
+    "tits-n4-zmod2": ["tits", "--n", "4", "--ring", "zmod:2"],
+    "tits-n4-zmod2-max-cosets-50": [
+        "tits", "--n", "4", "--ring", "zmod:2", "--max-cosets", "50",
+    ],
+}
+
+LIBRARY_CASES = ("action-analysis-A4-zmod2", "compare-complexes-n4-zmod2")
+
+
+def _normalized(data):
+    data.pop("timestamp", None)
+    for check in data["checks"]:
+        check.pop("elapsed", None)
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _cli_report(name, tmp_dir):
+    out = Path(tmp_dir) / f"{name}.json"
+    code = run(["verify", *CLI_CASES[name], "--out", str(out)])
+    return code, _normalized(json.loads(out.read_text()))
+
+
+def _library_report(name):
+    Z2 = make_ring("zmod:2")
+    if name == "action-analysis-A4-zmod2":
+        ambient = abels_group(4, Z2)
+        rep = action_analysis(ambient, coset_complex(ambient, horospherical_family(4, Z2)))
+    else:
+        rep = compare_complexes(4, Z2)
+    return _normalized(rep.to_dict(timestamp=False))
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_report_matches_golden(name, tmp_path, capsys):
+    code, text = _cli_report(name, tmp_path)
+    capsys.readouterr()
+    assert code == 0
+    assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", LIBRARY_CASES)
+def test_library_report_matches_golden(name):
+    assert _library_report(name) == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CLI_CASES:
+            code, text = _cli_report(name, tmp)
+            if code != 0:
+                sys.exit(f"{name}: exit code {code}")
+            (GOLDEN / f"{name}.json").write_text(text)
+    for name in LIBRARY_CASES:
+        (GOLDEN / f"{name}.json").write_text(_library_report(name))
