@@ -22,6 +22,7 @@ from .kernels import (
     encode_matrices,
     fits_packing,
     group_closure,
+    closure_order,
     closure_python,
     closure_set,
 )
@@ -744,29 +745,32 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
         union_gens = []
         for m in members:
             union_gens.extend(_generator_list(m))
-        status, generated = closure_python(ring, union_gens, budget=budget)
-        if status != "complete":
+        try:
+            generated = closure_order(
+                ring, union_gens, budget, what="generation check"
+            )
+        except BudgetExceeded as exc:
             rep.check(
                 "components",
                 "connected-iff-family-generates",
                 INCONCLUSIVE,
                 counts={"components": components},
-                counterexample="inconclusive-budget: generation check overflowed",
+                counterexample=str(exc),
             )
         else:
             order = len(cx.keys)
-            agree = (components == 1) == (len(generated) == order)
+            agree = (components == 1) == (generated == order)
             rep.check(
                 "components",
                 "connected-iff-family-generates",
                 counts={
                     "components": components,
-                    "generated": len(generated),
+                    "generated": generated,
                     "group_order": order,
                 },
                 counterexample=None
                 if agree
-                else f"components={components}, generated={len(generated)} of {order}",
+                else f"components={components}, generated={generated} of {order}",
             )
 
     (rank, torsion), r1 = _homology_h1(cx)

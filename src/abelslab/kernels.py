@@ -18,6 +18,15 @@ add.  w is the largest width with q**w <= min(TABLE_CAP, batch rows), so a
 table is never larger than the batch it serves; at w = 1 the gather is the
 plain per-k loop.  Closure and the center scan build each generator's
 tables once and reuse them.
+
+Two closures serve different callers.  ``group_closure`` is the coded
+BFS: it gives the sorted coded element set, and ``closure_order`` runs it
+on Matrix generators for callers that need only the order (it falls back
+to ``closure_set`` where the ring is infinite or the input does not
+pack).  ``closure_python`` and its wrapper ``closure_set`` build the
+closure as a set of Matrix objects, for callers that need the matrices
+themselves, for inputs that do not pack, and as the reference the coded
+kernel is tested against.
 """
 
 import numpy as np
@@ -110,6 +119,11 @@ def _powers(q, nn):
     for t in range(nn - 2, -1, -1):
         pw[t] = pw[t + 1] * q
     return pw
+
+
+def _unpack(keys, q, pw):
+    """Coded matrices of packed keys, one row each: the base-q digits."""
+    return keys[:, None] // pw % q
 
 
 def pack_keys(cr, vecs, n):
@@ -207,6 +221,8 @@ def group_closure(cr, gens, n, budget=None):
     Returns (status, elems, keys) with elems sorted by packed key; status is
     "complete" or "overflow" (partial set, still sorted and deduplicated).
     Each generator's gather tables are built once and serve every level.
+    The search keeps only packed keys and unpacks the elements of each new
+    level, and of the result, from them.
     """
     budget = get_budget(budget)
     if not fits_packing(cr.q, n):
@@ -220,39 +236,31 @@ def group_closure(cr, gens, n, budget=None):
         return "complete", ident, ident @ pw
     w = _width(cr.q, n, budget)
     tables = [_tables(cr, g.reshape(n, n).T, w) for g in gens]
-    elems = np.unique(np.concatenate([ident, gens]), axis=0)
-    keys = elems @ pw
-    order = np.argsort(keys, kind="stable")
-    elems, keys = elems[order], keys[order]
-    if elems.shape[0] > budget:
-        return "overflow", elems[:budget], keys[:budget]
-    frontier = elems
+    keys = np.unique(np.concatenate([ident, gens]) @ pw)
+    if keys.shape[0] > budget:
+        keys = keys[:budget]
+        return "overflow", _unpack(keys, cr.q, pw), keys
+    frontier = _unpack(keys, cr.q, pw)
     status = "complete"
     while frontier.shape[0]:
         fkeys = _batch_keys(cr, _rows(frontier, n), w)
         prod = np.empty((frontier.shape[0], n, n), np.int64)
         flat = prod.reshape(-1, nn)
-        fresh_elems, fresh_keys = [], []
+        fresh = []
         for gtables in tables:
             _gather(cr, gtables, fkeys, prod.transpose(0, 2, 1))
             pk = flat @ pw
             pos = np.searchsorted(keys, pk).clip(max=keys.shape[0] - 1)
-            fresh = keys[pos] != pk
-            fresh_elems.append(flat[fresh])
-            fresh_keys.append(pk[fresh])
-        pk, first = np.unique(np.concatenate(fresh_keys), return_index=True)
-        prods = np.concatenate(fresh_elems)[first]
-        if not prods.shape[0]:
+            fresh.append(pk[keys[pos] != pk])
+        pk = np.unique(np.concatenate(fresh))
+        if not pk.shape[0]:
             break
-        if elems.shape[0] + prods.shape[0] > budget:
+        if keys.shape[0] + pk.shape[0] > budget:
             status = "overflow"
             break
-        keys = np.concatenate([keys, pk])
-        elems = np.concatenate([elems, prods])
-        order = np.argsort(keys, kind="stable")
-        keys, elems = keys[order], elems[order]
-        frontier = prods
-    return status, elems, keys
+        keys = np.sort(np.concatenate([keys, pk]))
+        frontier = _unpack(pk, cr.q, pw)
+    return status, _unpack(keys, cr.q, pw), keys
 
 
 def center_mask(cr, elems, gens, n):
@@ -354,3 +362,23 @@ def closure_set(ring, gen_mats, budget=None, what="group closure"):
     if status != "complete":
         raise BudgetExceeded(f"inconclusive-budget: {what} overflowed")
     return seen
+
+
+def closure_order(ring, gen_mats, budget=None, what="group closure"):
+    """Order of the group generated by the Matrix objects ``gen_mats``.
+
+    Over a finite ring whose n x n matrices pack into int64, the closure
+    runs coded in ``group_closure``; otherwise it is ``closure_set``.  Both
+    routes overflow exactly when the closure is larger than the budget and
+    then raise ``BudgetExceeded("inconclusive-budget: <what> overflowed")``.
+    """
+    if not gen_mats:
+        raise KernelError("empty generator list")
+    n = gen_mats[0].n
+    if not ring.finite or not fits_packing(ring.order(), n):
+        return len(closure_set(ring, gen_mats, budget, what))
+    cr = coded_ring(ring)
+    status, elems, _ = group_closure(cr, encode_matrices(cr, gen_mats), n, budget)
+    if status != "complete":
+        raise BudgetExceeded(f"inconclusive-budget: {what} overflowed")
+    return elems.shape[0]

@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .config import BudgetExceeded, get_budget
-from .kernels import closure_set
+from .kernels import closure_order, closure_set
 from .matrices import Matrix, MatrixError
 from .reports import INCONCLUSIVE, PASS, Report
 from .rings import additive_presentation
@@ -848,11 +848,15 @@ def regular_representation_presentation(generators, names=None, budget=None):
 # -- von Dyck and matrix-side relation checks ---------------------------------
 
 
-def evaluate_word(word, images, ring, n):
+def evaluate_word(word, images, ring, n, inverses=None):
+    """The product of the word's letters.  ``inverses`` lists the images'
+    inverses; without it each negative letter inverts its image."""
     out = Matrix.identity(ring, n)
     for x in word:
         m = images[abs(x) - 1]
-        out = out.mul(m if x > 0 else m.inverse())
+        if x < 0:
+            m = m.inverse() if inverses is None else inverses[-x - 1]
+        out = out.mul(m)
     return out
 
 
@@ -869,15 +873,16 @@ def von_dyck_check(pres, assignment):
         return True
     ring = images[0].ring
     n = images[0].n
+    inverses = []
     for m in images:
         if m.ring != ring or m.n != n:
             raise PresentationError("images must share ring and size")
         try:
-            m.inverse()
+            inverses.append(m.inverse())
         except MatrixError as exc:
             raise PresentationError(f"image is not invertible: {exc}") from exc
     for w in pres.relators:
-        if not evaluate_word(w, images, ring, n).is_identity():
+        if not evaluate_word(w, images, ring, n, inverses).is_identity():
             return False
     return True
 
@@ -1086,7 +1091,7 @@ def verify_presentations(n, ring, budget=None):
         )
 
         try:
-            generated = len(closure_set(ring, list(images.values()), budget))
+            generated = closure_order(ring, list(images.values()), budget)
         except BudgetExceeded as exc:
             rep.check(
                 f"{name}-generates",
@@ -1202,7 +1207,7 @@ def tits_criterion_check(group, family, budget=None):
         suite="tits",
         config={"family_size": len(family), "ring": ring.descriptor},
     )
-    order = len(closure_set(ring, group_gens, budget))
+    order = closure_order(ring, group_gens, budget)
     rep.config["group_order"] = order
 
     cx = complexes.coset_complex(group, family, budget=budget)
@@ -1210,7 +1215,7 @@ def tits_criterion_check(group, family, budget=None):
     union_gens = []
     for member in family:
         union_gens.extend(_as_generator_list(member))
-    generated = len(closure_set(ring, union_gens, budget))
+    generated = closure_order(ring, union_gens, budget)
     agree = (components == 1) == (generated == order)
     rep.check(
         "connectivity-vs-generation",

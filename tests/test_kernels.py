@@ -3,11 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abelslab import kernels
-from abelslab.abels import subgroup_by_name
+from test_complexes import perm_matrix
+
+from abelslab import complexes, kernels
+from abelslab.abels import abels_group, contracting_family, subgroup_by_name
+from abelslab.complexes import verify_complex
 from abelslab.config import BudgetExceeded
 from abelslab.kernels import (
     KernelError,
+    closure_order,
     coded_ring,
     coset_labels,
     decode_matrix,
@@ -21,6 +25,7 @@ from abelslab.kernels import (
     pack_keys,
 )
 from abelslab.matrices import Matrix
+from abelslab.presentation import tits_criterion_check, verify_presentations
 from abelslab.rings import ZModRing, make_ring
 
 # deterministic and bounded, so the properties run the same way every time
@@ -313,3 +318,86 @@ def test_group_closure_matches_closure_python(case, data):
     if status == "complete":
         coded = {decode_matrix(cr, elems[i], n) for i in range(elems.shape[0])}
         assert coded == seen
+
+
+# -- closure_order on both routes ---------------------------------------
+
+
+def _order_or_overflow(ring, gens, budget, what="group closure"):
+    try:
+        return closure_order(ring, gens, budget, what)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _reference_order_or_overflow(ring, gens, budget, what="group closure"):
+    status, seen = kernels.closure_python(ring, gens, budget=budget)
+    if status != "complete":
+        return f"inconclusive-budget: {what} overflowed"
+    return len(seen)
+
+
+@PROPERTY
+@given(case=st.sampled_from(SMALL_GROUPS), data=st.data())
+def test_closure_order_matches_closure_python(case, data):
+    name, n, descriptor = case
+    R = make_ring(descriptor)
+    assert fits_packing(R.order(), n)
+    spec = subgroup_by_name(name, n, R)
+    gens = data.draw(
+        st.lists(st.sampled_from(spec.generators), min_size=1, max_size=4)
+    )
+    order = len(kernels.closure_python(R, gens)[1])
+    drawn = data.draw(st.integers(1, order))
+    for budget in (order - 1, order, order + 1, drawn):
+        assert _order_or_overflow(R, gens, budget) == (
+            _reference_order_or_overflow(R, gens, budget)
+        )
+
+
+def test_closure_order_uncoded_route(monkeypatch):
+    def coded_route(*args, **kwargs):
+        raise AssertionError("coded closure ran on an input it should not code")
+
+    monkeypatch.setattr(kernels, "coded_ring", coded_route)
+    # S3 on 8 x 8 permutation matrices over Z/2 (no packing) and on 3 x 3
+    # ones over Z (infinite)
+    Z = make_ring("z")
+    a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
+    assert not fits_packing(a.ring.order(), 8)
+    za, zb = (
+        Matrix.from_rows(Z, [[int(v) for v in row] for row in m.rows])
+        for m in (perm_matrix((1, 0)), perm_matrix((0, 2, 1)))
+    )
+    cases = (
+        (a.ring, [a, b], 6),
+        (Z, [za, zb], 6),
+    )
+    for ring, gens, order in cases:
+        for budget in (order - 1, order, order + 1):
+            for what in ("group closure", "generation check"):
+                got = _order_or_overflow(ring, gens, budget, what)
+                assert got == _reference_order_or_overflow(ring, gens, budget, what)
+        assert closure_order(ring, gens) == order
+
+
+def test_closure_order_needs_generators():
+    with pytest.raises(KernelError):
+        closure_order(ZModRing(3), [])
+    with pytest.raises(KernelError):
+        closure_order(make_ring("z"), [])
+
+
+def test_packable_callers_take_the_coded_closure(monkeypatch):
+    def matrix_route(*args, **kwargs):
+        raise AssertionError("closure_python ran on a packable input")
+
+    monkeypatch.setattr(kernels, "closure_python", matrix_route)
+    monkeypatch.setattr(complexes, "closure_python", matrix_route)
+    Z2 = make_ring("zmod:2")
+    for rep in (
+        verify_presentations(4, make_ring("zmod:3")),
+        tits_criterion_check(abels_group(4, Z2), contracting_family(4, Z2)),
+        verify_complex(4, Z2),
+    ):
+        assert {c.status for c in rep.checks} == {"pass"}

@@ -411,6 +411,21 @@ def test_von_dyck_canonical():
     assert von_dyck_check(can, elementary_assignment(can, 4, Z3))
 
 
+def test_von_dyck_inverts_each_image_once(monkeypatch):
+    can = un_canonical_presentation(4, P_Z3)
+    images = elementary_assignment(can, 4, Z3)
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    assert von_dyck_check(can, images)
+    assert len(calls) == len(images)
+
+
 def test_von_dyck_economic():
     eco = un_economic_presentation(4, P_Z3)
     assert von_dyck_check(eco, elementary_assignment(eco, 4, Z3))
@@ -443,6 +458,8 @@ def test_evaluate_word():
     e23 = Matrix.elementary(Z3, 3, 2, 3, Z3.one)
     e13 = Matrix.elementary(Z3, 3, 1, 3, Z3.one)
     assert evaluate_word((1, 2, -1, -2), [e12, e23], Z3, 3) == e13
+    inverses = [e12.inverse(), e23.inverse()]
+    assert evaluate_word((1, 2, -1, -2), [e12, e23], Z3, 3, inverses) == e13
 
 
 @pytest.mark.parametrize("n,ring", [(4, Z3), (5, Z2)])
