@@ -237,14 +237,6 @@ def _a_type_tables(label):
     return dict(n=m, displays=displays, h=h, torus=torus)
 
 
-def _is_finite(ring):
-    try:
-        ring.order()
-        return True
-    except RingError:
-        return False
-
-
 class MatrixModel:
     """Immutable tabulated model of one group type over one ring."""
 
@@ -565,7 +557,7 @@ def check_steinberg(model, ring=None):
     rep = Report(
         "steinberg", {"type": model.label, "ring": model.ring.descriptor}
     )
-    if _is_finite(model.ring):
+    if model.ring.finite:
         _steinberg_finite(model, rep)
     else:
         _steinberg_symbolic(model, rep)
@@ -597,7 +589,7 @@ def check_weyl_conjugation(model, ring=None):
     model = _resolve_model(model, ring)
     R = model.ring
     rep = Report("weyl", {"type": model.label, "ring": R.descriptor})
-    if not _is_finite(R):
+    if not R.finite:
         rep.check(
             "weyl-conjugation",
             "weyl-reflection-conjugation",
@@ -936,7 +928,7 @@ def check_elementary_relations(n, ring):
     """Exhaustive additivity, commutator, and diagonal conjugation rules
     for the elementary matrices e_ij(r) of GL_n over a finite ring."""
     R = ring
-    if not _is_finite(R):
+    if not R.finite:
         raise ChevalleyError("elementary relation sweep needs a finite ring")
     if n < 2:
         raise ChevalleyError("n must be at least 2")
@@ -1101,7 +1093,7 @@ class AffineGroup:
 def affine_groups(ring):
     R = ring
     one, zero = R.one, R.zero
-    finite = _is_finite(R)
+    finite = R.finite
 
     def m(a, b, c, d):
         return Matrix.from_rows(R, [[a, b], [c, d]])
@@ -1176,7 +1168,7 @@ def check_affine_iso(ring):
     """The map (u r; 0 1) -> (1 r/u; 0 1/u) from Aff to Aff- is a group
     isomorphism; verified exhaustively."""
     R = ring
-    if not _is_finite(R):
+    if not R.finite:
         raise ChevalleyError("exhaustive affine check needs a finite ring")
     groups = affine_groups(R)
     aff, affm = groups["Aff"], groups["Aff-"]
@@ -1207,7 +1199,7 @@ def check_borel_retraction(n, ring):
     R = ring
     if n < 2:
         raise ChevalleyError("n must be at least 2")
-    if not _is_finite(R):
+    if not R.finite:
         raise ChevalleyError("exhaustive retraction check needs a finite ring")
     one, zero = R.one, R.zero
     tadd = additive_presentation(R).generators
@@ -1308,7 +1300,7 @@ def borel_isomorphism_check(model, eta, ring=None):
     displayed torus through a two-by-two block times diagonal units."""
     model = _resolve_model(model, ring)
     R = model.ring
-    if not _is_finite(R):
+    if not R.finite:
         raise ChevalleyError("exhaustive factorization check needs a finite ring")
     simples = model.system.simples
     if isinstance(eta, int):
@@ -1462,7 +1454,7 @@ def borel_gln_check(n, i, j, ring):
     R = ring
     if not (1 <= i <= n and 1 <= j <= n and i != j):
         raise ChevalleyError("positions must be distinct and within range")
-    if not _is_finite(R):
+    if not R.finite:
         raise ChevalleyError("exhaustive factorization check needs a finite ring")
     rep = Report("borel-gln", {"n": n, "i": i, "j": j, "ring": R.descriptor})
     zero, one = R.zero, R.one

@@ -20,16 +20,18 @@ from .kernels import (
     coded_ring,
     coset_labels,
     encode_matrices,
-    fits_packing,
     group_closure,
     closure_order,
-    closure_python,
     closure_set,
+    identity_vec,
+    mul_batch_left,
+    mul_batch_right,
+    pack_keys,
 )
-from .matrices import Matrix
 from .presentation import (
     Presentation,
     free_reduce,
+    generator_list,
     inverse_word,
     tietze_reduce,
     todd_coxeter,
@@ -137,100 +139,56 @@ class CosetComplex(SimplicialComplex):
 # -- construction -------------------------------------------------------------
 
 
-def _generator_list(obj):
-    return list(obj.generators) if hasattr(obj, "generators") else list(obj)
-
-
 def _python_element_key(ring, mat):
     return tuple(ring.encode(x) for row in mat.rows for x in row)
 
 
-def _packed_key(ring, mat):
-    q = ring.order()
+def _base_q(q, codes):
+    """The row-major base-q integer of a matrix's codes."""
     key = 0
-    for row in mat.rows:
-        for x in row:
-            key = key * q + ring.encode(x)
+    for c in codes:
+        key = key * q + int(c)
     return key
 
 
 def coset_complex(group, family, budget=None):
     """Left-coset complex of a finite matrix group over a subgroup family.
 
-    One color per family member; vertex payloads are (color, packed key of
-    the minimal coset element) so vertex identity is stable across runs and
-    construction routes.
+    One color per family member; vertex payloads are (color, base-q integer
+    of the minimal coset element's codes) so vertex identity is stable
+    across runs and key formats.
     """
     budget = get_budget(budget)
     family = list(family)
     if not family:
         raise ComplexError("family must be nonempty")
-    gens = _generator_list(group)
+    gens = generator_list(group)
     if not gens:
         raise ComplexError("ambient group needs at least one generator")
     ring = gens[0].ring
     if not ring.finite:
         raise ComplexError("coset complexes need a finite ring")
     n = gens[0].n
-    fam_gens = [_generator_list(m) for m in family]
-
-    if fits_packing(ring.order(), n):
-        cr = coded_ring(ring)
-        status, elems, keys = group_closure(
-            cr, encode_matrices(cr, gens), n, budget=budget
+    cr = coded_ring(ring)
+    status, elems, keys = group_closure(
+        cr, encode_matrices(cr, gens), n, budget=budget
+    )
+    if status != "complete":
+        raise BudgetExceeded("inconclusive-budget: group closure overflowed")
+    labels = []
+    member_keys = []
+    for member in family:
+        mstatus, melems, mkeys = group_closure(
+            cr, encode_matrices(cr, generator_list(member)), n, budget=budget
         )
-        if status != "complete":
-            raise BudgetExceeded(
-                "inconclusive-budget: group closure overflowed"
+        if mstatus != "complete":
+            raise BudgetExceeded("inconclusive-budget: member closure overflowed")
+        if not np.isin(mkeys, keys).all():
+            raise ComplexError(
+                "family member is not contained in the ambient group"
             )
-        labels = []
-        member_keys = []
-        for mgens in fam_gens:
-            mstatus, melems, mkeys = group_closure(
-                cr, encode_matrices(cr, mgens), n, budget=budget
-            )
-            if mstatus != "complete":
-                raise BudgetExceeded(
-                    "inconclusive-budget: member closure overflowed"
-                )
-            if not np.isin(mkeys, keys).all():
-                raise ComplexError(
-                    "family member is not contained in the ambient group"
-                )
-            lab, reps = coset_labels(cr, elems, keys, melems, n)
-            labels.append((lab, reps))
-            member_keys.append(mkeys)
-    else:
-        elements = sorted(
-            closure_set(ring, gens, budget),
-            key=lambda m: _python_element_key(ring, m),
-        )
-        index = {m: i for i, m in enumerate(elements)}
-        keys = np.array(
-            [_packed_key(ring, m) for m in elements], dtype=object
-        )
-        labels = []
-        member_keys = []
-        for mgens in fam_gens:
-            _, member = closure_python(ring, mgens, budget=budget)
-            if not all(m in index for m in member):
-                raise ComplexError(
-                    "family member is not contained in the ambient group"
-                )
-            member = sorted(member, key=lambda m: _python_element_key(ring, m))
-            lab = np.full(len(elements), -1, dtype=np.int64)
-            reps = []
-            for i, g in enumerate(elements):
-                if lab[i] >= 0:
-                    continue
-                fresh = len(reps)
-                reps.append(i)
-                for h in member:
-                    lab[index[g.mul(h)]] = fresh
-            labels.append((lab, np.array(reps, dtype=np.int64)))
-            member_keys.append(
-                np.array([_packed_key(ring, m) for m in member], dtype=object)
-            )
+        labels.append(coset_labels(cr, elems, keys, melems, n))
+        member_keys.append(mkeys)
 
     vertices = []
     colors = []
@@ -238,7 +196,7 @@ def coset_complex(group, family, budget=None):
     for color, (lab, reps) in enumerate(labels):
         offsets.append(len(vertices))
         for r in reps:
-            vertices.append((color, int(keys[int(r)])))
+            vertices.append((color, _base_q(cr.q, elems[r])))
             colors.append(color)
 
     m = len(family)
@@ -276,7 +234,7 @@ def nerve_oracle(group, family, budget=200):
     family = list(family)
     if not family:
         raise ComplexError("family must be nonempty")
-    gens = _generator_list(group)
+    gens = generator_list(group)
     ring = gens[0].ring
     elements = sorted(
         closure_set(ring, gens, budget),
@@ -287,7 +245,9 @@ def nerve_oracle(group, family, budget=200):
     vertices = []
     colors = []
     for color, member in enumerate(family):
-        _, mset = closure_python(ring, _generator_list(member), budget=budget)
+        mset = closure_set(
+            ring, generator_list(member), budget, what="member closure"
+        )
         if not mset <= element_set:
             raise ComplexError(
                 "family member is not contained in the ambient group"
@@ -298,8 +258,8 @@ def nerve_oracle(group, family, budget=200):
             if coset not in seen:
                 seen.add(coset)
                 cosets.append((color, coset))
-                vertices.append((color, _packed_key(ring, min(
-                    coset, key=lambda m: _python_element_key(ring, m)
+                vertices.append((color, _base_q(ring.order(), min(
+                    _python_element_key(ring, m) for m in coset
                 ))))
                 colors.append(color)
     nv = len(vertices)
@@ -520,7 +480,7 @@ def action_analysis(group, cx, budget=None):
     budget = get_budget(budget)
     if not isinstance(cx, CosetComplex):
         raise ComplexError("action analysis needs a coset complex")
-    gens = _generator_list(group)
+    gens = generator_list(group)
     ring = gens[0].ring
     n = gens[0].n
     rep = Report(suite="action", config={"ring": ring.descriptor, "n": n})
@@ -538,8 +498,6 @@ def action_analysis(group, cx, budget=None):
     stacked = np.stack([lab for lab, _ in cx.labels], axis=1)
     for color in range(m):
         stacked[:, color] += cx.offsets[color]
-
-    from .kernels import mul_batch_left, mul_batch_right, pack_keys
 
     # position of g*x for every x, one row per g
     perms = np.empty((order, order), dtype=np.int64)
@@ -584,7 +542,7 @@ def action_analysis(group, cx, budget=None):
     )
 
     ident_pos = int(
-        np.searchsorted(keys, _packed_key(ring, Matrix.identity(ring, n)))
+        np.searchsorted(keys, pack_keys(cr, identity_vec(cr, n)[None], n))[0]
     )
     base = stacked[ident_pos]
     base_stab = np.nonzero((stacked == base[None, :]).all(axis=1))[0]
@@ -744,7 +702,7 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
     if "components" in checks:
         union_gens = []
         for m in members:
-            union_gens.extend(_generator_list(m))
+            union_gens.extend(generator_list(m))
         try:
             generated = closure_order(
                 ring, union_gens, budget, what="generation check"

@@ -2,10 +2,14 @@
 
 A finite ring with q elements is flattened to int64 lookup tables indexed by
 element codes; an n x n matrix becomes a flat length-n^2 int64 vector of
-codes, and a whole group becomes a 2-d array of such vectors.  Each vector
-packs into a single int64 key (row-major, base q) whenever q**(n*n) fits,
-which gives sorted-array membership tests and canonical minimal coset
-representatives for free.
+codes, and a whole group becomes a 2-d array of such vectors.  ``pack_keys``
+gives each vector one sortable key, which gives sorted-array membership tests
+and canonical minimal coset representatives for free.  Keys come in two
+formats, both ordered like the row-major base-q integer of the codes: an
+int64 holding that integer whenever q**(n*n) < 2**63 (``fits_packing``),
+and otherwise the codes as big-endian unsigned bytes viewed as ``np.void``.
+Sorting, ``np.unique``, ``searchsorted``, ``isin``, ``intersect1d`` and
+equality work on either; ordering comparisons and ``np.diff`` need int64.
 
 Every batch product multiplies many matrices by one fixed matrix g, and runs
 as a table gather.  The left product g*B reads each column of B, the right
@@ -20,14 +24,16 @@ plain per-k loop.  Closure and the center scan build each generator's
 tables once and reuse them.
 
 Two closures serve different callers.  ``group_closure`` is the coded
-BFS: it gives the sorted coded element set, and ``closure_order`` runs it
-on Matrix generators for callers that need only the order (it falls back
-to ``closure_set`` where the ring is infinite or the input does not
-pack).  ``closure_python`` and its wrapper ``closure_set`` build the
-closure as a set of Matrix objects, for callers that need the matrices
-themselves, for inputs that do not pack, and as the reference the coded
-kernel is tested against.
+BFS: it gives the coded element set sorted by key, and ``closure_order``
+runs it on Matrix generators for callers that need only the order.  Every
+finite ring takes this route.  ``closure_python`` and its wrapper
+``closure_set`` build the closure as a set of Matrix objects, for callers
+that need the matrices themselves, for infinite rings (the only inputs on
+which ``closure_order`` uses them), and as the reference the coded kernel
+is tested against.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,24 +119,41 @@ def fits_packing(q, n):
     return q ** (n * n) < 2**63
 
 
+@lru_cache(maxsize=None)
 def _powers(q, nn):
+    """Place values q**(nn-1), ..., q, 1; cached and read-only."""
     pw = np.empty(nn, np.int64)
     pw[nn - 1] = 1
     for t in range(nn - 2, -1, -1):
         pw[t] = pw[t + 1] * q
+    pw.flags.writeable = False
     return pw
 
 
-def _unpack(keys, q, pw):
-    """Coded matrices of packed keys, one row each: the base-q digits."""
-    return keys[:, None] // pw % q
+def _byte_dtype(q):
+    """Big-endian unsigned dtype of the fewest bytes that holds q - 1."""
+    width = next(b for b in (1, 2, 4, 8) if q - 1 < 256**b)
+    return np.dtype(f">u{width}")
 
 
 def pack_keys(cr, vecs, n):
-    if not fits_packing(cr.q, n):
-        raise KernelError(f"q={cr.q}, n={n} does not pack into int64")
-    pw = _powers(cr.q, n * n)
-    return vecs @ pw
+    """One key per coded matrix, ordered like its row-major base-q integer.
+
+    The key is that integer as int64 where ``fits_packing(q, n)``; otherwise
+    it is the row's codes as big-endian bytes, one ``np.void`` per row.
+    """
+    if fits_packing(cr.q, n):
+        return vecs @ _powers(cr.q, n * n)
+    codes = np.ascontiguousarray(vecs, _byte_dtype(cr.q))
+    return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize)))[:, 0]
+
+
+def _unpack(keys, cr, n):
+    """Coded matrices of ``pack_keys`` keys, one row each."""
+    if fits_packing(cr.q, n):
+        return keys[:, None] // _powers(cr.q, n * n) % cr.q
+    codes = np.ascontiguousarray(keys).view(_byte_dtype(cr.q))
+    return codes.reshape(-1, n * n).astype(np.int64)
 
 
 # -- table gather ------------------------------------------------------
@@ -218,38 +241,34 @@ def mul_batch_right(cr, As, b, n):
 def group_closure(cr, gens, n, budget=None):
     """BFS closure of the generated subgroup, seeded with the identity.
 
-    Returns (status, elems, keys) with elems sorted by packed key; status is
-    "complete" or "overflow" (partial set, still sorted and deduplicated).
-    Each generator's gather tables are built once and serve every level.
-    The search keeps only packed keys and unpacks the elements of each new
-    level, and of the result, from them.
+    Returns (status, elems, keys) with keys from ``pack_keys`` and elems
+    sorted by key; status is "complete" or "overflow" (partial set, still
+    sorted and deduplicated).  Each generator's gather tables are built once
+    and serve every level.  The search keeps only keys and unpacks the
+    elements of each new level, and of the result, from them.
     """
     budget = get_budget(budget)
-    if not fits_packing(cr.q, n):
-        raise KernelError(f"q={cr.q}, n={n} does not pack into int64")
     if gens.ndim != 2 or gens.shape[1] != n * n:
         raise KernelError("generator array must have shape (m, n*n)")
-    nn = n * n
-    pw = _powers(cr.q, nn)
     ident = identity_vec(cr, n)[None, :]
     if gens.shape[0] == 0:
-        return "complete", ident, ident @ pw
+        return "complete", ident, pack_keys(cr, ident, n)
     w = _width(cr.q, n, budget)
     tables = [_tables(cr, g.reshape(n, n).T, w) for g in gens]
-    keys = np.unique(np.concatenate([ident, gens]) @ pw)
+    keys = np.unique(pack_keys(cr, np.concatenate([ident, gens]), n))
     if keys.shape[0] > budget:
         keys = keys[:budget]
-        return "overflow", _unpack(keys, cr.q, pw), keys
-    frontier = _unpack(keys, cr.q, pw)
+        return "overflow", _unpack(keys, cr, n), keys
+    frontier = _unpack(keys, cr, n)
     status = "complete"
     while frontier.shape[0]:
         fkeys = _batch_keys(cr, _rows(frontier, n), w)
         prod = np.empty((frontier.shape[0], n, n), np.int64)
-        flat = prod.reshape(-1, nn)
+        flat = prod.reshape(-1, n * n)
         fresh = []
         for gtables in tables:
             _gather(cr, gtables, fkeys, prod.transpose(0, 2, 1))
-            pk = flat @ pw
+            pk = pack_keys(cr, flat, n)
             pos = np.searchsorted(keys, pk).clip(max=keys.shape[0] - 1)
             fresh.append(pk[keys[pos] != pk])
         pk = np.unique(np.concatenate(fresh))
@@ -259,8 +278,8 @@ def group_closure(cr, gens, n, budget=None):
             status = "overflow"
             break
         keys = np.sort(np.concatenate([keys, pk]))
-        frontier = _unpack(pk, cr.q, pw)
-    return status, _unpack(keys, cr.q, pw), keys
+        frontier = _unpack(pk, cr, n)
+    return status, _unpack(keys, cr, n), keys
 
 
 def center_mask(cr, elems, gens, n):
@@ -296,7 +315,7 @@ def center_mask(cr, elems, gens, n):
 
 
 def coset_labels(cr, elems, keys, sub, n):
-    """Left-coset labels g*H over a group sorted by packed key.
+    """Left-coset labels g*H over a group sorted by its ``pack_keys`` keys.
 
     Labels are assigned in element (key) order, so the representative of
     each coset is automatically its minimal element.  Returns (labels,
@@ -304,7 +323,6 @@ def coset_labels(cr, elems, keys, sub, n):
     representative only builds its own gather tables.
     """
     N = elems.shape[0]
-    pw = _powers(cr.q, n * n)
     w = _width(cr.q, n, sub.shape[0])
     sub_keys = _batch_keys(cr, sub.reshape(-1, n, n), w)
     members = np.empty((sub.shape[0], n, n), np.int64)
@@ -314,7 +332,7 @@ def coset_labels(cr, elems, keys, sub, n):
         if labels[i] >= 0:
             continue
         _gather(cr, _tables(cr, elems[i].reshape(n, n), w), sub_keys, members)
-        mk = members.reshape(-1, n * n) @ pw
+        mk = pack_keys(cr, members.reshape(-1, n * n), n)
         pos = np.searchsorted(keys, mk)
         if (pos >= N).any() or (keys[pos.clip(max=N - 1)] != mk).any():
             raise KernelError("coset member escapes the element set")
@@ -324,7 +342,7 @@ def coset_labels(cr, elems, keys, sub, n):
 
 
 def closure_python(ring, gen_mats, budget=None):
-    """Set-based closure over Matrix objects; no packing requirement.
+    """Set-based closure over Matrix objects, over any ring.
 
     The budget is checked at every new element, so ``seen`` never holds
     more than ``budget`` matrices; the status is "overflow" exactly when the
@@ -367,15 +385,15 @@ def closure_set(ring, gen_mats, budget=None, what="group closure"):
 def closure_order(ring, gen_mats, budget=None, what="group closure"):
     """Order of the group generated by the Matrix objects ``gen_mats``.
 
-    Over a finite ring whose n x n matrices pack into int64, the closure
-    runs coded in ``group_closure``; otherwise it is ``closure_set``.  Both
+    Over a finite ring the closure runs coded in ``group_closure``, with
+    either key format; only an infinite ring takes ``closure_set``.  Both
     routes overflow exactly when the closure is larger than the budget and
     then raise ``BudgetExceeded("inconclusive-budget: <what> overflowed")``.
     """
     if not gen_mats:
         raise KernelError("empty generator list")
     n = gen_mats[0].n
-    if not ring.finite or not fits_packing(ring.order(), n):
+    if not ring.finite:
         return len(closure_set(ring, gen_mats, budget, what))
     cr = coded_ring(ring)
     status, elems, _ = group_closure(cr, encode_matrices(cr, gen_mats), n, budget)

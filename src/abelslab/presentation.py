@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .config import BudgetExceeded, get_budget
-from .kernels import closure_order, closure_set
+from .kernels import closure_order
 from .matrices import Matrix, MatrixError
 from .reports import INCONCLUSIVE, PASS, Report
 from .rings import additive_presentation
@@ -1116,9 +1116,9 @@ def verify_presentations(n, ring, budget=None):
     return rep
 
 
-def _as_generator_list(obj):
-    gens = list(obj.generators) if hasattr(obj, "generators") else list(obj)
-    return gens
+def generator_list(obj):
+    """The Matrix generators of a subgroup spec, or of a plain sequence."""
+    return list(obj.generators) if hasattr(obj, "generators") else list(obj)
 
 
 def _is_unipotent_pattern(spec):
@@ -1162,14 +1162,10 @@ def family_diagram(family, budget=None):
                 )
         return ColimitDiagram(tuple(nodes), tuple(edges))
 
-    gen_lists = [_as_generator_list(s) for s in family]
-    closures = []
-    crs = []
-    for gens in gen_lists:
-        member = closure_set(gens[0].ring, gens, budget)
-        cp = regular_representation_presentation(gens, budget=budget)
-        closures.append(member)
-        crs.append(cp)
+    crs = [
+        regular_representation_presentation(generator_list(s), budget=budget)
+        for s in family
+    ]
     nodes = tuple(
         (f"n{idx}", cp.presentation) for idx, cp in enumerate(crs)
     )
@@ -1177,7 +1173,7 @@ def family_diagram(family, budget=None):
     for a in range(len(family)):
         for b in range(a + 1, len(family)):
             common = sorted(
-                closures[a] & closures[b],
+                crs[a].words.keys() & crs[b].words.keys(),
                 key=lambda m: m.rows,
             )
             common = [m for m in common if not m.is_identity()]
@@ -1201,7 +1197,7 @@ def tits_criterion_check(group, family, budget=None):
     from . import complexes
 
     budget = get_budget(budget)
-    group_gens = _as_generator_list(group)
+    group_gens = generator_list(group)
     ring = group_gens[0].ring
     rep = Report(
         suite="tits",
@@ -1214,7 +1210,7 @@ def tits_criterion_check(group, family, budget=None):
     components = complexes.connected_components(cx)
     union_gens = []
     for member in family:
-        union_gens.extend(_as_generator_list(member))
+        union_gens.extend(generator_list(member))
     generated = closure_order(ring, union_gens, budget)
     agree = (components == 1) == (generated == order)
     rep.check(

@@ -133,7 +133,7 @@ def test_construction_guards():
         coset_complex([S3_CYC], ([S3_B],))
 
 
-def test_python_route_matches_coded_route():
+def test_byte_keys_match_int64_keys():
     # a budget above 2**26 keeps the coded route and its complex
     coded = s3_complex()
     big = coset_complex([S3_A, S3_B], ([S3_A], [S3_B]), budget=2**26 + 1)
@@ -144,7 +144,8 @@ def test_python_route_matches_coded_route():
     assert coset_complex(u4, fam, budget=2**26 + 1) == coset_complex(u4, fam)
 
     # S3 as 8x8 permutation matrices: 2**64 keys do not pack into int64, so
-    # the Python-object route builds the complex
+    # the coded route keys the elements by bytes; vertex payloads are still
+    # the base-q integers nerve_oracle computes
     a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
     assert not fits_packing(Z2.order(), 8)
     plain = coset_complex([a, b], ([a], [b]))
@@ -240,6 +241,12 @@ def test_nerve_oracle_budget():
     amb = unipotent_and_torus(4, Z3)[0]
     with pytest.raises(BudgetExceeded):
         nerve_oracle(amb, contracting_family(4, Z3), budget=100)
+    # the ambient group <a> fits the budget, the member <a, b> = S3 does not:
+    # both constructions refuse the partial member closure
+    overflow = r"^inconclusive-budget: member closure overflowed$"
+    for build in (nerve_oracle, coset_complex):
+        with pytest.raises(BudgetExceeded, match=overflow):
+            build([S3_A], ([S3_A, S3_B],), budget=2)
 
 
 def test_homogeneity_negative_control():

@@ -44,6 +44,13 @@ CLI_CASES = {
     "tits-n4-zmod2-max-cosets-50": [
         "tits", "--n", "4", "--ring", "zmod:2", "--max-cosets", "50",
     ],
+    "abels-n4-zmod16-max-order-5000": [
+        "abels", "--n", "4", "--ring", "zmod:16", "--max-order", "5000",
+    ],
+    "complex-n4-zmod16-contracting-max-order-5000": [
+        "complex", "--n", "4", "--ring", "zmod:16", "--family", "contracting",
+        "--max-order", "5000",
+    ],
 }
 
 LIBRARY_CASES = ("action-analysis-A4-zmod2", "compare-complexes-n4-zmod2")

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,12 @@ from hypothesis import strategies as st
 from test_complexes import perm_matrix
 
 from abelslab import complexes, kernels
-from abelslab.abels import abels_group, contracting_family, subgroup_by_name
+from abelslab.abels import (
+    abels_group,
+    check_closure_matches_pattern,
+    contracting_family,
+    subgroup_by_name,
+)
 from abelslab.complexes import verify_complex
 from abelslab.config import BudgetExceeded
 from abelslab.kernels import (
@@ -40,6 +47,13 @@ def unitriangular_generators(ring, n):
     return out
 
 
+def strictly_sorted(keys):
+    """Ascending without repeats, for int64 and byte keys alike."""
+    return np.array_equal(np.sort(keys), keys) and (
+        np.unique(keys).shape == keys.shape
+    )
+
+
 def test_coded_ring_tables():
     R = ZModRing(4)
     cr = coded_ring(R)
@@ -69,6 +83,26 @@ def test_packing_guard():
     assert fits_packing(5, 5)
     assert not fits_packing(7, 5)
     assert not fits_packing(2, 8)
+
+
+@pytest.mark.parametrize("descriptor, n", [
+    ("zmod:5", 4),  # int64 keys
+    ("zmod:6", 5),  # one byte per code
+    ("zmod:257", 3),  # two bytes per code
+])
+def test_keys_sort_like_base_q(descriptor, n):
+    cr = coded_ring(make_ring(descriptor))
+    rng = np.random.default_rng(3)
+    # codes on both sides of a byte boundary when q = 257, and repeated rows
+    vecs = rng.choice([0, 1, cr.q - 2, cr.q - 1], (300, n * n))
+    vecs[1::3] = vecs[::3]
+    keys = pack_keys(cr, vecs, n)
+    base_q = [reduce(lambda k, c: k * cr.q + int(c), row, 0) for row in vecs]
+    assert list(np.argsort(keys, kind="stable")) == sorted(
+        range(300), key=base_q.__getitem__
+    )
+    assert np.unique(keys).shape[0] == len(set(base_q))
+    assert np.array_equal(kernels._unpack(keys, cr, n), vecs)
 
 
 def test_mul_matches_exact():
@@ -117,7 +151,7 @@ def test_closure_unitriangular_order():
     status, elems, keys = group_closure(cr, gens, n)
     assert status == "complete"
     assert elems.shape[0] == 3**6
-    assert (np.diff(keys) > 0).all()
+    assert strictly_sorted(keys)
     recomputed = pack_keys(cr, elems, n)
     assert (recomputed == keys).all()
 
@@ -129,7 +163,7 @@ def test_closure_overflow():
     gens = encode_matrices(cr, unitriangular_generators(R, n))
     status, elems, keys = group_closure(cr, gens, n, budget=50)
     assert status == "overflow"
-    assert (np.diff(keys) > 0).all()
+    assert strictly_sorted(keys)
     # no budget-sized table is allocated, so a large budget is no error
     status, elems, _ = group_closure(cr, gens, n, budget=2**26 + 1)
     assert status == "complete"
@@ -276,6 +310,11 @@ SMALL_GROUPS = (
     ("H1", 4, "zmod:3"),
     ("T", 4, "zmod:5"),
     ("U", 2, "zmod:6"),
+    # q**(n*n) >= 2**63: byte keys
+    ("U3", 5, "zmod:6"),
+    ("H3", 5, "zmod:6"),
+    ("U3", 4, "zmod:16"),
+    ("Z", 8, "zmod:2"),
 )
 
 
@@ -314,7 +353,8 @@ def test_group_closure_matches_closure_python(case, data):
     assert status == py_status
     assert len(seen) <= budget
     assert elems.shape[0] <= budget
-    assert (np.diff(keys) > 0).all()
+    assert strictly_sorted(keys)
+    assert np.array_equal(pack_keys(cr, elems, n), keys)
     if status == "complete":
         coded = {decode_matrix(cr, elems[i], n) for i in range(elems.shape[0])}
         assert coded == seen
@@ -342,7 +382,6 @@ def _reference_order_or_overflow(ring, gens, budget, what="group closure"):
 def test_closure_order_matches_closure_python(case, data):
     name, n, descriptor = case
     R = make_ring(descriptor)
-    assert fits_packing(R.order(), n)
     spec = subgroup_by_name(name, n, R)
     gens = data.draw(
         st.lists(st.sampled_from(spec.generators), min_size=1, max_size=4)
@@ -357,28 +396,20 @@ def test_closure_order_matches_closure_python(case, data):
 
 def test_closure_order_uncoded_route(monkeypatch):
     def coded_route(*args, **kwargs):
-        raise AssertionError("coded closure ran on an input it should not code")
+        raise AssertionError("coded closure ran on an infinite ring")
 
     monkeypatch.setattr(kernels, "coded_ring", coded_route)
-    # S3 on 8 x 8 permutation matrices over Z/2 (no packing) and on 3 x 3
-    # ones over Z (infinite)
+    # S3 on 3 x 3 permutation matrices over Z
     Z = make_ring("z")
-    a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
-    assert not fits_packing(a.ring.order(), 8)
-    za, zb = (
+    gens = [
         Matrix.from_rows(Z, [[int(v) for v in row] for row in m.rows])
         for m in (perm_matrix((1, 0)), perm_matrix((0, 2, 1)))
-    )
-    cases = (
-        (a.ring, [a, b], 6),
-        (Z, [za, zb], 6),
-    )
-    for ring, gens, order in cases:
-        for budget in (order - 1, order, order + 1):
-            for what in ("group closure", "generation check"):
-                got = _order_or_overflow(ring, gens, budget, what)
-                assert got == _reference_order_or_overflow(ring, gens, budget, what)
-        assert closure_order(ring, gens) == order
+    ]
+    for budget in (5, 6, 7):
+        for what in ("group closure", "generation check"):
+            got = _order_or_overflow(Z, gens, budget, what)
+            assert got == _reference_order_or_overflow(Z, gens, budget, what)
+    assert closure_order(Z, gens) == 6
 
 
 def test_closure_order_needs_generators():
@@ -390,10 +421,9 @@ def test_closure_order_needs_generators():
 
 def test_packable_callers_take_the_coded_closure(monkeypatch):
     def matrix_route(*args, **kwargs):
-        raise AssertionError("closure_python ran on a packable input")
+        raise AssertionError("closure_python ran on a finite ring")
 
     monkeypatch.setattr(kernels, "closure_python", matrix_route)
-    monkeypatch.setattr(complexes, "closure_python", matrix_route)
     Z2 = make_ring("zmod:2")
     for rep in (
         verify_presentations(4, make_ring("zmod:3")),
@@ -401,3 +431,15 @@ def test_packable_callers_take_the_coded_closure(monkeypatch):
         verify_complex(4, Z2),
     ):
         assert {c.status for c in rep.checks} == {"pass"}
+    # inputs whose int64 keys would overflow take the coded route on byte
+    # keys: S3 as 8 x 8 permutation matrices over Z/2, and U3 of A_4(Z/16)
+    a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
+    assert not fits_packing(2, 8) and not fits_packing(16, 4)
+    assert closure_order(Z2, [a, b]) == 6
+    with pytest.raises(BudgetExceeded, match="generation check overflowed"):
+        closure_order(Z2, [a, b], 5, "generation check")
+    cx = complexes.coset_complex([a, b], ([a], [b]))
+    assert cx.f_vector == (6, 6)
+    assert complexes.action_analysis([a, b], cx).ok
+    spec = subgroup_by_name("U3", 4, make_ring("zmod:16"))
+    assert check_closure_matches_pattern(spec)
