@@ -16,8 +16,16 @@ from pathlib import Path
 import pytest
 
 from abelslab.abels import abels_group, horospherical_family
+from abelslab.chevalley import (
+    MatrixModel,
+    borel_isomorphism_check,
+    check_steinberg,
+    check_weyl_conjugation,
+    matrix_model,
+)
 from abelslab.cli import run
 from abelslab.complexes import action_analysis, compare_complexes, coset_complex
+from abelslab.reports import merge_reports
 from abelslab.rings import make_ring
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -25,8 +33,10 @@ GOLDEN = Path(__file__).parent / "golden"
 CLI_CASES = {
     "steinberg-A2-zmod3": ["steinberg", "--type", "A2", "--ring", "zmod:3"],
     "steinberg-A1-zloc6": ["steinberg", "--type", "A1", "--ring", "zloc:6"],
+    "steinberg-all-zmod3": ["steinberg", "--type", "all", "--ring", "zmod:3"],
     "commutators-n3-zmod2": ["commutators", "--n", "3", "--ring", "zmod:2"],
     "borel-iso-n3-zmod2": ["borel-iso", "--n", "3", "--ring", "zmod:2"],
+    "borel-iso-n4-zmod3": ["borel-iso", "--n", "4", "--ring", "zmod:3"],
     "forms-C2-zmod5": ["forms", "--type", "C2", "--ring", "zmod:5"],
     "abels-n4-zmod2": ["abels", "--n", "4", "--ring", "zmod:2"],
     "abels-n4-zmod2-max-order-20": [
@@ -53,7 +63,11 @@ CLI_CASES = {
     ],
 }
 
-LIBRARY_CASES = ("action-analysis-A4-zmod2", "compare-complexes-n4-zmod2")
+LIBRARY_CASES = (
+    "action-analysis-A4-zmod2",
+    "compare-complexes-n4-zmod2",
+    "quadratic-A1-zmod7",
+)
 
 
 def _normalized(data):
@@ -69,11 +83,34 @@ def _cli_report(name, tmp_dir):
     return code, _normalized(json.loads(out.read_text()))
 
 
+def _quadratic_a1_model():
+    """The A1 model over Z/7 with its positive root display x(r) = 1 + r^2 e12:
+    not additive, so every chevalley check that sees it writes a failure."""
+    good = matrix_model("A1", make_ring("zmod:7"))
+    root = good.tabulated_roots[0]
+    (i, j, coeff, _), = good.display(root)
+    return MatrixModel(
+        good.label,
+        good.ring,
+        good.system,
+        good.n,
+        {root: ((i, j, coeff, 2),)},
+        {root: good.h_exponents(root)},
+        good.torus_rows,
+    )
+
+
 def _library_report(name):
     Z2 = make_ring("zmod:2")
     if name == "action-analysis-A4-zmod2":
         ambient = abels_group(4, Z2)
         rep = action_analysis(ambient, coset_complex(ambient, horospherical_family(4, Z2)))
+    elif name == "quadratic-A1-zmod7":
+        bad = _quadratic_a1_model()
+        rep = merge_reports(
+            [check_steinberg(bad), check_weyl_conjugation(bad), borel_isomorphism_check(bad, 0)],
+            suite="quadratic-A1",
+        )
     else:
         rep = compare_complexes(4, Z2)
     return _normalized(rep.to_dict(timestamp=False))
