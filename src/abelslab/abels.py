@@ -340,6 +340,16 @@ def contracting_family(n, ring):
     return tuple(contracting(n, ring, i) for i in range(1, count + 1))
 
 
+def subgroup_family(family, n, ring):
+    """(ambient, members) of a named family: "horospherical" inside the
+    full triangular group, "contracting" inside its unipotent part."""
+    if family == "horospherical":
+        return abels_group(n, ring), horospherical_family(n, ring)
+    if family == "contracting":
+        return unipotent_and_torus(n, ring)[0], contracting_family(n, ring)
+    raise AbelsError(f"unknown family {family!r}")
+
+
 def subgroup_by_name(name, n, ring):
     """Resolve a CLI token: A, U, T, Z, H1..H4, U1..U4."""
     token = str(name).strip().upper()

@@ -12,13 +12,19 @@ symbolically over infinite ones, the defining identities of these groups:
 one-parameter additivity, torus conjugation scaling, Weyl reflection
 conjugation with constant signs, invariant bilinear forms, and the
 factorizations of the Borel-type subgroups into two-by-two blocks.
+Break-on-first sweeps are lazy generators run by `reports.first_failure`.
+Both factorization checks, `borel_isomorphism_check` (a root subgroup
+times the displayed torus) and `borel_gln_check` (an elementary position
+times the diagonal of GL_n), supply a source, a map phi and a target kind
+of `affine_groups` to one body, `_factorization_checks`, which writes the
+six records and samples the source pairs past `_PAIR_BUDGET`.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from .matrices import Matrix, conjugate_by_diagonal
-from .reports import INCONCLUSIVE, Report
+from .reports import INCONCLUSIVE, Report, first_failure
 from .rings import (
     LaurentRing,
     RingError,
@@ -86,12 +92,6 @@ class RootDatum:
     label: str
     simples: tuple
     roots: tuple
-
-    def cartan_pairing(self, a, b):
-        return cartan_pairing(tuple(a), tuple(b))
-
-    def reflect(self, alpha, beta):
-        return reflect(tuple(alpha), tuple(beta))
 
     def reflection_permutation(self, alpha):
         index = {r: k for k, r in enumerate(self.roots)}
@@ -374,87 +374,87 @@ def _h_diagonal(model, beta, u):
 # Steinberg relations
 
 
+def _record(rep, check_id, anchor, cases, bad):
+    """Record a check of `cases` cases whose first failure is `bad`."""
+    return rep.check(
+        check_id,
+        anchor,
+        counts={"cases": cases, "failures": 1 if bad else 0},
+        counterexample=bad,
+    )
+
+
+def _record_sweep(rep, check_id, anchor, results):
+    """Record a break-on-first sweep: its case count and first failure."""
+    return _record(rep, check_id, anchor, *first_failure(results))
+
+
 def _steinberg_finite(model, rep):
     R = model.ring
+    enc = R.encode
     elements = R.elements()
     units = R.units()
     ident = Matrix.identity(R, model.n)
-    cache = {}
-    for alpha in model.tabulated_roots:
-        cache[alpha] = {R.encode(r): root_element(model, alpha, r) for r in elements}
+    cache = {
+        alpha: {enc(r): root_element(model, alpha, r) for r in elements}
+        for alpha in model.tabulated_roots
+    }
 
     for alpha in model.tabulated_roots:
         xs = cache[alpha]
-        cases = 1
-        bad = None
-        if xs[R.encode(R.zero)] != ident:
-            bad = "x(0) is not the identity"
-        if bad is None:
-            for r in elements:
-                xr = xs[R.encode(r)]
-                for s in elements:
-                    cases += 1
-                    if xr @ xs[R.encode(s)] != xs[R.encode(R.add(r, s))]:
-                        bad = f"r={R.element_repr(r)} s={R.element_repr(s)}"
-                        break
-                if bad:
-                    break
-        rep.check(
+        identity = "x(0) is not the identity" if xs[enc(R.zero)] != ident else None
+        additive = (
+            None
+            if xs[enc(r)] @ xs[enc(s)] == xs[enc(R.add(r, s))]
+            else f"r={R.element_repr(r)} s={R.element_repr(s)}"
+            for r in elements
+            for s in elements
+        )
+        _record_sweep(
+            rep,
             f"one-parameter-additivity:{_rname(alpha)}",
             "root-subgroup-additivity",
-            counts={"cases": cases, "failures": 1 if bad else 0},
-            counterexample=bad,
+            itertools.chain([identity], additive),
         )
 
     h_roots = model.system.simples + tuple(_neg(s) for s in model.system.simples)
+    hs = {
+        beta: {enc(u): _h_diagonal(model, beta, u) for u in units} for beta in h_roots
+    }
     for beta in h_roots:
-        hs = {R.encode(u): _h_diagonal(model, beta, u) for u in units}
-        cases = 1
-        bad = None
-        if hs[R.encode(R.one)] != ident:
-            bad = "h(1) is not the identity"
-        if bad is None:
-            for u in units:
-                hu = hs[R.encode(u)]
-                for v in units:
-                    cases += 1
-                    if hu @ hs[R.encode(v)] != hs[R.encode(R.mul(u, v))]:
-                        bad = f"u={R.element_repr(u)} v={R.element_repr(v)}"
-                        break
-                if bad:
-                    break
-        rep.check(
+        hb = hs[beta]
+        identity = "h(1) is not the identity" if hb[enc(R.one)] != ident else None
+        multiplicative = (
+            None
+            if hb[enc(u)] @ hb[enc(v)] == hb[enc(R.mul(u, v))]
+            else f"u={R.element_repr(u)} v={R.element_repr(v)}"
+            for u in units
+            for v in units
+        )
+        _record_sweep(
+            rep,
             f"torus-multiplicativity:{_rname(beta)}",
             "semisimple-multiplicativity",
-            counts={"cases": cases, "failures": 1 if bad else 0},
-            counterexample=bad,
+            itertools.chain([identity], multiplicative),
         )
 
     for alpha in model.tabulated_roots:
         xs = cache[alpha]
         for beta in h_roots:
             pairing = cartan_pairing(alpha, beta)
-            cases = 0
-            bad = None
-            for u in units:
-                h = _h_diagonal(model, beta, u)
-                factor = R.power(u, pairing)
-                for r in elements:
-                    cases += 1
-                    lhs = conjugate_by_diagonal(h, xs[R.encode(r)])
-                    if lhs != xs[R.encode(R.mul(factor, r))]:
-                        bad = (
-                            f"u={R.element_repr(u)} r={R.element_repr(r)} "
-                            f"pairing={pairing}"
-                        )
-                        break
-                if bad:
-                    break
-            rep.check(
+            _record_sweep(
+                rep,
                 f"torus-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "torus-conjugation-scaling",
-                counts={"cases": cases, "failures": 1 if bad else 0},
-                counterexample=bad,
+                (
+                    None
+                    if conjugate_by_diagonal(hs[beta][enc(u)], xs[enc(r)])
+                    == xs[enc(R.mul(R.power(u, pairing), r))]
+                    else f"u={R.element_repr(u)} r={R.element_repr(r)} "
+                    f"pairing={pairing}"
+                    for u in units
+                    for r in elements
+                ),
             )
 
     if model.label == "G2":
@@ -465,42 +465,35 @@ def _g2_torus_display(model, rep, cache):
     """The two-parameter diagonal torus conjugates the short root display
     entrywise: entries 2t, t, -t, -t, -t^2 at fixed positions, t = r/u."""
     R = model.ring
-    gamma = (1, -1, 0)
-    xs = cache[gamma]
-    cases = 0
-    bad = None
-    for u in R.units():
-        ui = R.inverse(u)
-        for v in R.units():
-            d = torus_element(model, (u, v))
-            for r in R.elements():
-                cases += 1
-                t = R.mul(ui, r)
-                lhs = conjugate_by_diagonal(d, xs[R.encode(r)])
-                rows = [
-                    [R.one if i == j else R.zero for j in range(7)] for i in range(7)
-                ]
-                rows[0][1] = R.scale_int(2, t)
-                rows[2][6] = t
-                rows[3][5] = R.neg(t)
-                rows[4][0] = R.neg(t)
-                rows[4][1] = R.neg(R.mul(t, t))
-                expected = Matrix.from_rows(R, rows)
-                if lhs != expected or lhs != xs[R.encode(t)]:
-                    bad = (
-                        f"u={R.element_repr(u)} v={R.element_repr(v)} "
-                        f"r={R.element_repr(r)}"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check(
-        "torus-display-conjugation",
-        "two-parameter-torus-display",
-        counts={"cases": cases, "failures": 1 if bad else 0},
-        counterexample=bad,
+    xs = cache[(1, -1, 0)]
+
+    def expected(t):
+        rows = [[R.one if i == j else R.zero for j in range(7)] for i in range(7)]
+        rows[0][1] = R.scale_int(2, t)
+        rows[2][6] = t
+        rows[3][5] = R.neg(t)
+        rows[4][0] = R.neg(t)
+        rows[4][1] = R.neg(R.mul(t, t))
+        return Matrix.from_rows(R, rows)
+
+    def results():
+        for u in R.units():
+            ui = R.inverse(u)
+            for v in R.units():
+                d = torus_element(model, (u, v))
+                for r in R.elements():
+                    t = R.mul(ui, r)
+                    lhs = conjugate_by_diagonal(d, xs[R.encode(r)])
+                    if lhs == expected(t) and lhs == xs[R.encode(t)]:
+                        yield None
+                    else:
+                        yield (
+                            f"u={R.element_repr(u)} v={R.element_repr(v)} "
+                            f"r={R.element_repr(r)}"
+                        )
+
+    _record_sweep(
+        rep, "torus-display-conjugation", "two-parameter-torus-display", results()
     )
 
 
@@ -519,11 +512,12 @@ def _steinberg_symbolic(model, rep):
                 and root_element(sym, alpha, r) @ root_element(sym, alpha, s)
                 == root_element(sym, alpha, L.add(r, s))
             )
-            rep.check(
+            _record(
+                rep,
                 f"one-parameter-additivity:{_rname(alpha)}",
                 "root-subgroup-additivity",
-                counts={"cases": 1, "failures": 0 if ok else 1},
-                counterexample=None if ok else "symbolic additivity mismatch",
+                1,
+                None if ok else "symbolic additivity mismatch",
             )
         h_roots = sym.system.simples + tuple(_neg(x) for x in sym.system.simples)
         for alpha in sym.tabulated_roots:
@@ -534,13 +528,12 @@ def _steinberg_symbolic(model, rep):
                 lhs = conjugate_by_diagonal(h, xr)
                 rhs = root_element(sym, alpha, L.mul(L.power(u, pairing), r))
                 ok = lhs == rhs
-                rep.check(
+                _record(
+                    rep,
                     f"torus-conjugation:{_rname(alpha)}|{_rname(beta)}",
                     "torus-conjugation-scaling",
-                    counts={"cases": 1, "failures": 0 if ok else 1},
-                    counterexample=None
-                    if ok
-                    else f"symbolic mismatch, pairing={pairing}",
+                    1,
+                    None if ok else f"symbolic mismatch, pairing={pairing}",
                 )
     except RingError as exc:
         rep.check(
@@ -585,6 +578,28 @@ def _unipotent_order_check(R, m, n):
     return all(v == R.zero for row in acc.rows for v in row)
 
 
+def _one_sign(R, images, cases, left, flip, signs):
+    """Sweep results of a constant-sign image check.
+
+    Each case (lhs, t, where) holds when lhs is the image of t or of -t
+    with the sign of every earlier case; a match where t = -t fixes no
+    sign.  The first sign found is appended to `signs`.  where() names the
+    case inside the failure text `left` (no image matched) or `flip` (the
+    sign changed)."""
+    for lhs, t, where in cases:
+        mt = R.neg(t)
+        if lhs == images[R.encode(t)]:
+            got = None if mt == t else 1
+        elif lhs == images[R.encode(mt)]:
+            got = -1
+        else:
+            yield left.format(where())
+            continue
+        if got is not None and not signs:
+            signs.append(got)
+        yield None if got is None or got == signs[0] else flip.format(where())
+
+
 def check_weyl_conjugation(model, ring=None):
     model = _resolve_model(model, ring)
     R = model.ring
@@ -598,12 +613,28 @@ def check_weyl_conjugation(model, ring=None):
         )
         return rep
 
+    enc = R.encode
     elements = R.elements()
     units = R.units()
     tab = model.tabulated_roots
     tabset = set(tab)
     simples = model.system.simples
-    cache = {a: {R.encode(r): root_element(model, a, r) for r in elements} for a in tab}
+    cache = {a: {enc(r): root_element(model, a, r) for r in elements} for a in tab}
+    hs = {g: {enc(v): _h_diagonal(model, g, v) for v in units} for g in simples}
+
+    def conjugates(w, winv, beta):
+        """w h x_beta(s) h^-1 w^-1 against t = v^<beta,gamma> s, h = h_gamma(v)."""
+        for gamma in simples:
+            pairing = cartan_pairing(beta, gamma)
+            for v in units:
+                h = hs[gamma][enc(v)]
+                factor = R.power(v, pairing)
+                for s in elements:
+                    lhs = w @ conjugate_by_diagonal(h, cache[beta][enc(s)]) @ winv
+                    yield lhs, R.mul(factor, s), lambda: (
+                        f"gamma={_rname(gamma)} v={R.element_repr(v)} "
+                        f"s={R.element_repr(s)}"
+                    )
 
     for alpha in simples:
         w = weyl_element(model, alpha)
@@ -612,122 +643,76 @@ def check_weyl_conjugation(model, ring=None):
             delta = reflect(alpha, beta)
             if delta not in tabset:
                 continue
-            cases = 0
-            sign = None
-            bad = None
-            for gamma in simples:
-                pairing = cartan_pairing(beta, gamma)
-                for v in units:
-                    h = _h_diagonal(model, gamma, v)
-                    factor = R.power(v, pairing)
-                    for s in elements:
-                        cases += 1
-                        mid = conjugate_by_diagonal(h, cache[beta][R.encode(s)])
-                        lhs = w @ mid @ winv
-                        t = R.mul(factor, s)
-                        mt = R.neg(t)
-                        plus = cache[delta][R.encode(t)]
-                        if lhs == plus:
-                            if mt == t:
-                                continue
-                            got = 1
-                        elif lhs == cache[delta][R.encode(mt)]:
-                            got = -1
-                        else:
-                            bad = (
-                                f"gamma={_rname(gamma)} v={R.element_repr(v)} "
-                                f"s={R.element_repr(s)}: image not in the "
-                                "reflected root subgroup"
-                            )
-                            break
-                        if sign is None:
-                            sign = got
-                        elif sign != got:
-                            bad = (
-                                f"sign flip at gamma={_rname(gamma)} "
-                                f"v={R.element_repr(v)} s={R.element_repr(s)}"
-                            )
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad is None and sign is not None:
-                model._weyl_signs[(tuple(alpha), tuple(beta))] = sign
-            rep.check(
+            signs = []
+            record = _record_sweep(
+                rep,
                 f"weyl-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "weyl-reflection-conjugation",
-                counts={"cases": cases, "failures": 1 if bad else 0},
-                counterexample=bad,
+                _one_sign(
+                    R,
+                    cache[delta],
+                    conjugates(w, winv, beta),
+                    "{}: image not in the reflected root subgroup",
+                    "sign flip at {}",
+                    signs,
+                ),
             )
+            if record.counterexample is None and signs:
+                model._weyl_signs[(alpha, beta)] = signs[0]
 
-        bad = None
-        sign = None
-        cases = 0
-        for r in elements:
-            cases += 1
-            x = cache[tuple(alpha)][R.encode(r)]
-            twice = w @ (w @ x @ winv) @ winv
-            mr = R.neg(r)
-            if twice == cache[tuple(alpha)][R.encode(r)]:
-                if mr == r:
-                    continue
-                got = 1
-            elif twice == cache[tuple(alpha)][R.encode(mr)]:
-                got = -1
-            else:
-                bad = f"r={R.element_repr(r)}: double conjugate left the subgroup"
-                break
-            if sign is None:
-                sign = got
-            elif sign != got:
-                bad = f"r={R.element_repr(r)}: double conjugation sign flip"
-                break
-        rep.check(
+        twice = (
+            (
+                w @ (w @ cache[alpha][enc(r)] @ winv) @ winv,
+                r,
+                lambda: f"r={R.element_repr(r)}",
+            )
+            for r in elements
+        )
+        _record_sweep(
+            rep,
             f"weyl-double-conjugation:{_rname(alpha)}",
             "weyl-double-conjugation-sign",
-            counts={"cases": cases, "failures": 1 if bad else 0},
-            counterexample=bad,
+            _one_sign(
+                R,
+                cache[alpha],
+                twice,
+                "{}: double conjugate left the subgroup",
+                "{}: double conjugation sign flip",
+                [],
+            ),
         )
 
     if model.label in _NONSIMPLE_SPOT:
         ai, bi = _NONSIMPLE_SPOT[model.label]
         alpha, beta = simples[ai], simples[bi]
-        delta = reflect(alpha, beta)
-        if delta in tabset:
+        if reflect(alpha, beta) in tabset:
             raise ChevalleyError("spot-check pair unexpectedly tabulated")
         w = weyl_element(model, alpha)
         winv = w.inverse()
-        images = {}
-        for s in elements:
-            images[R.encode(s)] = w @ cache[beta][R.encode(s)] @ winv
-        bad = None
-        if images[R.encode(R.zero)] != Matrix.identity(R, model.n):
-            bad = "image of 0 is not the identity"
-        if bad is None and len(set(images.values())) != len(elements):
-            bad = "conjugated one-parameter map is not injective"
-        if bad is None:
+        images = {enc(s): w @ cache[beta][enc(s)] @ winv for s in elements}
+
+        def spot():
+            if images[enc(R.zero)] != Matrix.identity(R, model.n):
+                yield "image of 0 is not the identity"
+            if len(set(images.values())) != len(elements):
+                yield "conjugated one-parameter map is not injective"
             for s in elements:
-                if not _unipotent_order_check(R, images[R.encode(s)], model.n):
-                    bad = f"s={R.element_repr(s)}: image is not unipotent"
-                    break
+                if not _unipotent_order_check(R, images[enc(s)], model.n):
+                    yield f"s={R.element_repr(s)}: image is not unipotent"
                 for t in elements:
-                    st = R.add(s, t)
-                    if images[R.encode(s)] @ images[R.encode(t)] != images[
-                        R.encode(st)
-                    ]:
-                        bad = (
+                    if images[enc(s)] @ images[enc(t)] != images[enc(R.add(s, t))]:
+                        yield (
                             f"s={R.element_repr(s)} t={R.element_repr(t)}: "
                             "image map is not additive"
                         )
-                        break
-                if bad:
-                    break
-        rep.check(
+
+        _, bad = first_failure(spot())
+        _record(
+            rep,
             "weyl-nonsimple-membership",
             "nonsimple-root-subgroup-membership",
-            counts={"cases": len(elements) ** 2, "failures": 1 if bad else 0},
-            counterexample=bad,
+            len(elements) ** 2,
+            bad,
         )
     return rep
 
@@ -736,6 +721,7 @@ def check_weyl_conjugation(model, ring=None):
 # Invariant bilinear forms
 
 _FORM_KIND = {"C2": "alternating", "C3": "alternating", "B3": "symmetric", "D4": "symmetric"}
+FORM_TYPES = tuple(_FORM_KIND)
 
 
 def _rref_mod_p(rows, ncols, p):
@@ -905,17 +891,9 @@ def check_form_invariance(model, ring=None):
             bad = bad or name
         if g.det() != one:
             det_bad = det_bad or name
-    rep.check(
-        "invariant-form-preserved",
-        "generators-preserve-form",
-        counts={"cases": cases, "failures": 1 if bad else 0},
-        counterexample=bad,
-    )
-    rep.check(
-        "generator-determinants",
-        "generators-have-determinant-one",
-        counts={"cases": cases, "failures": 1 if det_bad else 0},
-        counterexample=det_bad,
+    _record(rep, "invariant-form-preserved", "generators-preserve-form", cases, bad)
+    _record(
+        rep, "generator-determinants", "generators-have-determinant-one", cases, det_bad
     )
     return rep
 
@@ -945,24 +923,18 @@ def check_elementary_relations(n, ring):
     def elem(pos, r):
         return E[pos][R.encode(r)]
 
-    cases = 0
-    bad = None
-    for pos in positions:
-        for r in elements:
-            for s in elements:
-                cases += 1
-                if elem(pos, r) @ elem(pos, s) != elem(pos, R.add(r, s)):
-                    bad = f"e{pos}({R.element_repr(r)}) * e{pos}({R.element_repr(s)})"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check(
+    _record_sweep(
+        rep,
         "elementary-additivity",
         "elementary-matrix-additivity",
-        counts={"cases": cases, "failures": 1 if bad else 0},
-        counterexample=bad,
+        (
+            None
+            if elem(pos, r) @ elem(pos, s) == elem(pos, R.add(r, s))
+            else f"e{pos}({R.element_repr(r)}) * e{pos}({R.element_repr(s)})"
+            for pos in positions
+            for r in elements
+            for s in elements
+        ),
     )
 
     def comm(x, xinv, y, yinv):
@@ -996,17 +968,19 @@ def check_elementary_relations(n, ring):
                             f"[e({i},{j})({R.element_repr(r)}), "
                             f"e({k},{l})({R.element_repr(s)})^-1]"
                         )
-    rep.check(
+    _record(
+        rep,
         "elementary-chain-commutator",
         "chain-commutator-collapse",
-        counts={"cases": chain_cases, "failures": 1 if chain_bad else 0},
-        counterexample=chain_bad,
+        chain_cases,
+        chain_bad,
     )
-    rep.check(
+    _record(
+        rep,
         "elementary-inverse-commutator",
         "commutator-with-inverse-argument",
-        counts={"cases": inv_cases, "failures": 1 if inv_bad else 0},
-        counterexample=inv_bad,
+        inv_cases,
+        inv_bad,
     )
 
     cases = 0
@@ -1026,11 +1000,8 @@ def check_elementary_relations(n, ring):
                             f"[e({i},{j})({R.element_repr(r)}), "
                             f"e({k},{l})({R.element_repr(s)})]"
                         )
-    rep.check(
-        "elementary-disjoint-commutator",
-        "disjoint-positions-commute",
-        counts={"cases": cases, "failures": 1 if bad else 0},
-        counterexample=bad,
+    _record(
+        rep, "elementary-disjoint-commutator", "disjoint-positions-commute", cases, bad
     )
 
     cases = 0
@@ -1048,12 +1019,7 @@ def check_elementary_relations(n, ring):
                         f"Diag{tuple(R.element_repr(u) for u in tup)} on "
                         f"e({i},{j})({R.element_repr(r)})"
                     )
-    rep.check(
-        "diagonal-conjugation",
-        "diagonal-conjugation-scaling",
-        counts={"cases": cases, "failures": 1 if bad else 0},
-        counterexample=bad,
-    )
+    _record(rep, "diagonal-conjugation", "diagonal-conjugation-scaling", cases, bad)
     return rep
 
 
@@ -1243,6 +1209,7 @@ def check_borel_retraction(n, ring):
 
 # Tabulated Borel factorizations: which submatrix to read, which leftover
 # diagonal positions carry independent unit factors, and the target kind.
+# G2's short root reads its Aff- block off entries (2,2) and (5,1).
 _BOREL_CASES = {
     ("A1", 0): dict(read=(1, 2), gm=(), target="B2deg"),
     ("A2", 0): dict(read=(1, 2), gm=(), target="B2"),
@@ -1254,7 +1221,7 @@ _BOREL_CASES = {
     ("B3", 1): dict(read=(3, 4), gm=(2,), target="B2"),
     ("D4", 1): dict(read=(2, 3), gm=(1, 4), target="B2"),
     ("G2", 0): dict(read=(2, 3), gm=(), target="B2"),
-    ("G2", 1): dict(target="Aff-xGm"),
+    ("G2", 1): dict(read=None, gm=(3,), target="Aff-"),
 }
 
 def borel_cases():
@@ -1265,34 +1232,121 @@ def borel_cases():
 _PAIR_BUDGET = 300_000
 
 
-def _target_tuples(R, kind, gm_count):
-    zero, one = R.zero, R.one
-    twos = []
-    if kind == "B2":
-        for a in R.units():
-            for b in R.units():
-                for r in R.elements():
-                    twos.append(Matrix.from_rows(R, [[a, r], [zero, b]]))
-    elif kind == "B2deg":
-        for a in R.units():
-            ai = R.inverse(a)
-            for r in R.elements():
-                twos.append(Matrix.from_rows(R, [[a, r], [zero, ai]]))
-    elif kind == "Aff-xGm":
-        for u in R.units():
-            for r in R.elements():
-                twos.append(Matrix.from_rows(R, [[one, r], [zero, u]]))
+def _block_reader(R, read, gm):
+    """phi: g -> (its two-by-two block at rows/columns `read`, its diagonal
+    entries at `gm`)."""
+    p, q = read
+
+    def phi(g):
+        if g.entry(q, p) != R.zero:
+            raise ChevalleyError("unreadable element: lower corner nonzero")
+        m = Matrix.from_rows(
+            R, [[g.entry(p, p), g.entry(p, q)], [R.zero, g.entry(q, q)]]
+        )
+        return m, tuple(g.entry(t, t) for t in gm)
+
+    return phi
+
+
+def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
+    """The six records of one Borel factorization.
+
+    The source is x(r) d(units) over r in R and units in (R^x)^k, and the
+    predicted size of source and target is |R| |R^x|^k.  phi maps a source
+    element to a pair (two-by-two block, tuple of `tails` units); the
+    target is every block of affine_groups(R)[kind] times every unit tail.
+    Source pairs are all tested when there are at most _PAIR_BUDGET of
+    them, else those of a pool: additive generators r, or at most one
+    non-one unit."""
+    units = R.units()
+    one = R.one
+    source = []
+    seen = {}
+    collision = None
+    for r in R.elements():
+        xr = x(r)
+        for tup in itertools.product(units, repeat=k):
+            g = xr @ d(tup)
+            if g in seen:
+                collision = collision or (
+                    f"r={R.element_repr(r)} torus={tuple(map(R.element_repr, tup))}"
+                )
+            seen[g] = (r, tup)
+            source.append(g)
+    _record(
+        rep,
+        "parametrization-injective",
+        "borel-parametrization",
+        len(source),
+        collision,
+    )
+
+    target = [
+        (m, tail)
+        for m in affine_groups(R)[kind].elements()
+        for tail in itertools.product(units, repeat=tails)
+    ]
+    predicted = R.order() * len(units) ** k
+    card_ok = len(target) == predicted and len(source) == predicted
+    rep.check(
+        "target-cardinality",
+        "borel-target-cardinality",
+        counts={"target": len(target), "source": len(source), "predicted": predicted},
+        counterexample=None
+        if card_ok
+        else f"target {len(target)}, source {len(source)}, predicted {predicted}",
+    )
+
+    images = [phi(g) for g in source]
+    rep.check(
+        "map-injective",
+        "borel-map-injectivity",
+        counts={"cases": len(source)},
+        counterexample=None
+        if len(set(images)) == len(source)
+        else "two source elements share an image",
+    )
+    rep.check(
+        "map-bijective",
+        "borel-map-image",
+        counts={"cases": len(target)},
+        counterexample=None
+        if set(images) == set(target)
+        else "image differs from the enumerated target",
+    )
+
+    if len(source) ** 2 <= _PAIR_BUDGET:
+        pool = source
     else:
-        raise ChevalleyError(f"unknown target kind {kind!r}")
-    out = []
-    for m in twos:
-        for tail in itertools.product(R.units(), repeat=gm_count):
-            out.append((m, tail))
-    return out
-
-
-def _k_exponent(kind, gm_count):
-    return (2 if kind == "B2" else 1) + gm_count
+        tadd = set(additive_presentation(R).generators)
+        pool = [
+            g
+            for g in source
+            if seen[g][0] in tadd or sum(1 for u in seen[g][1] if u != one) <= 1
+        ]
+    phis = dict(zip(source, images))
+    bad = None
+    closed_bad = None
+    cases = 0
+    for g in pool:
+        mg, tg = phis[g]
+        for h in pool:
+            cases += 1
+            prod = g @ h
+            if prod not in seen:
+                closed_bad = closed_bad or "product left the source set"
+                continue
+            mh, th = phis[h]
+            mp, tp = phis[prod]
+            if mp != mg @ mh or tp != tuple(R.mul(a, b) for a, b in zip(tg, th)):
+                bad = bad or f"pair ({seen[g]}, {seen[h]})"
+    rep.check(
+        "source-closed",
+        "borel-source-closure",
+        counts={"cases": cases},
+        counterexample=closed_bad,
+    )
+    _record(rep, "map-homomorphism", "borel-map-homomorphism", cases, bad)
 
 
 def borel_isomorphism_check(model, eta, ring=None):
@@ -1323,126 +1377,26 @@ def borel_isomorphism_check(model, eta, ring=None):
         "borel-iso",
         {"type": model.label, "eta": _rname(root), "ring": R.descriptor},
     )
-    zero, one = R.zero, R.one
-    units = R.units()
-    kparams = len(model.torus_rows)
-
-    source = []
-    seen = {}
-    collision = None
-    for r in R.elements():
-        x = root_element(model, root, r)
-        for tup in itertools.product(units, repeat=kparams):
-            g = x @ torus_element(model, tup)
-            if g in seen:
-                collision = collision or (
-                    f"r={R.element_repr(r)} torus={tuple(map(R.element_repr, tup))}"
-                )
-            seen[g] = (r, tup)
-            source.append(g)
-    expected_source = R.order() * len(units) ** kparams
-    rep.check(
-        "parametrization-injective",
-        "borel-parametrization",
-        counts={"cases": len(source), "failures": 1 if collision else 0},
-        counterexample=collision,
-    )
-
-    kind = case["target"]
-    if kind == "Aff-xGm":
-        gm_count = 1
-        k_exp = 2
+    gm = case["gm"]
+    if case["read"] is None:
 
         def phi(g):
             u = g.entry(2, 2)
-            v = g.entry(3, 3)
             r = R.neg(g.entry(5, 1))
-            m = Matrix.from_rows(R, [[one, R.mul(r, u)], [zero, u]])
-            return (m, (v,))
+            m = Matrix.from_rows(R, [[R.one, R.mul(r, u)], [R.zero, u]])
+            return m, tuple(g.entry(t, t) for t in gm)
 
     else:
-        p, q = case["read"]
-        gm_pos = case["gm"]
-        gm_count = len(gm_pos)
-        k_exp = _k_exponent(kind, gm_count)
-
-        def phi(g):
-            if g.entry(q, p) != zero:
-                raise ChevalleyError("unreadable element: lower corner nonzero")
-            m = Matrix.from_rows(
-                R, [[g.entry(p, p), g.entry(p, q)], [zero, g.entry(q, q)]]
-            )
-            return (m, tuple(g.entry(t, t) for t in gm_pos))
-
-    target = _target_tuples(R, kind, gm_count)
-    predicted = R.order() * len(units) ** k_exp
-    card_ok = len(target) == predicted and len(source) == predicted
-    rep.check(
-        "target-cardinality",
-        "borel-target-cardinality",
-        counts={"target": len(target), "source": len(source), "predicted": predicted},
-        counterexample=None
-        if card_ok
-        else f"target {len(target)}, source {len(source)}, predicted {predicted}",
-    )
-
-    images = [phi(g) for g in source]
-    inj = len(set(images)) == len(source)
-    rep.check(
-        "map-injective",
-        "borel-map-injectivity",
-        counts={"cases": len(source)},
-        counterexample=None if inj else "two source elements share an image",
-    )
-    surj = set(images) == set(target)
-    rep.check(
-        "map-bijective",
-        "borel-map-image",
-        counts={"cases": len(target)},
-        counterexample=None if surj else "image differs from the enumerated target",
-    )
-
-    if len(source) * len(source) <= _PAIR_BUDGET:
-        pair_pool = source
-    else:
-        tadd = set(additive_presentation(R).generators)
-        pair_pool = [
-            g
-            for g in source
-            if seen[g][0] in tadd
-            or sum(1 for u in seen[g][1] if u != one) <= 1
-        ]
-    bad = None
-    closed_bad = None
-    cases = 0
-    phis = {g: phi(g) for g in source}
-    for g in pair_pool:
-        mg, tg = phis[g]
-        for h in pair_pool:
-            cases += 1
-            prod = g @ h
-            if prod not in seen:
-                closed_bad = closed_bad or "product left the source set"
-                continue
-            mh, th = phis[h]
-            mp, tp = phis[prod]
-            if mp != mg @ mh or tp != tuple(
-                R.mul(a, b) for a, b in zip(tg, th)
-            ):
-                bad = bad or (
-                    f"pair ({seen[g]}, {seen[h]})"
-                )
-    rep.check(
-        "source-closed",
-        "borel-source-closure",
-        counts={"cases": cases},
-        counterexample=closed_bad,
-    )
-    rep.check(
-        "map-homomorphism",
-        "borel-map-homomorphism",
-        counts={"cases": cases, "failures": 1 if bad else 0},
-        counterexample=bad,
+        phi = _block_reader(R, case["read"], gm)
+    _factorization_checks(
+        rep,
+        R,
+        lambda r: root_element(model, root, r),
+        lambda tup: torus_element(model, tup),
+        len(model.torus_rows),
+        phi,
+        case["target"],
+        len(gm),
     )
     return rep
 
@@ -1457,97 +1411,15 @@ def borel_gln_check(n, i, j, ring):
     if not R.finite:
         raise ChevalleyError("exhaustive factorization check needs a finite ring")
     rep = Report("borel-gln", {"n": n, "i": i, "j": j, "ring": R.descriptor})
-    zero, one = R.zero, R.one
-    units = R.units()
-    gm_pos = tuple(k for k in range(1, n + 1) if k not in (i, j))
-
-    source = []
-    seen = {}
-    collision = None
-    for r in R.elements():
-        x = Matrix.elementary(R, n, i, j, r)
-        for tup in itertools.product(units, repeat=n):
-            g = x @ Matrix.diagonal(R, tup)
-            if g in seen:
-                collision = collision or f"r={R.element_repr(r)} d={tup}"
-            seen[g] = (r, tup)
-            source.append(g)
-    rep.check(
-        "parametrization-injective",
-        "borel-parametrization",
-        counts={"cases": len(source), "failures": 1 if collision else 0},
-        counterexample=collision,
-    )
-
-    def phi(g):
-        if g.entry(j, i) != zero:
-            raise ChevalleyError("unreadable element: mirror position nonzero")
-        m = Matrix.from_rows(R, [[g.entry(i, i), g.entry(i, j)], [zero, g.entry(j, j)]])
-        return (m, tuple(g.entry(k, k) for k in gm_pos))
-
-    target = _target_tuples(R, "B2", n - 2)
-    predicted = R.order() * len(units) ** n
-    card_ok = len(target) == predicted and len(source) == predicted
-    rep.check(
-        "target-cardinality",
-        "borel-target-cardinality",
-        counts={"target": len(target), "source": len(source), "predicted": predicted},
-        counterexample=None
-        if card_ok
-        else f"{len(target)} vs {len(source)} vs {predicted}",
-    )
-
-    images = [phi(g) for g in source]
-    inj = len(set(images)) == len(source)
-    surj = set(images) == set(target)
-    rep.check(
-        "map-injective",
-        "borel-map-injectivity",
-        counts={"cases": len(source)},
-        counterexample=None if inj else "two source elements share an image",
-    )
-    rep.check(
-        "map-bijective",
-        "borel-map-image",
-        counts={"cases": len(target)},
-        counterexample=None if surj else "image differs from the enumerated target",
-    )
-
-    if len(source) ** 2 <= _PAIR_BUDGET:
-        pair_pool = source
-    else:
-        tadd = set(additive_presentation(R).generators)
-        pair_pool = [
-            g
-            for g in source
-            if seen[g][0] in tadd or sum(1 for u in seen[g][1] if u != one) <= 1
-        ]
-    bad = None
-    closed_bad = None
-    cases = 0
-    phis = {g: phi(g) for g in source}
-    for g in pair_pool:
-        mg, tg = phis[g]
-        for h in pair_pool:
-            cases += 1
-            prod = g @ h
-            if prod not in seen:
-                closed_bad = closed_bad or "product left the source set"
-                continue
-            mp, tp = phis[prod]
-            mh, th = phis[h]
-            if mp != mg @ mh or tp != tuple(R.mul(a, b) for a, b in zip(tg, th)):
-                bad = bad or f"pair ({seen[g]}, {seen[h]})"
-    rep.check(
-        "source-closed",
-        "borel-source-closure",
-        counts={"cases": cases},
-        counterexample=closed_bad,
-    )
-    rep.check(
-        "map-homomorphism",
-        "borel-map-homomorphism",
-        counts={"cases": cases, "failures": 1 if bad else 0},
-        counterexample=bad,
+    gm = tuple(k for k in range(1, n + 1) if k not in (i, j))
+    _factorization_checks(
+        rep,
+        R,
+        lambda r: Matrix.elementary(R, n, i, j, r),
+        lambda tup: Matrix.diagonal(R, tup),
+        n,
+        _block_reader(R, (i, j), gm),
+        "B2",
+        len(gm),
     )
     return rep

@@ -13,15 +13,9 @@ import sys
 
 import click
 
-from .abels import (
-    AbelsError,
-    abels_group,
-    contracting_family,
-    horospherical_family,
-    unipotent_and_torus,
-    verify_abels,
-)
+from .abels import AbelsError, subgroup_family, verify_abels
 from .chevalley import (
+    FORM_TYPES,
     SUPPORTED_LABELS,
     ChevalleyError,
     borel_cases,
@@ -45,8 +39,6 @@ from .presentation import (
 )
 from .reports import INCONCLUSIVE, Report, merge_reports, report_from_dict
 from .rings import RingError, make_ring
-
-FORM_TYPES = ("C2", "C3", "B3", "D4")
 
 _USAGE_ERRORS = (
     RingError,
@@ -225,12 +217,7 @@ def _complex_suite(descriptor, n, family, checks, budget, seed=None):
 def _tits_suite(descriptor, n, family, budget, seed=None):
     ring = _parse_ring(descriptor)
     try:
-        if family == "horospherical":
-            group = abels_group(n, ring)
-            members = horospherical_family(n, ring)
-        else:
-            group = unipotent_and_torus(n, ring)[0]
-            members = contracting_family(n, ring)
+        group, members = subgroup_family(family, n, ring)
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
     try:
@@ -439,13 +426,7 @@ def export_complex_cmd(n, descriptor, family, max_order, out, fmt):
     """Write a coset complex as a simplex list."""
     ring = _parse_ring(descriptor)
     try:
-        if family == "horospherical":
-            ambient = abels_group(n, ring)
-            members = horospherical_family(n, ring)
-        else:
-            ambient = unipotent_and_torus(n, ring)[0]
-            members = contracting_family(n, ring)
-        cx = coset_complex(ambient, members, budget=max_order)
+        cx = coset_complex(*subgroup_family(family, n, ring), budget=max_order)
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
     if fmt == "json":

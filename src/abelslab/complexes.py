@@ -596,17 +596,15 @@ def compare_complexes(n, ring, budget=None):
     """Coset complex of the full horospherical family against the
     unipotent one: components, first homology, and the simple-connectivity
     verdict must agree."""
-    from .abels import horospherical_family, contracting_family, abels_group, unipotent_and_torus
+    from .abels import subgroup_family
 
     budget = get_budget(budget)
     rep = Report(
         suite="complex-comparison",
         config={"n": n, "ring": ring.descriptor},
     )
-    amb_full = abels_group(n, ring)
-    amb_uni = unipotent_and_torus(n, ring)[0]
-    cx_full = coset_complex(amb_full, horospherical_family(n, ring), budget)
-    cx_uni = coset_complex(amb_uni, contracting_family(n, ring), budget)
+    cx_full = coset_complex(*subgroup_family("horospherical", n, ring), budget)
+    cx_uni = coset_complex(*subgroup_family("contracting", n, ring), budget)
 
     c_full = connected_components(cx_full)
     c_uni = connected_components(cx_uni)
@@ -654,22 +652,10 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
     front ends can print them; each requested check also cross-validates
     the verdict against an independent computation.
     """
-    from .abels import (
-        abels_group,
-        contracting_family,
-        horospherical_family,
-        unipotent_and_torus,
-    )
+    from .abels import subgroup_family
 
     budget = get_budget(budget)
-    if family == "horospherical":
-        ambient = abels_group(n, ring)
-        members = horospherical_family(n, ring)
-    elif family == "contracting":
-        ambient = unipotent_and_torus(n, ring)[0]
-        members = contracting_family(n, ring)
-    else:
-        raise ComplexError(f"unknown family {family!r}")
+    ambient, members = subgroup_family(family, n, ring)
     rep = Report(
         "complex", {"n": n, "ring": ring.descriptor, "family": family}
     )

@@ -28,7 +28,7 @@ import numpy as np
 from .config import BudgetExceeded, get_budget
 from .kernels import closure_order
 from .matrices import Matrix, MatrixError
-from .reports import INCONCLUSIVE, PASS, Report
+from .reports import INCONCLUSIVE, PASS, Report, first_failure
 from .rings import additive_presentation
 
 
@@ -912,107 +912,77 @@ def check_missing_relations(n, ring):
         return a.mul(b).mul(a.inverse()).mul(b.inverse())
 
     corner = {t: comm(e(1, 2, t), e(2, n, ring.one)) for t in T}
-
-    bad = None
-    cases = 0
-    for t in T:
-        cases += 1
-        if corner[t] != e(1, n, t):
-            bad = f"corner element at t={ring.element_repr(t)}"
-            break
-    rep.check(
-        "corner-definition",
-        "corner-element-matches-elementary",
-        counts={"cases": cases},
-        counterexample=bad,
-    )
-
-    bad = None
-    cases = 0
     ident = Matrix.identity(ring, n)
-    for j in range(2, n):
-        for k in range(2, n):
-            if j == k or (j, k) == (2, n - 1):
-                continue
-            for t in T:
-                for s in T:
-                    cases += 1
-                    if comm(e(1, j, t), e(k, n, s)) != ident:
-                        bad = f"(j,k)=({j},{k}), t={ring.element_repr(t)}, s={ring.element_repr(s)}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check(
-        "disjoint-row-column",
-        "mixed-corner-commutators-vanish",
-        counts={"cases": cases},
-        counterexample=bad,
-    )
-
-    bad = None
-    cases = 0
     one = ring.one
-    for j in range(2, n):
-        for t in T:
-            cases += 1
-            if comm(e(1, j, t), e(j, n, one)) != corner[t]:
-                bad = f"chain j={j}, t={ring.element_repr(t)} (unit second)"
-                break
-            if comm(e(1, j, one), e(j, n, t)) != corner[t]:
-                bad = f"chain j={j}, t={ring.element_repr(t)} (unit first)"
-                break
-        if bad:
-            break
-    rep.check(
-        "chain-through-column",
-        "corner-chain-commutators-agree",
-        counts={"cases": cases},
-        counterexample=bad,
-    )
+    show = ring.element_repr
 
-    bad = None
-    cases = 0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for t in T:
-                for s in T:
-                    cases += 1
-                    if comm(e(i, j, t), corner[s]) != ident:
-                        bad = f"(i,j)=({i},{j}), t={ring.element_repr(t)}, s={ring.element_repr(s)}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.check(
-        "corner-central",
-        "corner-element-is-central",
-        counts={"cases": cases},
-        counterexample=bad,
-    )
-
-    bad = None
-    cases = 0
-    for row in pres.relators:
-        cases += 1
+    def corner_word(row):
         acc = ident
         for coeff, t in zip(row, T):
             acc = acc.mul(corner[t].power(coeff))
-        if acc != ident:
-            bad = f"additive row {row}"
-            break
-    rep.check(
-        "corner-additive",
-        "corner-element-additive-relations",
-        counts={"cases": cases},
-        counterexample=bad,
+        return acc
+
+    sweeps = (
+        (
+            "corner-definition",
+            "corner-element-matches-elementary",
+            (
+                None if corner[t] == e(1, n, t) else f"corner element at t={show(t)}"
+                for t in T
+            ),
+        ),
+        (
+            "disjoint-row-column",
+            "mixed-corner-commutators-vanish",
+            (
+                None
+                if comm(e(1, j, t), e(k, n, s)) == ident
+                else f"(j,k)=({j},{k}), t={show(t)}, s={show(s)}"
+                for j in range(2, n)
+                for k in range(2, n)
+                if j != k and (j, k) != (2, n - 1)
+                for t in T
+                for s in T
+            ),
+        ),
+        (
+            "chain-through-column",
+            "corner-chain-commutators-agree",
+            (
+                f"chain j={j}, t={show(t)} (unit second)"
+                if comm(e(1, j, t), e(j, n, one)) != corner[t]
+                else f"chain j={j}, t={show(t)} (unit first)"
+                if comm(e(1, j, one), e(j, n, t)) != corner[t]
+                else None
+                for j in range(2, n)
+                for t in T
+            ),
+        ),
+        (
+            "corner-central",
+            "corner-element-is-central",
+            (
+                None
+                if comm(e(i, j, t), corner[s]) == ident
+                else f"(i,j)=({i},{j}), t={show(t)}, s={show(s)}"
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                for t in T
+                for s in T
+            ),
+        ),
+        (
+            "corner-additive",
+            "corner-element-additive-relations",
+            (
+                None if corner_word(row) == ident else f"additive row {row}"
+                for row in pres.relators
+            ),
+        ),
     )
+    for check_id, anchor, results in sweeps:
+        cases, bad = first_failure(results)
+        rep.check(check_id, anchor, counts={"cases": cases}, counterexample=bad)
     return rep
 
 

@@ -23,7 +23,7 @@ from abelslab.chevalley import (
     weyl_element,
 )
 from abelslab.matrices import Matrix
-from abelslab.rings import make_ring
+from abelslab.rings import additive_presentation, make_ring
 
 Z2 = make_ring("zmod:2")
 Z3 = make_ring("zmod:3")
@@ -336,3 +336,19 @@ def test_torus_element_guards():
     assert d.diagonal_entries()[1] == Z5.from_int(2)
     assert d.diagonal_entries()[2] == Z5.from_int(3)
     assert d.diagonal_entries()[6] == Z5.from_int(6) == Z5.one
+
+
+def test_borel_gln_pairs_a_sampled_pool():
+    # 7 * 6**3 = 1512 source elements give more pairs than the budget, so
+    # only the pool is paired: the 6**3 elements with r = 1, the additive
+    # generator of Z/7, and for each of the six other r the 1 + 3 * 5 unit
+    # triples with at most one entry other than 1
+    assert additive_presentation(Z7).generators == (Z7.one,)
+    pool = 6**3 + 6 * (1 + 3 * 5)
+    assert pool == 312
+    rep = borel_gln_check(3, 1, 2, Z7)
+    assert rep.ok
+    counts = {c.id: c.counts for c in rep.checks}
+    assert counts["parametrization-injective"]["cases"] == 7 * 6**3
+    assert counts["source-closed"]["cases"] == pool**2
+    assert counts["map-homomorphism"]["cases"] == pool**2 == 97_344
