@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abelslab import kernels
+from abelslab import abels, kernels
 from abelslab.abels import (
     AbelsError,
     SubgroupSpec,
@@ -242,6 +242,11 @@ def test_torus_invariance():
     assert check_torus_invariance(5, Z3)
 
 
+def test_torus_invariance_zmod5_n5():
+    # 64 torus elements against the generators of U1, U2, U3
+    assert check_torus_invariance(5, Z5)
+
+
 def test_retraction():
     assert check_abels_retraction(4, Z3)
     assert check_abels_retraction(4, Z4)
@@ -249,6 +254,13 @@ def test_retraction():
     assert check_abels_retraction(4, ZZ)
     with pytest.raises(AbelsError):
         check_abels_retraction(3, Z3)
+
+
+def test_retraction_budget():
+    # |A_4(Z/3)| = 2916: over the budget the check is inconclusive, not a
+    # pass on generator pairs alone
+    with pytest.raises(BudgetExceeded, match="inconclusive-budget"):
+        check_abels_retraction(4, Z3, budget=100)
 
 
 def test_semidirect_factorizations():
@@ -281,6 +293,17 @@ def test_fiber_product():
     assert check_h4_fiber_product(Z2)
     assert check_h4_fiber_product(Z3)
     assert check_h4_fiber_product(F4)
+
+
+def test_fiber_product_rejects_another_family(monkeypatch):
+    # H1 has the order q^3 u^2 of H4, so only the split can tell them apart
+    real = abels.horospherical
+    monkeypatch.setattr(
+        abels, "horospherical", lambda n, ring, i: real(n, ring, 1 if i == 4 else i)
+    )
+    assert abels.horospherical(4, Z3, 4).order() == real(4, Z3, 4).order()
+    assert not check_h4_fiber_product(Z2)
+    assert not check_h4_fiber_product(Z3)
 
 
 def test_fiber_product_budget():
