@@ -17,6 +17,14 @@ the top-corner root subgroup, contracting subgroups are invariant under
 torus conjugation, the window map onto an embedded 2 x 2 Borel block is a
 retraction, and the exceptional n = 4 family is the fiber product of its
 two displayed projections over the shared diagonal coordinate.
+
+Over a finite ring every check reads members only as coded rows from
+``elements_encoded``: membership is a ``_pattern_mask`` over the code
+columns and products are batch products from ``kernels``.  Matrix objects
+appear in three places only: the generators, which are encoded before any
+scan; the infinite-ring routes of ``check_abels_retraction`` and
+``check_normality``; and ``SubgroupSpec.elements``, the plain enumeration
+the coded one is tested against.
 """
 
 import itertools
@@ -217,53 +225,46 @@ class SubgroupSpec:
 # -- pattern builders ----------------------------------------------------
 
 
-def _blank_pattern(n):
-    return [["0"] * n for _ in range(n)]
+def _spec(ring, name, diagonal, free=()):
+    """Spec with the given diagonal codes and 1-based free positions."""
+    n = len(diagonal)
+    pat = [["0"] * n for _ in range(n)]
+    for i, code in enumerate(diagonal):
+        pat[i][i] = code
+    for i, j in free:
+        pat[i - 1][j - 1] = "f"
+    return SubgroupSpec(ring, n, name, pat)
 
 
-def _corner_pinned_diagonal(pat, n):
-    for i in range(n):
-        pat[i][i] = "1" if i in (0, n - 1) else "u"
+def _pinned(n):
+    """Diagonal codes of the ambient group: corners one, units between."""
+    return "1" + "u" * (n - 2) + "1"
+
+
+def _upper(lo, hi):
+    """Positions (a, b) with lo <= a < b <= hi."""
+    return [(a, b) for a in range(lo, hi + 1) for b in range(a + 1, hi + 1)]
 
 
 def abels_group(n, ring):
     """Ambient group: upper triangular, corner diagonal entries pinned to 1."""
     if n < 2:
         raise AbelsError(f"ambient size must be >= 2, got {n}")
-    pat = _blank_pattern(n)
-    _corner_pinned_diagonal(pat, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pat[i][j] = "f"
-    return SubgroupSpec(ring, n, "A", pat)
+    return _spec(ring, "A", _pinned(n), _upper(1, n))
 
 
 def unipotent_and_torus(n, ring):
     """The unitriangular radical and the diagonal torus of the ambient group."""
     if n < 2:
         raise AbelsError(f"ambient size must be >= 2, got {n}")
-    upat = _blank_pattern(n)
-    for i in range(n):
-        upat[i][i] = "1"
-        for j in range(i + 1, n):
-            upat[i][j] = "f"
-    tpat = _blank_pattern(n)
-    _corner_pinned_diagonal(tpat, n)
-    return (
-        SubgroupSpec(ring, n, "U", upat),
-        SubgroupSpec(ring, n, "T", tpat),
-    )
+    return _spec(ring, "U", "1" * n, _upper(1, n)), _spec(ring, "T", _pinned(n))
 
 
 def center_subgroup(n, ring):
     """Top-corner root subgroup; elementwise the full center once n >= 3."""
     if n < 2:
         raise AbelsError(f"ambient size must be >= 2, got {n}")
-    pat = _blank_pattern(n)
-    for i in range(n):
-        pat[i][i] = "1"
-    pat[0][n - 1] = "f"
-    return SubgroupSpec(ring, n, "Z", pat)
+    return _spec(ring, "Z", "1" * n, [(1, n)])
 
 
 def horospherical(n, ring, i):
@@ -276,24 +277,13 @@ def horospherical(n, ring, i):
         raise AbelsError(f"family index must be in 1..4, got {i}")
     if i == 4 and n != 4:
         raise AbelsError("family 4 exists only in ambient size 4")
-    pat = _blank_pattern(n)
-    _corner_pinned_diagonal(pat, n)
-    if i == 1:
-        for a in range(n - 1):
-            for b in range(a + 1, n - 1):
-                pat[a][b] = "f"
-    elif i == 2:
-        for a in range(1, n):
-            for b in range(a + 1, n):
-                pat[a][b] = "f"
-    elif i == 3:
-        pat[0][1] = "f"
-        pat[n - 2][n - 1] = "f"
-    else:
-        pat[0][2] = "f"
-        pat[1][2] = "f"
-        pat[1][3] = "f"
-    return SubgroupSpec(ring, n, f"H{i}", pat)
+    free = {
+        1: _upper(1, n - 1),
+        2: _upper(2, n),
+        3: [(1, 2), (n - 1, n)],
+        4: [(1, 3), (2, 3), (2, 4)],
+    }[i]
+    return _spec(ring, f"H{i}", _pinned(n), free)
 
 
 def intersections(specs):
@@ -435,18 +425,18 @@ def center_check(n, ring, budget=None):
     return center.shape == expected.shape and bool((center == expected).all())
 
 
-def check_torus_invariance(n, ring):
+def check_torus_invariance(n, ring, budget=None):
     """Torus conjugation preserves each contracting family's pattern."""
+    cr = kernels.coded_ring(ring)
     torus = unipotent_and_torus(n, ring)[1]
-    families = [1, 2, 3] + ([4] if n == 4 else [])
-    for idx in families:
-        sub = contracting(n, ring, idx)
-        gens = sub.generators
-        for t in torus.elements():
-            tinv = t.inverse()
-            for g in gens:
-                if not sub.contains(t.mul(g).mul(tinv)):
-                    return False
+    diag = torus.elements_encoded(budget)[:, :: n + 1]
+    left, right = diag[:, :, None], cr.inv[diag][:, None, :]
+    for sub in contracting_family(n, ring):
+        for g in kernels.encode_matrices(cr, list(sub.generators)):
+            # (t g t^-1)[i, j] = t_i * g[i, j] * t_j^-1, for every torus t
+            conj = cr.mul[cr.mul[left, g.reshape(n, n)], right]
+            if not _pattern_mask(sub, cr, conj.reshape(-1, n * n)).all():
+                return False
     return True
 
 
@@ -454,11 +444,7 @@ _WINDOW = ((2, 2), (2, 3), (3, 3))
 
 
 def _window_spec(n, ring):
-    pat = _blank_pattern(n)
-    for i in range(n):
-        pat[i][i] = "u" if i in (1, 2) else "1"
-    pat[1][2] = "f"
-    return SubgroupSpec(ring, n, "B2window", pat)
+    return _spec(ring, "B2window", "1uu" + "1" * (n - 3), [(2, 3)])
 
 
 def _retract(mat):
@@ -485,72 +471,83 @@ def _retract_codes(cr, window, n):
 def check_abels_retraction(n, ring, budget=None):
     """Keeping entries (2,2), (2,3), (3,3) retracts onto the embedded block.
 
-    Verifies the map is a homomorphism (exhaustively, generator times every
-    element, when the coded scan fits the budget; on generator pairs
-    otherwise), fixes the embedded block pointwise, and kills the corner
-    root subgroup.
+    Verifies the map is a homomorphism, fixes the embedded block pointwise,
+    and kills the corner root subgroup.  Over a finite ring every member is
+    scanned coded: the image of the ambient group lies in the block, the
+    block and the torus map as they must, and r(g*x) = r(g)*r(x) for every
+    generator g and member x; an ambient group over the budget makes the
+    check inconclusive.  Over an infinite ring the homomorphism test runs on
+    generator pairs, and the block and corner on their generators.
     """
     if n < 4:
         raise AbelsError(f"retraction window needs ambient size >= 4, got {n}")
     amb = abels_group(n, ring)
     window = _window_spec(n, ring)
-    gens = [Matrix.identity(ring, n)] + list(amb.generators)
-    for x in gens:
-        rx = _retract(x)
-        if not window.contains(rx):
-            return False
-        for y in gens:
-            if _retract(x.mul(y)) != rx.mul(_retract(y)):
+    if not ring.finite:
+        gens = [Matrix.identity(ring, n)] + list(amb.generators)
+        for x in gens:
+            rx = _retract(x)
+            if not window.contains(rx):
                 return False
-    if ring.finite:
-        fixed = list(window.elements())
-        corner = [
-            Matrix.elementary(ring, n, 1, n, r) for r in ring.elements()
-        ]
-        diag_only = list(unipotent_and_torus(n, ring)[1].elements())
-    else:
-        fixed = list(window.generators) + [Matrix.identity(ring, n)]
+            for y in gens:
+                if _retract(x.mul(y)) != rx.mul(_retract(y)):
+                    return False
         corner = [
             Matrix.elementary(ring, n, 1, n, t)
             for t in additive_presentation(ring).generators
         ]
-        diag_only = []
-    for b in fixed:
-        if _retract(b) != b:
-            return False
-    for e in corner:
-        if not _retract(e).is_identity():
-            return False
-    for t in diag_only:
-        expected = Matrix.diagonal(
-            ring,
-            tuple(
-                t.entry(k, k) if k in (2, 3) else ring.one
-                for k in range(1, n + 1)
-            ),
+        return all(_retract(b) == b for b in window.generators) and all(
+            _retract(e).is_identity() for e in corner
         )
-        if _retract(t) != expected:
+    budget = get_budget(budget)
+    total = amb.order()
+    if total > budget:
+        raise BudgetExceeded(
+            f"inconclusive-budget: group order {total} exceeds budget {budget}"
+        )
+    cr = kernels.coded_ring(ring)
+    flat = _window_flat(n)
+
+    def retract(vecs):
+        return _retract_codes(cr, vecs[:, flat], n)
+
+    V = amb.elements_encoded(budget)
+    RV = retract(V)
+    if not _pattern_mask(window, cr, RV).all():
+        return False
+    W = window.elements_encoded(budget)
+    if not (retract(W) == W).all():
+        return False
+    Z = center_subgroup(n, ring).elements_encoded(budget)
+    if not (retract(Z) == kernels.identity_vec(cr, n)).all():
+        return False
+    T = unipotent_and_torus(n, ring)[1].elements_encoded(budget)
+    # r(t) keeps the diagonal entries 2 and 3 of t and sets the others to one
+    expected = np.tile(kernels.identity_vec(cr, n), (T.shape[0], 1))
+    expected[:, [n + 1, 2 * n + 2]] = T[:, [n + 1, 2 * n + 2]]
+    if not (retract(T) == expected).all():
+        return False
+    # r(g*x) and r(g)*r(x) are both the identity off the block of rows and
+    # columns 2-3, and zero at its entry (3,2): compare the window entries
+    # of that block, laid out row-major
+    block = [2 * (i - 2) + (j - 2) for i, j in _WINDOW]
+    for gv in kernels.encode_matrices(cr, list(amb.generators)):
+        lhs = kernels.mul_batch_left(cr, gv, V, n, rows=(1, 2), cols=(1, 2))
+        rhs = kernels.mul_batch_left(
+            cr, retract(gv[None])[0], RV, n, rows=(1, 2), cols=(1, 2)
+        )
+        if not (lhs[:, block] == rhs[:, block]).all():
             return False
-    if ring.finite:
-        budget = get_budget(budget)
-        total = amb.order()
-        if total <= budget:
-            cr = kernels.coded_ring(ring)
-            V = amb.elements_encoded(budget)
-            flat = _window_flat(n)
-            RV = _retract_codes(cr, V[:, flat], n)
-            # r(g*x) and r(g)*r(x) are both the identity off the block of
-            # rows and columns 2-3, and zero at its entry (3,2): compare the
-            # window entries of that block, laid out row-major
-            block = [2 * (i - 2) + (j - 2) for i, j in _WINDOW]
-            for g in amb.generators:
-                gv = kernels.encode_matrix(cr, g)
-                window = kernels.mul_batch_left(cr, gv, V, n, rows=(1, 2), cols=(1, 2))
-                rg = _retract_codes(cr, gv[None, flat], n)[0]
-                rhs = kernels.mul_batch_left(cr, rg, RV, n, rows=(1, 2), cols=(1, 2))
-                if not (window[:, block] == rhs[:, block]).all():
-                    return False
     return True
+
+
+def _h4_split(cr, vecs):
+    """(entry (2,4) zeroed, identity with the (2,2) and (2,4) entries)."""
+    left = vecs.copy()
+    left[:, 7] = cr.zero
+    right = np.tile(kernels.identity_vec(cr, 4), (vecs.shape[0], 1))
+    right[:, [5, 7]] = vecs[:, [5, 7]]
+    return left, right
 
 
 def check_h4_fiber_product(ring, budget=None):
@@ -559,23 +556,14 @@ def check_h4_fiber_product(ring, budget=None):
     Both displayed factors project onto the shared diagonal coordinate at
     (2,2); splitting a member into (entry (2,4) zeroed, diagonal-with-corner
     part) is checked to be a bijective homomorphism onto the fiber product.
+    Members are coded: the fiber is counted from the (2,2) codes of the two
+    factors, every member is split, rebuilt from its split, and multiplied
+    by every generator.
     """
     h4 = horospherical(4, ring, 4)
-    g1pat = _blank_pattern(4)
-    for i, code in enumerate("1uu1"):
-        g1pat[i][i] = code
-    g1pat[0][2] = "f"
-    g1pat[1][2] = "f"
-    gamma1 = SubgroupSpec(ring, 4, "Gamma1", g1pat)
-    g2pat = _blank_pattern(4)
-    for i, code in enumerate("1u11"):
-        g2pat[i][i] = code
-    g2pat[1][3] = "f"
-    gamma2 = SubgroupSpec(ring, 4, "Gamma2", g2pat)
-    qpat = _blank_pattern(4)
-    for i, code in enumerate("1u11"):
-        qpat[i][i] = code
-    qspec = SubgroupSpec(ring, 4, "Q", qpat)
+    gamma1 = _spec(ring, "Gamma1", "1uu1", [(1, 3), (2, 3)])
+    gamma2 = _spec(ring, "Gamma2", "1u11", [(2, 4)])
+    qspec = _spec(ring, "Q", "1u11")
 
     budget = get_budget(budget)
     pair_count = gamma1.order() * gamma2.order()
@@ -584,47 +572,34 @@ def check_h4_fiber_product(ring, budget=None):
             f"inconclusive-budget: fiber scan needs {pair_count} pairs, "
             f"budget {budget}"
         )
-    fiber = set()
-    for g in gamma1.elements():
-        for h in gamma2.elements():
-            if g.entry(2, 2) == h.entry(2, 2):
-                fiber.add((g, h))
-    if len(fiber) != pair_count // qspec.order():
+    cr = kernels.coded_ring(ring)
+    fiber = int(
+        np.bincount(gamma1.elements_encoded(budget)[:, 5], minlength=cr.q)
+        @ np.bincount(gamma2.elements_encoded(budget)[:, 5], minlength=cr.q)
+    )
+    if fiber != pair_count // qspec.order() or fiber != h4.order():
         return False
-    if len(fiber) != h4.order():
+    V = h4.elements_encoded(budget)
+    left, right = _h4_split(cr, V)
+    if not (
+        _pattern_mask(gamma1, cr, left).all()
+        and _pattern_mask(gamma2, cr, right).all()
+        and (left[:, 5] == right[:, 5]).all()
+    ):
         return False
-
-    R = ring
-
-    def split(m):
-        rows = [list(r) for r in m.rows]
-        corner = rows[1][3]
-        rows[1][3] = R.zero
-        left = Matrix(R, rows)
-        right_rows = [list(r) for r in Matrix.identity(R, 4).rows]
-        right_rows[1][1] = m.entry(2, 2)
-        right_rows[1][3] = corner
-        return left, Matrix(R, right_rows)
-
-    members = list(h4.elements())
-    images = set()
-    for m in members:
-        pair = split(m)
-        if pair not in fiber:
+    # injective: every member is rebuilt from its split
+    rebuilt = left.copy()
+    rebuilt[:, 7] = right[:, 7]
+    if not (rebuilt == V).all():
+        return False
+    for a in kernels.encode_matrices(cr, list(h4.generators)):
+        la, ra = _h4_split(cr, a[None])
+        lab, rab = _h4_split(cr, kernels.mul_batch_left(cr, a, V, 4))
+        if not (
+            (lab == kernels.mul_batch_left(cr, la[0], left, 4)).all()
+            and (rab == kernels.mul_batch_left(cr, ra[0], right, 4)).all()
+        ):
             return False
-        images.add(pair)
-    if len(images) != len(members) or len(images) != len(fiber):
-        return False
-    ident = Matrix.identity(R, 4)
-    if split(ident) != (ident, ident):
-        return False
-    for a in h4.generators:
-        la, ra = split(a)
-        for b in members:
-            lb, rb = split(b)
-            lab, rab = split(a.mul(b))
-            if lab != la.mul(lb) or rab != ra.mul(rb):
-                return False
     return True
 
 
@@ -716,104 +691,73 @@ def check_abelian(spec, budget=None):
     return bool(kernels.center_mask(cr, X, X, spec.n).all())
 
 
-def _inner_unitriangular_pattern(n):
-    pat = _blank_pattern(n)
-    for i in range(n):
-        pat[i][i] = "1"
-    for a in range(1, n - 1):
-        for b in range(a + 1, n - 1):
-            pat[a][b] = "f"
-    return tuple(tuple(row) for row in pat)
-
-
 def verify_abels(n, ring, budget=None):
     """Run the whole structural battery for one ambient size and ring."""
     rep = Report(suite="abels", config={"n": n, "ring": ring.descriptor})
-
-    families = [1, 2, 3] + ([4] if n == 4 else [])
-    specs = [abels_group(n, ring)]
-    specs.extend(unipotent_and_torus(n, ring))
-    specs.append(center_subgroup(n, ring))
-    if n >= 4:
-        for i in families:
-            specs.append(horospherical(n, ring, i))
-            specs.append(contracting(n, ring, i))
-    for spec in specs:
+    amb = abels_group(n, ring)
+    uni, torus = unipotent_and_torus(n, ring)
+    horo = horospherical_family(n, ring) if n >= 4 else ()
+    contr = contracting_family(n, ring) if n >= 4 else ()
+    for spec in (amb, uni, torus, center_subgroup(n, ring)) + horo + contr:
         rep.run(
             f"closure:{spec.name}",
             "closure-matches-pattern",
             lambda s=spec: check_closure_matches_pattern(s, budget),
             spec.order(),
         )
-    rep.run(
-        "factorization:A",
-        "unipotent-torus-factorization",
-        lambda: check_semidirect(abels_group(n, ring), budget),
-        abels_group(n, ring).order(),
-    )
-    if n >= 4:
-        for i in families:
-            rep.run(
-                f"factorization:H{i}",
-                "unipotent-torus-factorization",
-                lambda k=i: check_semidirect(horospherical(n, ring, k), budget),
-                horospherical(n, ring, i).order(),
-            )
+    for spec in (amb,) + horo:
+        rep.run(
+            f"factorization:{spec.name}",
+            "unipotent-torus-factorization",
+            lambda s=spec: check_semidirect(s, budget),
+            spec.order(),
+        )
     if n >= 3:
         rep.run(
             "center",
             "center-equals-corner-root",
             lambda: center_check(n, ring, budget),
-            abels_group(n, ring).order(),
+            amb.order(),
         )
     rep.run(
         "normality:U",
         "unipotent-normal-in-ambient",
-        lambda: check_normality(
-            unipotent_and_torus(n, ring)[0], abels_group(n, ring), budget
-        ),
-        unipotent_and_torus(n, ring)[0].order(),
+        lambda: check_normality(uni, amb, budget),
+        uni.order(),
     )
     if n >= 4:
-        torus_cases = unipotent_and_torus(n, ring)[1].order()
         rep.run(
             "torus-invariance",
             "contracting-torus-invariance",
-            lambda: check_torus_invariance(n, ring),
-            torus_cases,
+            lambda: check_torus_invariance(n, ring, budget),
+            torus.order(),
         )
         rep.run(
             "retraction",
             "window-retraction-homomorphism",
             lambda: check_abels_retraction(n, ring, budget),
-            abels_group(n, ring).order(),
+            amb.order(),
         )
-        meet = intersections([contracting(n, ring, 1), contracting(n, ring, 2)])
-        inner = _inner_unitriangular_pattern(n)
-        expected_order = ring.order() ** ((n - 2) * (n - 3) // 2)
+        meet = intersections(contr[:2])
+        inner = _spec(ring, "inner", "1" * n, _upper(2, n - 1))
         rep.run(
             "contracting-meet",
             "contracting-meet-is-inner-unitriangular",
-            lambda: meet.pattern == inner and meet.order() == expected_order,
-            expected_order,
+            lambda: meet.pattern == inner.pattern and meet.order() == inner.order(),
+            inner.order(),
         )
-        rep.run(
-            "abelian:U3",
-            "contracting-family-abelian",
-            lambda: check_abelian(contracting(n, ring, 3), budget),
-            contracting(n, ring, 3).order() ** 2,
-        )
+        for spec in contr[2:]:
+            rep.run(
+                f"abelian:{spec.name}",
+                "contracting-family-abelian",
+                lambda s=spec: check_abelian(s, budget),
+                spec.order() ** 2,
+            )
     if n == 4:
-        rep.run(
-            "abelian:U4",
-            "contracting-family-abelian",
-            lambda: check_abelian(contracting(n, ring, 4), budget),
-            contracting(n, ring, 4).order() ** 2,
-        )
         rep.run(
             "fiber-product",
             "fiber-product-bijection",
             lambda: check_h4_fiber_product(ring, budget),
-            horospherical(4, ring, 4).order(),
+            horo[3].order(),
         )
     return rep

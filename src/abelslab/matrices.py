@@ -131,12 +131,6 @@ class Matrix:
             for j in range(i + 1, self.n)
         )
 
-    def is_unitriangular(self):
-        o = self.ring.one
-        return self.is_upper_triangular() and all(
-            self.rows[i][i] == o for i in range(self.n)
-        )
-
     def diagonal_entries(self):
         return tuple(self.rows[i][i] for i in range(self.n))
 

@@ -139,6 +139,28 @@ def _position_name(i, j, tindex):
     return f"e{i}{j}t{tindex}"
 
 
+def _variant_positions(n, economic):
+    """Generator positions of the canonical or the economic variant, in
+    generator order."""
+    if economic:
+        return [(i, j) for i in range(1, n) for j in range(i + 1, n)] + [
+            (k, n) for k in range(2, n)
+        ]
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def _index_positions(positions, nt):
+    """Generator names, one per position and additive generator in position
+    order, and the map from (i, j, tindex) to each one's 1-based index."""
+    names = []
+    index_of = {}
+    for (i, j) in positions:
+        for ti in range(nt):
+            index_of[(i, j, ti)] = len(names) + 1
+            names.append(_position_name(i, j, ti))
+    return tuple(names), index_of
+
+
 def _window_relators(positions, ringpres, index_of):
     """Commutator and additive relators for a set of elementary positions.
 
@@ -208,23 +230,15 @@ def positions_presentation(positions, ringpres):
     for i, j in positions:
         if i >= j:
             raise PresentationError(f"position ({i},{j}) is not upper triangular")
-    nt = len(ringpres.generators)
-    names = []
-    index_of = {}
-    for (i, j) in positions:
-        for ti in range(nt):
-            index_of[(i, j, ti)] = len(names) + 1
-            names.append(_position_name(i, j, ti))
-    relators = _window_relators(positions, ringpres, index_of)
-    return Presentation(tuple(names), tuple(relators))
+    names, index_of = _index_positions(positions, len(ringpres.generators))
+    return Presentation(names, tuple(_window_relators(positions, ringpres, index_of)))
 
 
 def un_canonical_presentation(n, ringpres):
     """Full unitriangular group on all positions 1 <= i < j <= n."""
     if n < 2:
         raise PresentationError(f"ambient size must be >= 2, got {n}")
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return positions_presentation(positions, ringpres)
+    return positions_presentation(_variant_positions(n, False), ringpres)
 
 
 def un_economic_presentation(n, ringpres):
@@ -232,68 +246,28 @@ def un_economic_presentation(n, ringpres):
 
     Generators cover positions with 1 <= i < j <= n-1 plus (k, n) for
     2 <= k <= n-1.  Relations: the window pattern on {1..n-1} and on
-    {2..n}, the bridging commutator between (1,2) and (n-1,n), additive
-    relators per position, and for n = 4 the extra bridging commutator
-    between (1,3) and (2,4).
+    {2..n} (which between them carry the additive relators of every
+    position), the bridging commutator between (1,2) and (n-1,n), and for
+    n = 4 the extra bridging commutator between (1,3) and (2,4).
     """
     if n < 4:
         raise PresentationError(f"economic presentation needs n >= 4, got {n}")
-    T = ringpres.generators
-    nt = len(T)
-    positions = [
-        (i, j) for i in range(1, n) for j in range(i + 1, n)
-    ] + [(k, n) for k in range(2, n)]
-    names = []
-    index_of = {}
-    for (i, j) in positions:
-        for ti in range(nt):
-            index_of[(i, j, ti)] = len(names) + 1
-            names.append(_position_name(i, j, ti))
-
-    window1 = [(i, j) for (i, j) in positions if j <= n - 1]
-    window2 = [(i, j) for (i, j) in positions if i >= 2]
-    relators = []
-    seen = set()
-
-    def emit_all(words):
-        for w in words:
-            if w not in seen:
-                seen.add(w)
-                relators.append(w)
-
-    emit_all(_window_relators(window1, ringpres, index_of))
-    emit_all(_window_relators(window2, ringpres, index_of))
-    for ti in range(nt):
-        for si in range(nt):
-            emit_all(
-                [
-                    commutator_word(
-                        (index_of[(1, 2, ti)],),
-                        (index_of[(n - 1, n, si)],),
-                    )
-                ]
-            )
-    for (i, j) in positions:
-        for row in ringpres.relators:
-            word = []
-            for u, coeff in enumerate(row):
-                word.extend(power_word((index_of[(i, j, u)],), coeff))
-            word = free_reduce(word)
-            if word and word not in seen:
-                seen.add(word)
-                relators.append(word)
-    if n == 4:
-        for ti in range(nt):
-            for si in range(nt):
-                emit_all(
-                    [
-                        commutator_word(
-                            (index_of[(1, 3, ti)],),
-                            (index_of[(2, 4, si)],),
-                        )
-                    ]
-                )
-    return Presentation(tuple(names), tuple(relators))
+    nt = len(ringpres.generators)
+    positions = _variant_positions(n, True)
+    names, index_of = _index_positions(positions, nt)
+    bridges = [((1, 2), (n - 1, n))] + ([((1, 3), (2, 4))] if n == 4 else [])
+    words = (
+        _window_relators([p for p in positions if p[1] <= n - 1], ringpres, index_of)
+        + _window_relators([p for p in positions if p[0] >= 2], ringpres, index_of)
+        + [
+            commutator_word((index_of[(*a, ti)],), (index_of[(*b, si)],))
+            for a, b in bridges
+            for ti in range(nt)
+            for si in range(nt)
+        ]
+    )
+    # duplicate words are dropped, first occurrence wins
+    return Presentation(names, tuple(dict.fromkeys(words)))
 
 
 def tietze_reduce(pres):
@@ -987,14 +961,6 @@ def check_missing_relations(n, ring):
 
 
 # -- Tits criterion ------------------------------------------------------------
-
-
-def _variant_positions(n, economic):
-    if economic:
-        return [(i, j) for i in range(1, n) for j in range(i + 1, n)] + [
-            (k, n) for k in range(2, n)
-        ]
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def verify_presentations(n, ring, budget=None):

@@ -654,9 +654,6 @@ class AdditivePresentation:
             out = R.add(out, R.scale_int(coeff, t))
         return out
 
-    def product_row(self, i, j):
-        return self.products[i][j]
-
 
 def additive_presentation(ring):
     if isinstance(ring, ZModRing):  # covers gf as well

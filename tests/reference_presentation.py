@@ -1,12 +1,14 @@
-"""Reference implementations of Todd-Coxeter and the Tietze reduction.
+"""Reference implementations of Todd-Coxeter, the Tietze reduction and the
+economic presentation.
 
 These are the pass-based enumeration (repeat full passes over the table
 until one makes no mutation, resolving every entry through the union-find)
 and the quadratic Tietze reduction (rewrite and renumber every relator after
 each elimination) that `abelslab.presentation` used before its one-pass
-versions.  They are kept, unchanged, only so the tests can require the
-current functions to give exactly the same coset tables and reduced
-presentations.
+versions, and the economic builder with its own generator indexing and a
+separate per-position additive-relator loop.  They are kept, unchanged,
+only so the tests can require the current functions to give exactly the
+same coset tables and presentations.
 """
 
 from abelslab.config import get_budget
@@ -14,7 +16,11 @@ from abelslab.presentation import (
     CosetTable,
     Presentation,
     PresentationError,
+    _position_name,
+    _window_relators,
+    commutator_word,
     free_reduce,
+    power_word,
 )
 
 
@@ -260,3 +266,72 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
         )
     status = "overflow" if state["overflow"] else "complete"
     return CosetTable(ngens, out, status)
+
+
+def un_economic_presentation(n, ringpres):
+    """Unitriangular presentation without the top-corner column generators.
+
+    Generators cover positions with 1 <= i < j <= n-1 plus (k, n) for
+    2 <= k <= n-1.  Relations: the window pattern on {1..n-1} and on
+    {2..n}, the bridging commutator between (1,2) and (n-1,n), additive
+    relators per position, and for n = 4 the extra bridging commutator
+    between (1,3) and (2,4).
+    """
+    if n < 4:
+        raise PresentationError(f"economic presentation needs n >= 4, got {n}")
+    T = ringpres.generators
+    nt = len(T)
+    positions = [
+        (i, j) for i in range(1, n) for j in range(i + 1, n)
+    ] + [(k, n) for k in range(2, n)]
+    names = []
+    index_of = {}
+    for (i, j) in positions:
+        for ti in range(nt):
+            index_of[(i, j, ti)] = len(names) + 1
+            names.append(_position_name(i, j, ti))
+
+    window1 = [(i, j) for (i, j) in positions if j <= n - 1]
+    window2 = [(i, j) for (i, j) in positions if i >= 2]
+    relators = []
+    seen = set()
+
+    def emit_all(words):
+        for w in words:
+            if w not in seen:
+                seen.add(w)
+                relators.append(w)
+
+    emit_all(_window_relators(window1, ringpres, index_of))
+    emit_all(_window_relators(window2, ringpres, index_of))
+    for ti in range(nt):
+        for si in range(nt):
+            emit_all(
+                [
+                    commutator_word(
+                        (index_of[(1, 2, ti)],),
+                        (index_of[(n - 1, n, si)],),
+                    )
+                ]
+            )
+    for (i, j) in positions:
+        for row in ringpres.relators:
+            word = []
+            for u, coeff in enumerate(row):
+                word.extend(power_word((index_of[(i, j, u)],), coeff))
+            word = free_reduce(word)
+            if word and word not in seen:
+                seen.add(word)
+                relators.append(word)
+    if n == 4:
+        for ti in range(nt):
+            for si in range(nt):
+                emit_all(
+                    [
+                        commutator_word(
+                            (index_of[(1, 3, ti)],),
+                            (index_of[(2, 4, si)],),
+                        )
+                    ]
+                )
+    return Presentation(tuple(names), tuple(relators))

@@ -311,6 +311,20 @@ def test_fiber_product_budget():
         check_h4_fiber_product(Z3, budget=10)
 
 
+def test_finite_checks_run_on_coded_members(monkeypatch):
+    # over a finite ring the three checks read members only as codes
+    def refuse(*args):
+        raise AssertionError("Matrix arithmetic on a finite ring")
+
+    monkeypatch.setattr(Matrix, "mul", refuse)
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    monkeypatch.setattr(SubgroupSpec, "elements", refuse)
+    for ring in (Z3, F4):
+        assert check_h4_fiber_product(ring)
+        assert check_torus_invariance(4, ring)
+        assert check_abels_retraction(4, ring)
+
+
 # -- aggregated report --------------------------------------------------------
 
 

@@ -147,6 +147,18 @@ def test_economic_shape():
     assert len(can5.generators) == 10 and len(can5.relators) == 90
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize(
+    "descriptor",
+    ["zmod:2", "zmod:3", "zmod:4", "zmod:6", "polyq:2:0,0,1", "polyq:3:1,0,1"],
+)
+def test_economic_matches_reference(n, descriptor):
+    ringpres = additive_presentation(make_ring(descriptor))
+    assert un_economic_presentation(n, ringpres) == reference.un_economic_presentation(
+        n, ringpres
+    )
+
+
 def test_single_position_is_additive_only():
     p = positions_presentation([(1, 2)], P_Z4)
     assert p.generators == ("e12t0",)
