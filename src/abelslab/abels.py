@@ -456,15 +456,11 @@ def _retract(mat):
     return Matrix(R, rows)
 
 
-def _window_flat(n):
-    return [(i - 1) * n + (j - 1) for i, j in _WINDOW]
-
-
-def _retract_codes(cr, window, n):
-    """Coded retractions from the window entries, one row per matrix."""
-    out = np.full((window.shape[0], n * n), cr.zero, np.int64)
-    out[:, :: n + 1] = cr.one
-    out[:, _window_flat(n)] = window
+def _retract_codes(cr, vecs, n):
+    """Coded retractions of coded matrices, one row each."""
+    flat = [(i - 1) * n + (j - 1) for i, j in _WINDOW]
+    out = np.tile(kernels.identity_vec(cr, n), (vecs.shape[0], 1))
+    out[:, flat] = vecs[:, flat]
     return out
 
 
@@ -506,26 +502,21 @@ def check_abels_retraction(n, ring, budget=None):
             f"inconclusive-budget: group order {total} exceeds budget {budget}"
         )
     cr = kernels.coded_ring(ring)
-    flat = _window_flat(n)
-
-    def retract(vecs):
-        return _retract_codes(cr, vecs[:, flat], n)
-
     V = amb.elements_encoded(budget)
-    RV = retract(V)
+    RV = _retract_codes(cr, V, n)
     if not _pattern_mask(window, cr, RV).all():
         return False
     W = window.elements_encoded(budget)
-    if not (retract(W) == W).all():
+    if not (_retract_codes(cr, W, n) == W).all():
         return False
     Z = center_subgroup(n, ring).elements_encoded(budget)
-    if not (retract(Z) == kernels.identity_vec(cr, n)).all():
+    if not (_retract_codes(cr, Z, n) == kernels.identity_vec(cr, n)).all():
         return False
     T = unipotent_and_torus(n, ring)[1].elements_encoded(budget)
     # r(t) keeps the diagonal entries 2 and 3 of t and sets the others to one
     expected = np.tile(kernels.identity_vec(cr, n), (T.shape[0], 1))
     expected[:, [n + 1, 2 * n + 2]] = T[:, [n + 1, 2 * n + 2]]
-    if not (retract(T) == expected).all():
+    if not (_retract_codes(cr, T, n) == expected).all():
         return False
     # r(g*x) and r(g)*r(x) are both the identity off the block of rows and
     # columns 2-3, and zero at its entry (3,2): compare the window entries
@@ -533,9 +524,8 @@ def check_abels_retraction(n, ring, budget=None):
     block = [2 * (i - 2) + (j - 2) for i, j in _WINDOW]
     for gv in kernels.encode_matrices(cr, list(amb.generators)):
         lhs = kernels.mul_batch_left(cr, gv, V, n, rows=(1, 2), cols=(1, 2))
-        rhs = kernels.mul_batch_left(
-            cr, retract(gv[None])[0], RV, n, rows=(1, 2), cols=(1, 2)
-        )
+        rg = _retract_codes(cr, gv[None], n)[0]
+        rhs = kernels.mul_batch_left(cr, rg, RV, n, rows=(1, 2), cols=(1, 2))
         if not (lhs[:, block] == rhs[:, block]).all():
             return False
     return True

@@ -240,10 +240,6 @@ def test_torus_invariance():
     assert check_torus_invariance(4, Z2)
     assert check_torus_invariance(4, Z3)
     assert check_torus_invariance(5, Z3)
-
-
-def test_torus_invariance_zmod5_n5():
-    # 64 torus elements against the generators of U1, U2, U3
     assert check_torus_invariance(5, Z5)
 
 
