@@ -25,7 +25,7 @@ from abelslab.chevalley import (
 )
 from abelslab.cli import run
 from abelslab.complexes import action_analysis, compare_complexes, coset_complex
-from abelslab.reports import merge_reports
+from abelslab.reports import Report, merge_reports
 from abelslab.rings import make_ring
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +66,7 @@ CLI_CASES = {
 LIBRARY_CASES = (
     "action-analysis-A4-zmod2",
     "compare-complexes-n4-zmod2",
+    "perturbed-models",
     "quadratic-A1-zmod7",
 )
 
@@ -100,6 +101,40 @@ def _quadratic_a1_model():
     )
 
 
+def _raised_model(label, root, ring):
+    """The model with the power of the first display entry of `root` raised
+    by one: the root subgroup is no longer additive."""
+    good = matrix_model(label, ring)
+    displays = dict(good._displays)
+    (i, j, coeff, power), *rest = displays[root]
+    displays[root] = ((i, j, coeff, power + 1), *rest)
+    return MatrixModel(
+        good.label,
+        good.ring,
+        good.system,
+        good.n,
+        displays,
+        dict(good._h_exps),
+        good.torus_rows,
+        good._neg_displays,
+    )
+
+
+def _perturbed_models_report():
+    """Steinberg, Weyl and every Borel factorization of two raised models
+    over Z/5; they fail the torus display, nonsimple membership, source
+    closure and map records that the quadratic A1 model does not reach."""
+    rep = Report("perturbed-models")
+    Z5 = make_ring("zmod:5")
+    for label, root in (("G2", (1, -1, 0)), ("C2", (0, 2))):
+        bad = _raised_model(label, root, Z5)
+        rep.extend(check_steinberg(bad), prefix=f"{label}:")
+        rep.extend(check_weyl_conjugation(bad), prefix=f"{label}:")
+        for idx in range(len(bad.system.simples)):
+            rep.extend(borel_isomorphism_check(bad, idx), prefix=f"{label}-r{idx}:")
+    return rep
+
+
 def _library_report(name):
     Z2 = make_ring("zmod:2")
     if name == "action-analysis-A4-zmod2":
@@ -111,6 +146,8 @@ def _library_report(name):
             [check_steinberg(bad), check_weyl_conjugation(bad), borel_isomorphism_check(bad, 0)],
             suite="quadratic-A1",
         )
+    elif name == "perturbed-models":
+        rep = _perturbed_models_report()
     else:
         rep = compare_complexes(4, Z2)
     return _normalized(rep.to_dict(timestamp=False))
