@@ -456,9 +456,10 @@ def _retract(mat):
     return Matrix(R, rows)
 
 
-def _retract_codes(cr, vecs, n):
-    """Coded retractions of coded matrices, one row each."""
-    flat = [(i - 1) * n + (j - 1) for i, j in _WINDOW]
+def _retract_codes(cr, vecs, n, window=_WINDOW):
+    """Coded retractions of coded matrices, one row each: the entries at the
+    1-based positions `window` are kept, the others set to the identity's."""
+    flat = [(i - 1) * n + (j - 1) for i, j in window]
     out = np.tile(kernels.identity_vec(cr, n), (vecs.shape[0], 1))
     out[:, flat] = vecs[:, flat]
     return out
@@ -617,15 +618,15 @@ def check_normality(sub, amb, budget=None):
         raise BudgetExceeded(
             f"inconclusive-budget: subgroup order {total} exceeds budget {budget}"
         )
+    # g X g^-1 lies in the finite set X exactly when it equals X, that is
+    # when gX = Xg: compare the sorted keys of both sides
     cr = kernels.coded_ring(R)
     X = sub.elements_encoded(budget)
     for g in amb.generators:
         gv = kernels.encode_matrix(cr, g)
-        giv = kernels.encode_matrix(cr, g.inverse())
-        conj = kernels.mul_batch_right(
-            cr, kernels.mul_batch_left(cr, gv, X, n), giv, n
-        )
-        if not _pattern_mask(sub, cr, conj).all():
+        left = kernels.pack_keys(cr, kernels.mul_batch_left(cr, gv, X, n), n)
+        right = kernels.pack_keys(cr, kernels.mul_batch_right(cr, X, gv, n), n)
+        if not (np.sort(left) == np.sort(right)).all():
             return False
     return True
 

@@ -12,19 +12,42 @@ symbolically over infinite ones, the defining identities of these groups:
 one-parameter additivity, torus conjugation scaling, Weyl reflection
 conjugation with constant signs, invariant bilinear forms, and the
 factorizations of the Borel-type subgroups into two-by-two blocks.
-Break-on-first sweeps are lazy generators run by `reports.first_failure`.
-Both factorization checks, `borel_isomorphism_check` (a root subgroup
-times the displayed torus) and `borel_gln_check` (an elementary position
-times the diagonal of GL_n), supply a source, a map phi and a target kind
-of `affine_groups` to one body, `_factorization_checks`, which writes the
-six records and samples the source pairs past `_PAIR_BUDGET`.
+
+Over a finite ring the sweeps multiply coded rows from `kernels`: a
+one-parameter family is a code table whose row c is x(decode(c)), a
+diagonal element is its row of diagonal codes, and conjugation by a
+diagonal is entrywise.  A sweep computes one boolean per case, in sweep
+order, and `_record_rows` records it: a break-on-first sweep counts the
+cases up to its first failure, as `reports.first_failure` does.  Matrix
+objects remain for building generators, for the maps phi that read the
+Borel factorizations, on the symbolic routes and in
+`check_form_invariance`.  All three factorization checks,
+`borel_isomorphism_check` (a root subgroup times the displayed torus),
+`borel_gln_check` (an elementary position times the diagonal of GL_n) and
+`check_affine_iso`, supply a source, a map phi and a target kind of
+`affine_groups` to one body, `_factorization_checks`, which writes the six
+records and samples the source pairs past `_PAIR_BUDGET`.
 """
 
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
+from .abels import _retract_codes
+from .kernels import (
+    coded_ring,
+    decode_matrix,
+    encode_matrices,
+    encode_matrix,
+    identity_vec,
+    mul_batch_left,
+    mul_batch_right,
+    mul_rows,
+    pack_keys,
+)
 from .matrices import Matrix, conjugate_by_diagonal
-from .reports import INCONCLUSIVE, Report, first_failure
+from .reports import INCONCLUSIVE, Report
 from .rings import (
     LaurentRing,
     RingError,
@@ -384,88 +407,111 @@ def _record(rep, check_id, anchor, cases, bad):
     )
 
 
-def _record_sweep(rep, check_id, anchor, results):
-    """Record a break-on-first sweep: its case count and first failure."""
-    return _record(rep, check_id, anchor, *first_failure(results))
+def _record_rows(rep, check_id, anchor, ok, describe, cases=None):
+    """Record a sweep from one boolean per case, in sweep order.
+
+    The counterexample is describe(k) of the first failing case k.  Without
+    `cases` the sweep breaks on its first failure: it counts the cases up
+    to that one, as `reports.first_failure` does."""
+    first = np.flatnonzero(~ok)[:1]
+    if cases is None:
+        cases = int(first[0]) + 1 if first.size else ok.size
+    bad = describe(int(first[0])) if first.size else None
+    return _record(rep, check_id, anchor, cases, bad)
+
+
+def _naming(R, *axes):
+    """describe(k) of a sweep over the product of `axes`, (name, elements)
+    pairs, the first slowest: "name=element ..." for case k."""
+    shape = tuple(len(values) for _, values in axes)
+
+    def describe(k):
+        at = np.unravel_index(k, shape)
+        return " ".join(f"{a}={R.element_repr(v[i])}" for (a, v), i in zip(axes, at))
+
+    return describe
+
+
+def _family(cr, model, alpha):
+    """Row c is x_alpha(r) for the element r of code c, coded."""
+    R = model.ring
+    return encode_matrices(cr, [root_element(model, alpha, r) for r in R.elements()])
+
+
+def _unit_rows(cr, exps):
+    """Row c holds the codes of u**k for k in exps, u the unit of code c;
+    the rows of non-units are zero and never read."""
+    R = cr.ring
+    out = np.zeros((cr.q, len(exps)), np.int64)
+    for u in R.units():
+        out[R.encode(u)] = [R.encode(R.power(u, k)) for k in exps]
+    return out
+
+
+def _additive(cr, X, n):
+    """x(0) = 1, then x(r)x(s) = x(r+s) for every code pair (r, s), r-major,
+    of the table X."""
+    r, s = np.indices((cr.q, cr.q)).reshape(2, -1)
+    law = (mul_rows(cr, X[r], X[s], n) == X[cr.add[r, s]]).all(axis=1)
+    return np.append((X[cr.zero] == identity_vec(cr, n)).all(), law)
+
+
+def _conj_diag(cr, D, X, n):
+    """d x d^-1 for each row d of the diagonals D and row x of the coded X:
+    (d x d^-1)[i, j] = d_i * x[i, j] * d_j^-1."""
+    conj = cr.mul[cr.mul[D[:, :, None], X.reshape(-1, n, n)], cr.inv[D][:, None, :]]
+    return conj.reshape(-1, n * n)
 
 
 def _steinberg_finite(model, rep):
     R = model.ring
-    enc = R.encode
-    elements = R.elements()
-    units = R.units()
-    ident = Matrix.identity(R, model.n)
-    cache = {
-        alpha: {enc(r): root_element(model, alpha, r) for r in elements}
-        for alpha in model.tabulated_roots
-    }
-
-    for alpha in model.tabulated_roots:
-        xs = cache[alpha]
-        identity = "x(0) is not the identity" if xs[enc(R.zero)] != ident else None
-        additive = (
-            None
-            if xs[enc(r)] @ xs[enc(s)] == xs[enc(R.add(r, s))]
-            else f"r={R.element_repr(r)} s={R.element_repr(s)}"
-            for r in elements
-            for s in elements
-        )
-        _record_sweep(
-            rep,
-            f"one-parameter-additivity:{_rname(alpha)}",
-            "root-subgroup-additivity",
-            itertools.chain([identity], additive),
+    cr = coded_ring(R)
+    n, q = model.n, cr.q
+    elements, units = R.elements(), R.units()
+    xs = {alpha: _family(cr, model, alpha) for alpha in model.tabulated_roots}
+    text_rs = _naming(R, ("r", elements), ("s", elements))
+    for alpha, X in xs.items():
+        _record_rows(
+            rep, f"one-parameter-additivity:{_rname(alpha)}", "root-subgroup-additivity",
+            _additive(cr, X, n),
+            lambda k: text_rs(k - 1) if k else "x(0) is not the identity",
         )
 
     h_roots = model.system.simples + tuple(_neg(s) for s in model.system.simples)
-    hs = {
-        beta: {enc(u): _h_diagonal(model, beta, u) for u in units} for beta in h_roots
-    }
-    for beta in h_roots:
-        hb = hs[beta]
-        identity = "h(1) is not the identity" if hb[enc(R.one)] != ident else None
-        multiplicative = (
-            None
-            if hb[enc(u)] @ hb[enc(v)] == hb[enc(R.mul(u, v))]
-            else f"u={R.element_repr(u)} v={R.element_repr(v)}"
-            for u in units
-            for v in units
-        )
-        _record_sweep(
-            rep,
-            f"torus-multiplicativity:{_rname(beta)}",
-            "semisimple-multiplicativity",
-            itertools.chain([identity], multiplicative),
+    hs = {beta: _unit_rows(cr, model.h_exponents(beta)) for beta in h_roots}
+    u, v = cr.unit_codes[np.indices((len(units), len(units))).reshape(2, -1)]
+    text_uv = _naming(R, ("u", units), ("v", units))
+    for beta, H in hs.items():
+        law = (cr.mul[H[u], H[v]] == H[cr.mul[u, v]]).all(axis=1)
+        _record_rows(
+            rep, f"torus-multiplicativity:{_rname(beta)}", "semisimple-multiplicativity",
+            np.append((H[cr.one] == cr.one).all(), law),
+            lambda k: text_uv(k - 1) if k else "h(1) is not the identity",
         )
 
-    for alpha in model.tabulated_roots:
-        xs = cache[alpha]
-        for beta in h_roots:
+    ui, r = np.indices((len(units), q)).reshape(2, -1)
+    u = cr.unit_codes[ui]
+    text_ur = _naming(R, ("u", units), ("r", elements))
+    for alpha, X in xs.items():
+        for beta, H in hs.items():
             pairing = cartan_pairing(alpha, beta)
-            _record_sweep(
-                rep,
-                f"torus-conjugation:{_rname(alpha)}|{_rname(beta)}",
+            scale = _unit_rows(cr, (pairing,))[:, 0]
+            _record_rows(
+                rep, f"torus-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "torus-conjugation-scaling",
-                (
-                    None
-                    if conjugate_by_diagonal(hs[beta][enc(u)], xs[enc(r)])
-                    == xs[enc(R.mul(R.power(u, pairing), r))]
-                    else f"u={R.element_repr(u)} r={R.element_repr(r)} "
-                    f"pairing={pairing}"
-                    for u in units
-                    for r in elements
-                ),
+                (_conj_diag(cr, H[u], X[r], n) == X[cr.mul[scale[u], r]]).all(axis=1),
+                lambda k: f"{text_ur(k)} pairing={pairing}",
             )
 
     if model.label == "G2":
-        _g2_torus_display(model, rep, cache)
+        _g2_torus_display(model, rep, cr, xs[(1, -1, 0)])
 
 
-def _g2_torus_display(model, rep, cache):
+def _g2_torus_display(model, rep, cr, X):
     """The two-parameter diagonal torus conjugates the short root display
     entrywise: entries 2t, t, -t, -t, -t^2 at fixed positions, t = r/u."""
     R = model.ring
-    xs = cache[(1, -1, 0)]
+    elements, units = R.elements(), R.units()
 
     def expected(t):
         rows = [[R.one if i == j else R.zero for j in range(7)] for i in range(7)]
@@ -476,24 +522,15 @@ def _g2_torus_display(model, rep, cache):
         rows[4][1] = R.neg(R.mul(t, t))
         return Matrix.from_rows(R, rows)
 
-    def results():
-        for u in R.units():
-            ui = R.inverse(u)
-            for v in R.units():
-                d = torus_element(model, (u, v))
-                for r in R.elements():
-                    t = R.mul(ui, r)
-                    lhs = conjugate_by_diagonal(d, xs[R.encode(r)])
-                    if lhs == expected(t) and lhs == xs[R.encode(t)]:
-                        yield None
-                    else:
-                        yield (
-                            f"u={R.element_repr(u)} v={R.element_repr(v)} "
-                            f"r={R.element_repr(r)}"
-                        )
-
-    _record_sweep(
-        rep, "torus-display-conjugation", "two-parameter-torus-display", results()
+    E = encode_matrices(cr, [expected(t) for t in elements])
+    tori = [torus_element(model, uv) for uv in itertools.product(units, repeat=2)]
+    uv, r = np.indices((len(tori), cr.q)).reshape(2, -1)
+    t = cr.mul[cr.inv[cr.unit_codes[uv // len(units)]], r]
+    lhs = _conj_diag(cr, encode_matrices(cr, tori)[uv, :: 8], X[r], 7)
+    _record_rows(
+        rep, "torus-display-conjugation", "two-parameter-torus-display",
+        ((lhs == E[t]) & (lhs == X[t])).all(axis=1),
+        _naming(R, ("u", units), ("v", units), ("r", elements)),
     )
 
 
@@ -565,39 +602,26 @@ def check_steinberg(model, ring=None):
 _NONSIMPLE_SPOT = {"C2": (0, 1), "C3": (0, 1), "B3": (1, 2), "D4": (1, 0), "G2": (0, 1)}
 
 
-def _unipotent_order_check(R, m, n):
-    """(m - 1)^n == 0."""
-    rows = [
-        [R.sub(m.rows[i][j], R.one) if i == j else m.rows[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    d = Matrix.from_rows(R, rows)
-    acc = d
-    for _ in range(n - 1):
-        acc = acc @ d
-    return all(v == R.zero for row in acc.rows for v in row)
+def _one_sign(rep, cr, check_id, anchor, images, lhs, t, left, flip, where):
+    """Record a constant-sign image check on coded rows; return its sign.
 
-
-def _one_sign(R, images, cases, left, flip, signs):
-    """Sweep results of a constant-sign image check.
-
-    Each case (lhs, t, where) holds when lhs is the image of t or of -t
-    with the sign of every earlier case; a match where t = -t fixes no
-    sign.  The first sign found is appended to `signs`.  where() names the
-    case inside the failure text `left` (no image matched) or `flip` (the
-    sign changed)."""
-    for lhs, t, where in cases:
-        mt = R.neg(t)
-        if lhs == images[R.encode(t)]:
-            got = None if mt == t else 1
-        elif lhs == images[R.encode(mt)]:
-            got = -1
-        else:
-            yield left.format(where())
-            continue
-        if got is not None and not signs:
-            signs.append(got)
-        yield None if got is None or got == signs[0] else flip.format(where())
+    Each row of lhs must be the image of t or of -t, with the sign of the
+    first row that fixes one; a match where t = -t fixes no sign.  A row
+    that matches neither fails with `left`, one whose sign flips with
+    `flip`, each formatted with where(k).  The sign is 0 when the check
+    fails or fixes none."""
+    minus_t = cr.neg[t]
+    plus = (lhs == images[t]).all(axis=1)
+    minus = (lhs == images[minus_t]).all(axis=1)
+    got = np.where(plus, np.where(minus_t == t, 0, 1), np.where(minus, -1, 0))
+    fixed = got[got != 0]
+    sign = int(fixed[0]) if fixed.size else 0
+    matched = plus | minus
+    ok = matched & ((got == 0) | (got == sign))
+    _record_rows(
+        rep, check_id, anchor, ok, lambda k: (flip if matched[k] else left).format(where(k))
+    )
+    return sign if ok.all() else 0
 
 
 def check_weyl_conjugation(model, ring=None):
@@ -613,73 +637,54 @@ def check_weyl_conjugation(model, ring=None):
         )
         return rep
 
-    enc = R.encode
-    elements = R.elements()
-    units = R.units()
+    cr = coded_ring(R)
+    n, q = model.n, cr.q
+    show = R.element_repr
+    elements, units = R.elements(), R.units()
     tab = model.tabulated_roots
     tabset = set(tab)
     simples = model.system.simples
-    cache = {a: {enc(r): root_element(model, a, r) for r in elements} for a in tab}
-    hs = {g: {enc(v): _h_diagonal(model, g, v) for v in units} for g in simples}
+    xs = {a: _family(cr, model, a) for a in tab}
+    hs = {g: _unit_rows(cr, model.h_exponents(g)) for g in simples}
+    vi, s = np.indices((len(units), q)).reshape(2, -1)
+    v = cr.unit_codes[vi]
+    text_vs = _naming(R, ("v", units), ("s", elements))
 
-    def conjugates(w, winv, beta):
-        """w h x_beta(s) h^-1 w^-1 against t = v^<beta,gamma> s, h = h_gamma(v)."""
-        for gamma in simples:
-            pairing = cartan_pairing(beta, gamma)
-            for v in units:
-                h = hs[gamma][enc(v)]
-                factor = R.power(v, pairing)
-                for s in elements:
-                    lhs = w @ conjugate_by_diagonal(h, cache[beta][enc(s)]) @ winv
-                    yield lhs, R.mul(factor, s), lambda: (
-                        f"gamma={_rname(gamma)} v={R.element_repr(v)} "
-                        f"s={R.element_repr(s)}"
-                    )
+    def conjugator(alpha):
+        """x -> w x w^-1 on coded rows, w the Weyl element of alpha."""
+        w = weyl_element(model, alpha)
+        wv, wiv = encode_matrix(cr, w), encode_matrix(cr, w.inverse())
+        return lambda X: mul_batch_right(cr, mul_batch_left(cr, wv, X, n), wiv, n)
 
     for alpha in simples:
-        w = weyl_element(model, alpha)
-        winv = w.inverse()
+        conj_w = conjugator(alpha)
         for beta in tab:
             delta = reflect(alpha, beta)
             if delta not in tabset:
                 continue
-            signs = []
-            record = _record_sweep(
-                rep,
-                f"weyl-conjugation:{_rname(alpha)}|{_rname(beta)}",
+            # w h x_beta(s) h^-1 w^-1 against t = v^<beta,gamma> s, for
+            # h = h_gamma(v): gamma-major, then v, then s
+            conj, t = [], []
+            for gamma in simples:
+                scale = _unit_rows(cr, (cartan_pairing(beta, gamma),))[:, 0]
+                conj.append(_conj_diag(cr, hs[gamma][v], xs[beta][s], n))
+                t.append(cr.mul[scale[v], s])
+            sign = _one_sign(
+                rep, cr, f"weyl-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "weyl-reflection-conjugation",
-                _one_sign(
-                    R,
-                    cache[delta],
-                    conjugates(w, winv, beta),
-                    "{}: image not in the reflected root subgroup",
-                    "sign flip at {}",
-                    signs,
-                ),
+                xs[delta], conj_w(np.concatenate(conj)), np.concatenate(t),
+                "{}: image not in the reflected root subgroup", "sign flip at {}",
+                lambda k: f"gamma={_rname(simples[k // v.size])} {text_vs(k % v.size)}",
             )
-            if record.counterexample is None and signs:
-                model._weyl_signs[(alpha, beta)] = signs[0]
+            if sign:
+                model._weyl_signs[(alpha, beta)] = sign
 
-        twice = (
-            (
-                w @ (w @ cache[alpha][enc(r)] @ winv) @ winv,
-                r,
-                lambda: f"r={R.element_repr(r)}",
-            )
-            for r in elements
-        )
-        _record_sweep(
-            rep,
-            f"weyl-double-conjugation:{_rname(alpha)}",
+        _one_sign(
+            rep, cr, f"weyl-double-conjugation:{_rname(alpha)}",
             "weyl-double-conjugation-sign",
-            _one_sign(
-                R,
-                cache[alpha],
-                twice,
-                "{}: double conjugate left the subgroup",
-                "{}: double conjugation sign flip",
-                [],
-            ),
+            xs[alpha], conj_w(conj_w(xs[alpha])), np.arange(q),
+            "{}: double conjugate left the subgroup", "{}: double conjugation sign flip",
+            lambda k: f"r={show(elements[k])}",
         )
 
     if model.label in _NONSIMPLE_SPOT:
@@ -687,32 +692,37 @@ def check_weyl_conjugation(model, ring=None):
         alpha, beta = simples[ai], simples[bi]
         if reflect(alpha, beta) in tabset:
             raise ChevalleyError("spot-check pair unexpectedly tabulated")
-        w = weyl_element(model, alpha)
-        winv = w.inverse()
-        images = {enc(s): w @ cache[beta][enc(s)] @ winv for s in elements}
+        Y = conjugator(alpha)(xs[beta])
+        # an image y is unipotent when (y - 1)^n = 0
+        nil = Y.copy()
+        nil[:, :: n + 1] = cr.add[nil[:, :: n + 1], cr.neg[cr.one]]
+        power = nil
+        for _ in range(n - 1):
+            power = mul_rows(cr, power, nil, n)
+        keys = np.sort(pack_keys(cr, Y, n))
+        additive = _additive(cr, Y, n)
+        # the image of 0, injectivity, then for each s: unipotent, and
+        # additive against every t
+        ok = np.concatenate([
+            [additive[0], (keys[1:] != keys[:-1]).all()],
+            np.column_stack(
+                [(power == cr.zero).all(axis=1), additive[1:].reshape(q, q)]
+            ).ravel(),
+        ])
 
-        def spot():
-            if images[enc(R.zero)] != Matrix.identity(R, model.n):
-                yield "image of 0 is not the identity"
-            if len(set(images.values())) != len(elements):
-                yield "conjugated one-parameter map is not injective"
-            for s in elements:
-                if not _unipotent_order_check(R, images[enc(s)], model.n):
-                    yield f"s={R.element_repr(s)}: image is not unipotent"
-                for t in elements:
-                    if images[enc(s)] @ images[enc(t)] != images[enc(R.add(s, t))]:
-                        yield (
-                            f"s={R.element_repr(s)} t={R.element_repr(t)}: "
-                            "image map is not additive"
-                        )
+        def describe(k):
+            if k < 2:
+                return ("image of 0 is not the identity",
+                        "conjugated one-parameter map is not injective")[k]
+            si, ti = divmod(k - 2, q + 1)
+            if ti == 0:
+                return f"s={show(elements[si])}: image is not unipotent"
+            s, t = show(elements[si]), show(elements[ti - 1])
+            return f"s={s} t={t}: image map is not additive"
 
-        _, bad = first_failure(spot())
-        _record(
-            rep,
-            "weyl-nonsimple-membership",
-            "nonsimple-root-subgroup-membership",
-            len(elements) ** 2,
-            bad,
+        _record_rows(
+            rep, "weyl-nonsimple-membership", "nonsimple-root-subgroup-membership", ok,
+            describe, cases=q * q,
         )
     return rep
 
@@ -911,115 +921,77 @@ def check_elementary_relations(n, ring):
     if n < 2:
         raise ChevalleyError("n must be at least 2")
     rep = Report("commutators", {"n": n, "ring": R.descriptor})
+    cr = coded_ring(R)
+    q = cr.q
+    show = R.element_repr
     elements = R.elements()
-    units = R.units()
-    ident = Matrix.identity(R, n)
     positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    E = {
-        pos: {R.encode(r): Matrix.elementary(R, n, pos[0], pos[1], r) for r in elements}
-        for pos in positions
-    }
+    E = {}
+    for i, j in positions:
+        E[(i, j)] = np.tile(identity_vec(cr, n), (q, 1))
+        E[(i, j)][:, (i - 1) * n + j - 1] = np.arange(q)
 
-    def elem(pos, r):
-        return E[pos][R.encode(r)]
+    def describe(pairs, fmt):
+        """fmt filled with the pair and the elements r, s of case k of a
+        sweep over pairs, then r, then s."""
+        def at(k):
+            p, a, b = np.unravel_index(k, (len(pairs), q, q))
+            return fmt.format(*pairs[p], show(elements[a]), show(elements[b]))
+        return at
 
-    _record_sweep(
-        rep,
-        "elementary-additivity",
-        "elementary-matrix-additivity",
-        (
-            None
-            if elem(pos, r) @ elem(pos, s) == elem(pos, R.add(r, s))
-            else f"e{pos}({R.element_repr(r)}) * e{pos}({R.element_repr(s)})"
-            for pos in positions
-            for r in elements
-            for s in elements
-        ),
+    _record_rows(
+        rep, "elementary-additivity", "elementary-matrix-additivity",
+        np.concatenate([_additive(cr, E[pos], n)[1:] for pos in positions]),
+        describe([(pos,) for pos in positions], "e{0}({1}) * e{0}({2})"),
     )
 
-    def comm(x, xinv, y, yinv):
-        return x @ y @ xinv @ yinv
+    def comm(ij, kl, a, b):
+        """[e_ij(a), e_kl(b)] for every row of the code arrays a and b."""
+        x, xinv = E[ij][a], E[ij][cr.neg[a]]
+        y, yinv = E[kl][b], E[kl][cr.neg[b]]
+        return mul_rows(cr, mul_rows(cr, mul_rows(cr, x, y, n), xinv, n), yinv, n)
 
-    chain_cases = 0
-    chain_bad = None
-    inv_cases = 0
-    inv_bad = None
-    for (i, j) in positions:
-        for (k, l) in positions:
-            if j != k or i == l:
-                continue
-            for r in elements:
-                x = elem((i, j), r)
-                xinv = elem((i, j), R.neg(r))
-                for s in elements:
-                    y = elem((k, l), s)
-                    yinv = elem((k, l), R.neg(s))
-                    chain_cases += 1
-                    c = comm(x, xinv, y, yinv)
-                    if c != elem((i, l), R.mul(r, s)):
-                        chain_bad = chain_bad or (
-                            f"[e({i},{j})({R.element_repr(r)}), "
-                            f"e({k},{l})({R.element_repr(s)})]"
-                        )
-                    inv_cases += 1
-                    ci = comm(x, xinv, yinv, y)
-                    if ci != elem((i, l), R.neg(R.mul(r, s))):
-                        inv_bad = inv_bad or (
-                            f"[e({i},{j})({R.element_repr(r)}), "
-                            f"e({k},{l})({R.element_repr(s)})^-1]"
-                        )
-    _record(
-        rep,
-        "elementary-chain-commutator",
-        "chain-commutator-collapse",
-        chain_cases,
-        chain_bad,
-    )
-    _record(
-        rep,
-        "elementary-inverse-commutator",
-        "commutator-with-inverse-argument",
-        inv_cases,
-        inv_bad,
-    )
+    r, s = np.indices((q, q)).reshape(2, -1)
+    rs = cr.mul[r, s]
+    ident = identity_vec(cr, n)
+    both = [(ij, kl) for ij in positions for kl in positions if ij[0] != kl[1]]
+    chain = [(ij, kl) for ij, kl in both if ij[1] == kl[0]]
+    disjoint = [(ij, kl) for ij, kl in both if ij[1] != kl[0]]
+    for check_id, anchor, pairs, b, product, suffix in (
+        ("elementary-chain-commutator", "chain-commutator-collapse", chain, s, rs, ""),
+        ("elementary-inverse-commutator", "commutator-with-inverse-argument", chain,
+         cr.neg[s], cr.neg[rs], "^-1"),
+        ("elementary-disjoint-commutator", "disjoint-positions-commute", disjoint,
+         s, None, ""),
+    ):
+        expected = [
+            ident if product is None else E[(ij[0], kl[1])][product] for ij, kl in pairs
+        ]
+        ok = np.concatenate([np.empty(0, bool)] + [
+            (comm(ij, kl, r, b) == e).all(axis=1) for (ij, kl), e in zip(pairs, expected)
+        ])
+        fmt = "[e({0[0]},{0[1]})({2}), e({1[0]},{1[1]})({3})" + suffix + "]"
+        _record_rows(rep, check_id, anchor, ok, describe(pairs, fmt), cases=ok.size)
 
-    cases = 0
-    bad = None
-    for (i, j) in positions:
-        for (k, l) in positions:
-            if j == k or i == l:
-                continue
-            for r in elements:
-                x = elem((i, j), r)
-                xinv = elem((i, j), R.neg(r))
-                for s in elements:
-                    cases += 1
-                    c = comm(x, xinv, elem((k, l), s), elem((k, l), R.neg(s)))
-                    if c != ident:
-                        bad = bad or (
-                            f"[e({i},{j})({R.element_repr(r)}), "
-                            f"e({k},{l})({R.element_repr(s)})]"
-                        )
-    _record(
-        rep, "elementary-disjoint-commutator", "disjoint-positions-commute", cases, bad
-    )
+    tuples = np.array(list(itertools.product(cr.unit_codes, repeat=n)), np.int64)
+    ti, r = np.indices((len(tuples), q)).reshape(2, -1)
+    ok = np.empty((len(tuples), len(positions), q), bool)
+    for p, (i, j) in enumerate(positions):
+        scale = cr.mul[tuples[:, i - 1], cr.inv[tuples[:, j - 1]]]
+        X = E[(i, j)]
+        same = _conj_diag(cr, tuples[ti], X[r], n) == X[cr.mul[scale[ti], r]]
+        ok[:, p] = same.all(axis=1).reshape(len(tuples), q)
 
-    cases = 0
-    bad = None
-    for tup in itertools.product(units, repeat=n):
-        d = Matrix.diagonal(R, tup)
-        for (i, j) in positions:
-            factor = R.mul(tup[i - 1], R.inverse(tup[j - 1]))
-            for r in elements:
-                cases += 1
-                if conjugate_by_diagonal(d, elem((i, j), r)) != elem(
-                    (i, j), R.mul(factor, r)
-                ):
-                    bad = bad or (
-                        f"Diag{tuple(R.element_repr(u) for u in tup)} on "
-                        f"e({i},{j})({R.element_repr(r)})"
-                    )
-    _record(rep, "diagonal-conjugation", "diagonal-conjugation-scaling", cases, bad)
+    def diagonal_text(k):
+        t, p, r = np.unravel_index(k, ok.shape)
+        i, j = positions[p]
+        tup = tuple(show(R.decode(int(c))) for c in tuples[t])
+        return f"Diag{tup} on e({i},{j})({show(elements[r])})"
+
+    _record_rows(
+        rep, "diagonal-conjugation", "diagonal-conjugation-scaling", ok.ravel(),
+        diagonal_text, cases=ok.size,
+    )
     return rep
 
 
@@ -1028,23 +1000,13 @@ def check_elementary_relations(n, ring):
 
 
 class AffineGroup:
-    """A two-by-two matrix group given by generators and a membership
-    predicate; enumerable over finite rings."""
+    """A two-by-two upper triangular matrix group, enumerable over finite
+    rings."""
 
-    def __init__(self, name, ring, generators, contains, enumerate_fn):
+    def __init__(self, name, ring, enumerate_fn):
         self.name = name
         self.ring = ring
-        self.generators = generators
-        self._contains = contains
         self._enumerate = enumerate_fn
-
-    def contains(self, m):
-        return (
-            isinstance(m, Matrix)
-            and m.n == 2
-            and m.ring.descriptor == self.ring.descriptor
-            and self._contains(m)
-        )
 
     def elements(self):
         return self._enumerate()
@@ -1063,25 +1025,6 @@ def affine_groups(ring):
 
     def m(a, b, c, d):
         return Matrix.from_rows(R, [[a, b], [c, d]])
-
-    def gens(kind):
-        if not finite:
-            return ()
-        tadd = additive_presentation(R).generators
-        out = [Matrix.elementary(R, 2, 1, 2, t) for t in tadd]
-        for u in R.units():
-            if u == one:
-                continue
-            if kind == "Aff":
-                out.append(m(u, zero, zero, one))
-            elif kind == "Aff-":
-                out.append(m(one, zero, zero, u))
-            elif kind == "B2":
-                out.append(m(u, zero, zero, one))
-                out.append(m(one, zero, zero, u))
-            else:
-                out.append(m(u, zero, zero, R.inverse(u)))
-        return tuple(out)
 
     def enum(kind):
         def run():
@@ -1110,52 +1053,32 @@ def affine_groups(ring):
 
         return run
 
-    preds = {
-        "Aff": lambda g: g.entry(2, 1) == zero
-        and g.entry(2, 2) == one
-        and R.is_unit(g.entry(1, 1)),
-        "Aff-": lambda g: g.entry(2, 1) == zero
-        and g.entry(1, 1) == one
-        and R.is_unit(g.entry(2, 2)),
-        "B2": lambda g: g.entry(2, 1) == zero
-        and R.is_unit(g.entry(1, 1))
-        and R.is_unit(g.entry(2, 2)),
-        "B2deg": lambda g: g.entry(2, 1) == zero
-        and R.is_unit(g.entry(1, 1))
-        and R.mul(g.entry(1, 1), g.entry(2, 2)) == one,
-    }
     return {
-        kind: AffineGroup(kind, R, gens(kind), preds[kind], enum(kind))
+        kind: AffineGroup(kind, R, enum(kind))
         for kind in ("Aff", "Aff-", "B2", "B2deg")
     }
 
 
 def check_affine_iso(ring):
     """The map (u r; 0 1) -> (1 r/u; 0 1/u) from Aff to Aff- is a group
-    isomorphism; verified exhaustively."""
+    isomorphism: no record of `_factorization_checks` on the source
+    x(r) diag(u, 1) fails.  Past `_PAIR_BUDGET` source pairs, closure and
+    the homomorphism are tested on the pool of that body."""
     R = ring
     if not R.finite:
         raise ChevalleyError("exhaustive affine check needs a finite ring")
-    groups = affine_groups(R)
-    aff, affm = groups["Aff"], groups["Aff-"]
-    zero, one = R.zero, R.one
+    one = R.one
 
     def phi(g):
         ui = R.inverse(g.entry(1, 1))
-        return Matrix.from_rows(R, [[one, R.mul(g.entry(1, 2), ui)], [zero, ui]])
+        return Matrix.from_rows(R, [[one, R.mul(g.entry(1, 2), ui)], [R.zero, ui]]), ()
 
-    src = aff.elements()
-    images = [phi(g) for g in src]
-    if not all(affm.contains(m) for m in images):
-        return False
-    if len(set(images)) != len(src) or set(images) != set(affm.elements()):
-        return False
-    for g in src:
-        pg = phi(g)
-        for h in src:
-            if phi(g @ h) != pg @ phi(h):
-                return False
-    return True
+    rep = Report("affine-iso", {"ring": R.descriptor})
+    _factorization_checks(
+        rep, R, lambda r: Matrix.elementary(R, 2, 1, 2, r),
+        lambda tup: Matrix.diagonal(R, (*tup, one)), 1, phi, "Aff-", 0,
+    )
+    return rep.ok
 
 
 def check_borel_retraction(n, ring):
@@ -1167,7 +1090,7 @@ def check_borel_retraction(n, ring):
         raise ChevalleyError("n must be at least 2")
     if not R.finite:
         raise ChevalleyError("exhaustive retraction check needs a finite ring")
-    one, zero = R.one, R.zero
+    one = R.one
     tadd = additive_presentation(R).generators
     gens = [Matrix.identity(R, n)]
     for i in range(1, n + 1):
@@ -1182,29 +1105,19 @@ def check_borel_retraction(n, ring):
             entries[k] = u
             gens.append(Matrix.diagonal(R, entries))
 
-    def rho(g):
-        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        rows[0][0] = g.entry(1, 1)
-        rows[0][1] = g.entry(1, 2)
-        rows[1][1] = g.entry(2, 2)
-        return Matrix.from_rows(R, rows)
-
-    for g in gens:
-        rg = rho(g)
-        for h in gens:
-            if rho(g @ h) != rg @ rho(h):
-                return False
-    for a in R.units():
-        for b in R.units():
-            for r in R.elements():
-                rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-                rows[0][0] = a
-                rows[0][1] = r
-                rows[1][1] = b
-                m = Matrix.from_rows(R, rows)
-                if rho(m) != m:
-                    return False
-    return True
+    cr = coded_ring(R)
+    window = ((1, 1), (1, 2), (2, 2))
+    G = encode_matrices(cr, gens)
+    RG = _retract_codes(cr, G, n, window)
+    g, h = np.indices((len(gens), len(gens))).reshape(2, -1)
+    lhs = _retract_codes(cr, mul_rows(cr, G[g], G[h], n), n, window)
+    if not (lhs == mul_rows(cr, RG[g], RG[h], n)).all():
+        return False
+    units = cr.unit_codes
+    a, b, r = np.indices((len(units), len(units), cr.q)).reshape(3, -1)
+    block = np.tile(identity_vec(cr, n), (r.size, 1))
+    block[:, 0], block[:, 1], block[:, n + 1] = units[a], r, units[b]
+    return bool((_retract_codes(cr, block, n, window) == block).all())
 
 
 # Tabulated Borel factorizations: which submatrix to read, which leftover
@@ -1253,33 +1166,40 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
 
     The source is x(r) d(units) over r in R and units in (R^x)^k, and the
     predicted size of source and target is |R| |R^x|^k.  phi maps a source
-    element to a pair (two-by-two block, tuple of `tails` units); the
-    target is every block of affine_groups(R)[kind] times every unit tail.
-    Source pairs are all tested when there are at most _PAIR_BUDGET of
-    them, else those of a pool: additive generators r, or at most one
-    non-one unit."""
+    element to a pair (two-by-two upper triangular block, tuple of `tails`
+    units); the target is every block of affine_groups(R)[kind] times every
+    unit tail.  Source pairs are all tested when there are at most
+    _PAIR_BUDGET of them, else those of a pool: additive generators r, or
+    at most one non-one unit.  Source and images are coded: the source is
+    built by `mul_rows` and decoded only for phi, a product is found in the
+    source by its key, and phi(g) phi(h) is formed from the codes of the
+    blocks' entries (1,1), (1,2), (2,2) and of the tails.  Pairs are
+    multiplied one left factor at a time."""
     units = R.units()
     one = R.one
-    source = []
-    seen = {}
+    cr = coded_ring(R)
+    xs = [x(r) for r in R.elements()]
+    n = xs[0].n
+    tups = list(itertools.product(units, repeat=k))
+    params = [(r, tup) for r in R.elements() for tup in tups]
+    ri, ti = np.indices((len(xs), len(tups))).reshape(2, -1)
+    D = encode_matrices(cr, [d(tup) for tup in tups])
+    S = mul_rows(cr, encode_matrices(cr, xs)[ri], D[ti], n)
+    source = [decode_matrix(cr, g, n) for g in S]
+    keys = pack_keys(cr, S, n)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeat = sorted_keys[1:] == sorted_keys[:-1]
     collision = None
-    for r in R.elements():
-        xr = x(r)
-        for tup in itertools.product(units, repeat=k):
-            g = xr @ d(tup)
-            if g in seen:
-                collision = collision or (
-                    f"r={R.element_repr(r)} torus={tuple(map(R.element_repr, tup))}"
-                )
-            seen[g] = (r, tup)
-            source.append(g)
+    if repeat.any():
+        r, tup = params[order[1:][repeat].min()]
+        collision = f"r={R.element_repr(r)} torus={tuple(map(R.element_repr, tup))}"
     _record(
-        rep,
-        "parametrization-injective",
-        "borel-parametrization",
-        len(source),
-        collision,
+        rep, "parametrization-injective", "borel-parametrization", len(source), collision
     )
+    # one key per source element; `last` names the last parameters giving it
+    last = np.append(~repeat, True)
+    source_keys, last = sorted_keys[last], order[last]
 
     target = [
         (m, tail)
@@ -1315,32 +1235,38 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
         else "image differs from the enumerated target",
     )
 
-    if len(source) ** 2 <= _PAIR_BUDGET:
-        pool = source
-    else:
+    img = np.array(
+        [[R.encode(v) for v in (*m.rows[0], m.entry(2, 2), *tail)] for m, tail in images],
+        np.int64,
+    )
+    owner = [params[i] for i in last[np.searchsorted(source_keys, keys)]]
+    pool = np.arange(len(source))
+    if len(source) ** 2 > _PAIR_BUDGET:
         tadd = set(additive_presentation(R).generators)
-        pool = [
-            g
-            for g in source
-            if seen[g][0] in tadd or sum(1 for u in seen[g][1] if u != one) <= 1
-        ]
-    phis = dict(zip(source, images))
+        pool = pool[[r in tadd or sum(u != one for u in tup) <= 1 for r, tup in owner]]
     bad = None
     closed_bad = None
     cases = tested = 0
+    right = S[pool]
+    (a2, r2, b2), t2 = img[pool, :3].T, img[pool, 3:]
     for g in pool:
-        mg, tg = phis[g]
-        for h in pool:
-            cases += 1
-            prod = g @ h
-            if prod not in seen:
-                closed_bad = closed_bad or "product left the source set"
-                continue
-            tested += 1
-            mh, th = phis[h]
-            mp, tp = phis[prod]
-            if mp != mg @ mh or tp != tuple(R.mul(a, b) for a, b in zip(tg, th)):
-                bad = bad or f"pair ({seen[g]}, {seen[h]})"
+        prod = pack_keys(cr, mul_batch_left(cr, S[g], right, n), n)
+        pos = np.searchsorted(source_keys, prod).clip(max=len(source_keys) - 1)
+        inside = source_keys[pos] == prod
+        cases += len(pool)
+        tested += int(inside.sum())
+        if not inside.all():
+            closed_bad = closed_bad or "product left the source set"
+        if bad is None:
+            # (a r; 0 b)(a2 r2; 0 b2) = (a a2, a r2 + r b2; 0, b b2)
+            a, r, b = img[g, :3]
+            composed = np.column_stack(
+                [cr.mul[a, a2], cr.add[cr.mul[a, r2], cr.mul[r, b2]], cr.mul[b, b2],
+                 cr.mul[img[g, 3:], t2]]
+            )
+            wrong = np.flatnonzero(inside & (img[last[pos]] != composed).any(axis=1))
+            if wrong.size:
+                bad = f"pair ({owner[g]}, {owner[pool[wrong[0]]]})"
     rep.check(
         "source-closed",
         "borel-source-closure",

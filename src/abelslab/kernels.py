@@ -21,7 +21,9 @@ ring's mul and add tables, and the chunks' partial sums are combined with
 add.  w is the largest width with q**w <= min(TABLE_CAP, batch rows), so a
 table is never larger than the batch it serves; at w = 1 the gather is the
 plain per-k loop.  Closure and the center scan build each generator's
-tables once and reuse them.
+tables once and reuse them.  Where both factors vary per case, ``mul_rows``
+multiplies two equally long batches row by row, folding ``mul`` over k with
+``add``.
 
 Two closures serve different callers.  ``group_closure`` is the coded
 BFS: it gives the coded element set sorted by key, and ``closure_order``
@@ -236,6 +238,16 @@ def mul_batch_right(cr, As, b, n):
     tables = _tables(cr, b.reshape(n, n).T, w)
     _gather(cr, tables, _batch_keys(cr, _rows(As, n), w), out.transpose(0, 2, 1))
     return out.reshape(m, n * n)
+
+
+def mul_rows(cr, As, Bs, n):
+    """A*B for every row pair of the equally long coded batches As and Bs."""
+    A = As.reshape(-1, n, n)
+    B = Bs.reshape(-1, n, n)
+    out = cr.mul[A[:, :, 0, None], B[:, None, 0, :]]
+    for k in range(1, n):
+        out = cr.add[out, cr.mul[A[:, :, k, None], B[:, None, k, :]]]
+    return out.reshape(-1, n * n)
 
 
 def group_closure(cr, gens, n, budget=None):

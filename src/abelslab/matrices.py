@@ -1,15 +1,17 @@
 """Immutable square matrices over an exact ring.
 
 Rows are stored as nested tuples of canonical ring element values; public
-row/column indices are 1-based throughout.  A product is one call to the
-ring's `matmul`, which sees the whole row-column pairs: modular and
-polynomial-quotient rings sum each pair and reduce once per entry, while
-the other rings fold `add` and `mul` term by term, so that Laurent rings
-check their term-count budget on every step (see `rings.Ring`).  Inversion is exact:
+row/column indices are 1-based throughout.  A product folds the ring's
+`add` and `mul` over each row-column pair, skipping zero left entries, so
+that Laurent rings check their term-count budget on every step; batches
+of products over finite rings run coded in `kernels`.  Inversion is exact:
 triangular matrices with unit diagonal go through back-substitution,
 everything else through the adjugate with a subset-DP determinant (intended
 for the small ambient sizes used here, n <= 8).
 """
+
+from functools import reduce
+
 
 class MatrixError(ValueError):
     pass
@@ -148,7 +150,15 @@ class Matrix:
 
     def mul(self, other):
         self._require_compatible(other)
-        return Matrix._trusted(self.ring, self.ring.matmul(self.rows, other.rows))
+        add, mul, z = self.ring.add, self.ring.mul, self.ring.zero
+        cols = tuple(zip(*other.rows))
+        return Matrix._trusted(self.ring, tuple(
+            tuple(
+                reduce(add, (mul(x, y) for x, y in zip(row, col) if x != z), z)
+                for col in cols
+            )
+            for row in self.rows
+        ))
 
     def __matmul__(self, other):
         return self.mul(other)

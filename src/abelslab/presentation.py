@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .config import BudgetExceeded, get_budget
-from .kernels import closure_order
+from .kernels import closure_order, coded_ring, encode_matrices, identity_vec, mul_rows
 from .matrices import Matrix, MatrixError
 from .reports import INCONCLUSIVE, PASS, Report, first_failure
 from .rings import additive_presentation
@@ -822,23 +822,14 @@ def regular_representation_presentation(generators, names=None, budget=None):
 # -- von Dyck and matrix-side relation checks ---------------------------------
 
 
-def evaluate_word(word, images, ring, n, inverses=None):
-    """The product of the word's letters.  ``inverses`` lists the images'
-    inverses; without it each negative letter inverts its image."""
-    out = Matrix.identity(ring, n)
-    for x in word:
-        m = images[abs(x) - 1]
-        if x < 0:
-            m = m.inverse() if inverses is None else inverses[-x - 1]
-        out = out.mul(m)
-    return out
-
-
 def von_dyck_check(pres, assignment):
     """True iff every relator evaluates to the identity matrix.
 
-    `assignment` maps each generator name to an invertible Matrix; all
-    images must share ring and size.
+    `assignment` maps each generator name to an invertible Matrix over a
+    finite ring; all images must share ring and size.  Each image is
+    inverted once and every relator is evaluated at once on coded rows,
+    letter by letter: a relator is a row of letter indices into (identity,
+    images, inverses), padded with the identity.
     """
     if set(assignment) != set(pres.generators):
         raise PresentationError("assignment must cover exactly the generators")
@@ -855,10 +846,21 @@ def von_dyck_check(pres, assignment):
             inverses.append(m.inverse())
         except MatrixError as exc:
             raise PresentationError(f"image is not invertible: {exc}") from exc
-    for w in pres.relators:
-        if not evaluate_word(w, images, ring, n, inverses).is_identity():
-            return False
-    return True
+    if not ring.finite:
+        raise PresentationError("the von Dyck check needs a finite ring")
+    cr = coded_ring(ring)
+    ident = identity_vec(cr, n)
+    letters = np.concatenate(
+        [ident[None], encode_matrices(cr, images), encode_matrices(cr, inverses)]
+    )
+    width = max(map(len, pres.relators), default=0)
+    index = np.zeros((len(pres.relators), width), np.int64)
+    for row, w in zip(index, pres.relators):
+        row[: len(w)] = [x if x > 0 else len(images) - x for x in w]
+    value = np.tile(ident, (len(pres.relators), 1))
+    for column in index.T:
+        value = mul_rows(cr, value, letters[column], n)
+    return bool((value == ident).all())
 
 
 def check_missing_relations(n, ring):

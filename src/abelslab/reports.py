@@ -66,12 +66,14 @@ class Report:
         self.suite = suite
         self.config = dict(config or {})
         self.checks = []
+        self._ids = set()
         self.created = time.time()
         self._mark = perf_counter()
 
     def add(self, record):
-        if any(c.id == record.id for c in self.checks):
+        if record.id in self._ids:
             raise ValueError(f"duplicate check id {record.id!r}")
+        self._ids.add(record.id)
         self.checks.append(record)
         self._mark = perf_counter()
         return record

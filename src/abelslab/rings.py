@@ -24,7 +24,6 @@ different rings on purpose.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul as _mul
 
 from . import snf
 
@@ -65,13 +64,10 @@ def _convolve(conv, a, b):
 class Ring:
     """Base handle.  Subclasses set `descriptor`, `finite`, `zero`, `one`.
 
-    `matmul` multiplies two square matrices given as row tuples, one call
-    per product.  The base version folds `add` and `mul` over each
-    row-column pair, skipping zero left entries, and serves every ring.
-    The finite rings `ZModRing`, `GFRing` and `PolyQuotientRing` override
-    it to sum a whole row-column pair first and reduce once per entry.
-    `LaurentRing` keeps the fold, so its term-count budget is still checked
-    on every add and mul.
+    A ring gives element arithmetic only.  `Matrix.mul` folds `add` and
+    `mul` over each row-column pair, so `LaurentRing` checks its term-count
+    budget on every step; finite rings multiply in bulk through the lookup
+    tables of `kernels.CodedRing`.
     """
 
     finite = False
@@ -95,22 +91,6 @@ class Ring:
 
     def mul(self, a, b):
         raise NotImplementedError
-
-    def matmul(self, a, b):
-        """Rows of the product of the square matrices with rows a and b."""
-        add, mul, z = self.add, self.mul, self.zero
-        cols = tuple(zip(*b))
-        out = []
-        for row in a:
-            entries = []
-            for col in cols:
-                acc = z
-                for x, y in zip(row, col):
-                    if x != z:
-                        acc = add(acc, mul(x, y))
-                entries.append(acc)
-            out.append(tuple(entries))
-        return tuple(out)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -237,13 +217,6 @@ class ZModRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.modulus
 
-    def matmul(self, a, b):
-        m = self.modulus
-        cols = tuple(zip(*b))
-        return tuple([
-            tuple([sum(map(_mul, row, col)) % m for col in cols]) for row in a
-        ])
-
     def try_inverse(self, a):
         try:
             return pow(a, -1, self.modulus)
@@ -335,24 +308,6 @@ class PolyQuotientRing(Ring):
         conv = [0] * (2 * self.degree - 1)
         _convolve(conv, a, b)
         return self._reduce(conv)
-
-    def matmul(self, a, b):
-        """Each entry sums the convolutions of its row-column pairs and is
-        reduced once; reduction is linear, so this equals the fold."""
-        width = 2 * self.degree - 1
-        z = self.zero
-        cols = tuple(zip(*b))
-        out = []
-        for row in a:
-            entries = []
-            for col in cols:
-                conv = [0] * width
-                for x, y in zip(row, col):
-                    if x != z and y != z:
-                        _convolve(conv, x, y)
-                entries.append(self._reduce(conv))
-            out.append(tuple(entries))
-        return tuple(out)
 
     def _reduce(self, conv):
         """The element with integer coefficient list conv (length 2d-1)."""

@@ -1,5 +1,5 @@
-"""Reference implementations of Todd-Coxeter, the Tietze reduction and the
-economic presentation.
+"""Reference implementations of Todd-Coxeter, the Tietze reduction, the
+economic presentation and word evaluation.
 
 These are the pass-based enumeration (repeat full passes over the table
 until one makes no mutation, resolving every entry through the union-find)
@@ -8,10 +8,13 @@ each elimination) that `abelslab.presentation` used before its one-pass
 versions, and the economic builder with its own generator indexing and a
 separate per-position additive-relator loop.  They are kept, unchanged,
 only so the tests can require the current functions to give exactly the
-same coset tables and presentations.
+same coset tables and presentations.  `evaluate_word` multiplies a word's
+letters as Matrix objects, one product per letter; the coded
+`von_dyck_check` is tested against it.
 """
 
 from abelslab.config import get_budget
+from abelslab.matrices import Matrix
 from abelslab.presentation import (
     CosetTable,
     Presentation,
@@ -335,3 +338,15 @@ def un_economic_presentation(n, ringpres):
                     ]
                 )
     return Presentation(tuple(names), tuple(relators))
+
+
+def evaluate_word(word, images, ring, n, inverses=None):
+    """The product of the word's letters.  ``inverses`` lists the images'
+    inverses; without it each negative letter inverts its image."""
+    out = Matrix.identity(ring, n)
+    for x in word:
+        m = images[abs(x) - 1]
+        if x < 0:
+            m = m.inverse() if inverses is None else inverses[-x - 1]
+        out = out.mul(m)
+    return out

@@ -274,6 +274,16 @@ def test_normality():
     assert check_normality(unipotent_and_torus(4, ZZ)[0], abels_group(4, ZZ))
 
 
+def test_finite_normality_inverts_no_matrix(monkeypatch):
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: calls.append(None) or inverse(self))
+    u4, t4 = unipotent_and_torus(4, Z4)
+    assert check_normality(u4, abels_group(4, Z4))
+    assert not check_normality(t4, abels_group(4, Z4))
+    assert calls == []
+
+
 def test_abelian_contracting():
     assert check_abelian(contracting(4, Z3, 3))
     assert check_abelian(contracting(5, Z3, 3))

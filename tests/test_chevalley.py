@@ -251,10 +251,6 @@ def test_affine_groups_and_iso():
     assert groups["Aff-"].order() == 20
     assert groups["B2"].order() == 80
     assert groups["B2deg"].order() == 20
-    aff = groups["Aff"]
-    for g in aff.elements():
-        assert aff.contains(g)
-    assert not aff.contains(Matrix.identity(Z3, 2))
     assert check_affine_iso(Z5)
     assert check_affine_iso(Z4)
     assert check_affine_iso(F4)
@@ -352,3 +348,24 @@ def test_borel_gln_pairs_a_sampled_pool():
     assert counts["parametrization-injective"]["cases"] == 7 * 6**3
     assert counts["source-closed"]["cases"] == pool**2
     assert counts["map-homomorphism"]["cases"] == pool**2 == 97_344
+
+
+@pytest.fixture
+def matrix_products(monkeypatch):
+    """Counts Matrix.mul calls, `@` included."""
+    calls = []
+    mul = Matrix.mul
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counted)
+    return calls
+
+
+def test_finite_sweeps_multiply_coded_rows(matrix_products):
+    assert check_elementary_relations(4, make_ring("polyq:2:0,0,1")).ok
+    assert check_steinberg("D4", Z3).ok
+    assert borel_gln_check(4, 1, 2, Z4).ok
+    assert matrix_products == []

@@ -29,6 +29,7 @@ from abelslab.kernels import (
     identity_vec,
     mul_batch_left,
     mul_batch_right,
+    mul_rows,
     pack_keys,
 )
 from abelslab.matrices import Matrix
@@ -299,6 +300,36 @@ def test_batch_products_match_matrix(descriptor, n, size, seed):
         x = decode_matrix(cr, batch[r], n)
         assert decode_matrix(cr, left[r], n) == g.mul(x)
         assert decode_matrix(cr, right[r], n) == x.mul(g)
+
+
+MUL_ROWS_RINGS = ("zmod:2", "zmod:4", "zmod:6", "gf:5", "polyq:2:0,0,1",
+                  "polyq:3:1,0,1")
+
+
+@pytest.mark.parametrize("descriptor", MUL_ROWS_RINGS)
+@PROPERTY
+@given(
+    n=st.integers(1, 8),
+    size=st.integers(1, 6),
+    density=st.sampled_from((0.2, 0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, size=3, density=1.0, seed=0)
+def test_mul_rows_matches_matrix_mul(descriptor, n, size, density, seed):
+    R = make_ring(descriptor)
+    cr = coded_ring(R)
+    rng = np.random.default_rng(seed)
+
+    def batch():
+        codes = rng.integers(0, cr.q, (size, n * n))
+        return np.where(rng.random((size, n * n)) < density, codes, cr.zero)
+
+    As, Bs = batch(), batch()
+    out = mul_rows(cr, As, Bs, n)
+    assert out.shape == (size, n * n)
+    for a, b, ab in zip(As, Bs, out):
+        expected = decode_matrix(cr, a, n).mul(decode_matrix(cr, b, n))
+        assert decode_matrix(cr, ab, n) == expected
 
 
 SMALL_GROUPS = (

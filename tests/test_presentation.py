@@ -17,7 +17,6 @@ from abelslab.presentation import (
     check_missing_relations,
     colimit_presentation,
     commutator_word,
-    evaluate_word,
     family_diagram,
     free_reduce,
     inverse_word,
@@ -465,13 +464,48 @@ def test_von_dyck_argument_errors():
         von_dyck_check(can, mixed)
 
 
+def test_von_dyck_needs_a_finite_ring():
+    Z = make_ring("z")
+    pres = Presentation(("a",), ((1, 1),))
+    with pytest.raises(PresentationError, match="finite ring"):
+        von_dyck_check(pres, {"a": Matrix.elementary(Z, 2, 1, 2, Z.one)})
+
+
+def image_pools():
+    """Small nonabelian groups, as lists of their matrices: S3 as permutation
+    matrices over Z/2, and U_3(Z/3)."""
+    a, b = s3_matrices()
+    e12 = Matrix.elementary(Z3, 3, 1, 2, Z3.one)
+    e23 = Matrix.elementary(Z3, 3, 2, 3, Z3.one)
+    return (
+        [Matrix.identity(Z2, 3), a, b, a.mul(b), b.mul(a), a.mul(b).mul(a)],
+        [Matrix.identity(Z3, 3), e12, e23, e12.mul(e23), e23.mul(e12), e12.mul(e12)],
+    )
+
+
+@property_settings(200)
+@given(
+    pool=st.integers(0, 1),
+    picks=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    relators=st.lists(words(2, 9), max_size=5),
+)
+def test_von_dyck_matches_word_evaluation(pool, picks, relators):
+    images = [image_pools()[pool][k] for k in picks]
+    pres = Presentation(("a", "b"), tuple(relators))
+    expected = all(
+        reference.evaluate_word(w, images, images[0].ring, 3).is_identity()
+        for w in pres.relators
+    )
+    assert von_dyck_check(pres, dict(zip(pres.generators, images))) == expected
+
+
 def test_evaluate_word():
     e12 = Matrix.elementary(Z3, 3, 1, 2, Z3.one)
     e23 = Matrix.elementary(Z3, 3, 2, 3, Z3.one)
     e13 = Matrix.elementary(Z3, 3, 1, 3, Z3.one)
-    assert evaluate_word((1, 2, -1, -2), [e12, e23], Z3, 3) == e13
+    assert reference.evaluate_word((1, 2, -1, -2), [e12, e23], Z3, 3) == e13
     inverses = [e12.inverse(), e23.inverse()]
-    assert evaluate_word((1, 2, -1, -2), [e12, e23], Z3, 3, inverses) == e13
+    assert reference.evaluate_word((1, 2, -1, -2), [e12, e23], Z3, 3, inverses) == e13
 
 
 @pytest.mark.parametrize("n,ring", [(4, Z3), (5, Z2)])
@@ -508,7 +542,7 @@ def test_regular_representation_presentation():
     assert cay.order == 6
     assert todd_coxeter(cay.presentation).count == 6
     for mat, word in cay.words.items():
-        assert evaluate_word(word, [a, b], Z2, 3) == mat
+        assert reference.evaluate_word(word, [a, b], Z2, 3) == mat
     assert cay.words[Matrix.identity(Z2, 3)] == ()
 
 

@@ -3,8 +3,6 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from abelslab.matrices import Matrix
 from abelslab.rings import (
@@ -13,7 +11,6 @@ from abelslab.rings import (
     LaurentRing,
     LocalizedIntegersRing,
     PolyQuotientRing,
-    Ring,
     RingError,
     ZModRing,
     additive_presentation,
@@ -241,42 +238,7 @@ def test_element_reprs():
     assert R.element_repr((0, 1)) == "x"
 
 
-# -- ring-level matrix products against the base-class fold -------------
-
-# deterministic and bounded, so the properties run the same way every time
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
-
-MATMUL_RINGS = ("zmod:2", "zmod:4", "zmod:6", "gf:5", "polyq:2:0,0,1",
-                "polyq:3:1,0,1")
-
-
-@pytest.mark.parametrize("descriptor", MATMUL_RINGS)
-@PROPERTY
-@given(
-    n=st.integers(1, 8),
-    density=st.sampled_from((0.2, 0.5, 1.0)),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=8, density=1.0, seed=0)
-def test_matmul_matches_base_fold(descriptor, n, density, seed):
-    R = make_ring(descriptor)
-    assert type(R).matmul is not Ring.matmul
-    rng = random.Random(seed)
-
-    def rows():
-        return tuple(
-            tuple(R.decode(rng.randrange(R.order())) if rng.random() < density else R.zero
-                  for _ in range(n))
-            for _ in range(n)
-        )
-
-    a, b = rows(), rows()
-    got = R.matmul(a, b)
-    expected = Ring.matmul(R, a, b)
-    assert got == expected
-    assert [type(v) for row in got for v in row] == [
-        type(v) for row in expected for v in row
-    ]
+# -- matrix products over Laurent rings -----------------------------------
 
 
 def test_laurent_matmul_checks_term_budget():
