@@ -37,6 +37,8 @@ CLI_CASES = {
     "commutators-n3-zmod2": ["commutators", "--n", "3", "--ring", "zmod:2"],
     "borel-iso-n3-zmod2": ["borel-iso", "--n", "3", "--ring", "zmod:2"],
     "borel-iso-n4-zmod3": ["borel-iso", "--n", "4", "--ring", "zmod:3"],
+    "borel-iso-n4-zmod4": ["borel-iso", "--n", "4", "--ring", "zmod:4"],
+    "borel-iso-n4-zmod5": ["borel-iso", "--n", "4", "--ring", "zmod:5"],
     "forms-C2-zmod5": ["forms", "--type", "C2", "--ring", "zmod:5"],
     "abels-n4-zmod2": ["abels", "--n", "4", "--ring", "zmod:2"],
     "abels-n4-zmod2-max-order-20": [
