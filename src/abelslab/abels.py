@@ -48,17 +48,10 @@ class AbelsError(ValueError):
     pass
 
 
-def _elements_by_code(ring):
-    return [ring.decode(c) for c in range(ring.order())]
-
-
 def _unit_generators(ring):
     """A generating set for the unit group, identity omitted."""
     if ring.finite:
-        one = ring.one
-        return tuple(
-            u for u in _elements_by_code(ring) if ring.is_unit(u) and u != one
-        )
+        return tuple(u for u in ring.units() if u != ring.one)
     if isinstance(ring, IntegerRing):
         return (-1,)
     if isinstance(ring, LocalizedIntegersRing):
@@ -180,12 +173,9 @@ class SubgroupSpec:
     def elements(self):
         """Yield every member, ascending in row-major entry-code order."""
         R = self.ring
-        by_code = _elements_by_code(R)
-        units_by_code = [a for a in by_code if R.is_unit(a)]
+        elems, units = R.elements(), R.units()
         slots = self._variable_slots()
-        choices = [
-            by_code if code == "f" else units_by_code for _, _, code in slots
-        ]
+        choices = [elems if code == "f" else units for _, _, code in slots]
         base = [
             [R.one if self.pattern[i][j] == "1" else R.zero for j in range(self.n)]
             for i in range(self.n)

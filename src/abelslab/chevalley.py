@@ -19,14 +19,16 @@ diagonal element is its row of diagonal codes, and conjugation by a
 diagonal is entrywise.  A sweep computes one boolean per case, in sweep
 order, and `_record_rows` records it: a break-on-first sweep counts the
 cases up to its first failure, as `reports.first_failure` does.  Matrix
-objects remain for building generators, for the maps phi that read the
-Borel factorizations, on the symbolic routes and in
+objects remain for building generators, on the symbolic routes and in
 `check_form_invariance`.  All three factorization checks,
 `borel_isomorphism_check` (a root subgroup times the displayed torus),
 `borel_gln_check` (an elementary position times the diagonal of GL_n) and
-`check_affine_iso`, supply a source, a map phi and a target kind of
-`affine_groups` to one body, `_factorization_checks`, which writes the six
-records and samples the source pairs past `_PAIR_BUDGET`.
+`check_affine_iso`, supply a source, a map phi and a target kind to one
+body, `_factorization_checks`, which writes the six records and samples
+the source pairs past `_PAIR_BUDGET`.  There the generators x(r) and
+d(units) are the only Matrix objects: phi selects (or, for G2's short root
+and the affine map, combines) code columns of the coded source, and
+`_affine_target` lists the target as code rows.
 """
 
 import itertools
@@ -37,7 +39,6 @@ import numpy as np
 from .abels import _retract_codes
 from .kernels import (
     coded_ring,
-    decode_matrix,
     encode_matrices,
     encode_matrix,
     identity_vec,
@@ -430,6 +431,11 @@ def _naming(R, *axes):
         return " ".join(f"{a}={R.element_repr(v[i])}" for (a, v), i in zip(axes, at))
 
     return describe
+
+
+def _at(n, i, j):
+    """The code column of entry (i, j) of an n x n matrix."""
+    return (i - 1) * n + j - 1
 
 
 def _family(cr, model, alpha):
@@ -929,7 +935,7 @@ def check_elementary_relations(n, ring):
     E = {}
     for i, j in positions:
         E[(i, j)] = np.tile(identity_vec(cr, n), (q, 1))
-        E[(i, j)][:, (i - 1) * n + j - 1] = np.arange(q)
+        E[(i, j)][:, _at(n, i, j)] = np.arange(q)
 
     def describe(pairs, fmt):
         """fmt filled with the pair and the elements r, s of case k of a
@@ -996,87 +1002,29 @@ def check_elementary_relations(n, ring):
 
 
 # ---------------------------------------------------------------------------
-# Affine groups and Borel factorizations
-
-
-class AffineGroup:
-    """A two-by-two upper triangular matrix group, enumerable over finite
-    rings."""
-
-    def __init__(self, name, ring, enumerate_fn):
-        self.name = name
-        self.ring = ring
-        self._enumerate = enumerate_fn
-
-    def elements(self):
-        return self._enumerate()
-
-    def order(self):
-        return len(self.elements())
-
-    def __repr__(self):
-        return f"AffineGroup({self.name}, {self.ring.descriptor})"
-
-
-def affine_groups(ring):
-    R = ring
-    one, zero = R.one, R.zero
-    finite = R.finite
-
-    def m(a, b, c, d):
-        return Matrix.from_rows(R, [[a, b], [c, d]])
-
-    def enum(kind):
-        def run():
-            if not finite:
-                raise RingError(f"{R.descriptor} is not finite")
-            out = []
-            if kind == "Aff":
-                for u in R.units():
-                    for r in R.elements():
-                        out.append(m(u, r, zero, one))
-            elif kind == "Aff-":
-                for u in R.units():
-                    for r in R.elements():
-                        out.append(m(one, r, zero, u))
-            elif kind == "B2":
-                for a in R.units():
-                    for b in R.units():
-                        for r in R.elements():
-                            out.append(m(a, r, zero, b))
-            else:
-                for a in R.units():
-                    ai = R.inverse(a)
-                    for r in R.elements():
-                        out.append(m(a, r, zero, ai))
-            return tuple(out)
-
-        return run
-
-    return {
-        kind: AffineGroup(kind, R, enum(kind))
-        for kind in ("Aff", "Aff-", "B2", "B2deg")
-    }
+# Borel factorizations
 
 
 def check_affine_iso(ring):
     """The map (u r; 0 1) -> (1 r/u; 0 1/u) from Aff to Aff- is a group
     isomorphism: no record of `_factorization_checks` on the source
-    x(r) diag(u, 1) fails.  Past `_PAIR_BUDGET` source pairs, closure and
-    the homomorphism are tested on the pool of that body."""
+    x(r) diag(u, 1) fails.  phi reads the codes of u and r off each coded
+    source row and inverts u with `cr.inv`.  Past `_PAIR_BUDGET` source
+    pairs, closure and the homomorphism are tested on the pool of that
+    body."""
     R = ring
     if not R.finite:
         raise ChevalleyError("exhaustive affine check needs a finite ring")
-    one = R.one
+    cr = coded_ring(R)
 
-    def phi(g):
-        ui = R.inverse(g.entry(1, 1))
-        return Matrix.from_rows(R, [[one, R.mul(g.entry(1, 2), ui)], [R.zero, ui]]), ()
+    def phi(S):
+        ui = cr.inv[S[:, 0]]
+        return np.column_stack([np.full(len(S), cr.one), cr.mul[S[:, 1], ui], ui])
 
     rep = Report("affine-iso", {"ring": R.descriptor})
     _factorization_checks(
         rep, R, lambda r: Matrix.elementary(R, 2, 1, 2, r),
-        lambda tup: Matrix.diagonal(R, (*tup, one)), 1, phi, "Aff-", 0,
+        lambda tup: Matrix.diagonal(R, (*tup, R.one)), 1, phi, "Aff-", 0,
     )
     return rep.ok
 
@@ -1145,38 +1093,52 @@ def borel_cases():
 _PAIR_BUDGET = 300_000
 
 
-def _block_reader(R, read, gm):
-    """phi: g -> (its two-by-two block at rows/columns `read`, its diagonal
-    entries at `gm`)."""
+def _block_reader(cr, n, read, gm):
+    """phi: coded g -> codes of its two-by-two block at rows/columns
+    `read` = (p, q), entries (p,p), (p,q), (q,q), then of its diagonal
+    entries at `gm`: a column selection."""
     p, q = read
+    cols = [_at(n, p, p), _at(n, p, q), _at(n, q, q), *(_at(n, t, t) for t in gm)]
 
-    def phi(g):
-        if g.entry(q, p) != R.zero:
+    def phi(S):
+        if (S[:, _at(n, q, p)] != cr.zero).any():
             raise ChevalleyError("unreadable element: lower corner nonzero")
-        m = Matrix.from_rows(
-            R, [[g.entry(p, p), g.entry(p, q)], [R.zero, g.entry(q, q)]]
-        )
-        return m, tuple(g.entry(t, t) for t in gm)
+        return S[:, cols]
 
     return phi
+
+
+def _affine_target(cr, kind, tails):
+    """Code rows (a, r, b, *t) of a Borel factorization's target: the block
+    (a r; 0 b) of `kind` times every tuple t of `tails` units.  Aff- has
+    a = 1, B2 any units a and b, B2deg b = a^-1."""
+    units = cr.unit_codes
+    nu = len(units)
+    if kind == "B2":
+        a, b, r, *t = np.indices((nu, nu, cr.q) + (nu,) * tails).reshape(3 + tails, -1)
+        a, b = units[a], units[b]
+    else:
+        u, r, *t = np.indices((nu, cr.q) + (nu,) * tails).reshape(2 + tails, -1)
+        b = units[u]
+        a = np.full(r.size, cr.one) if kind == "Aff-" else cr.inv[b]
+    return np.column_stack([a, r, b, *(units[c] for c in t)])
 
 
 def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
     """The six records of one Borel factorization.
 
     The source is x(r) d(units) over r in R and units in (R^x)^k, and the
-    predicted size of source and target is |R| |R^x|^k.  phi maps a source
-    element to a pair (two-by-two upper triangular block, tuple of `tails`
-    units); the target is every block of affine_groups(R)[kind] times every
-    unit tail.  Source pairs are all tested when there are at most
+    predicted size of source and target is |R| |R^x|^k.  Source, map and
+    target are coded: the source S is built by `mul_rows`, phi maps S to
+    rows (a, r, b, *tails), the codes of a two-by-two upper triangular
+    block (a r; 0 b) and of `tails` units, and the target is
+    `_affine_target(cr, kind, tails)`.  The map records compare sets of
+    code tuples.  Source pairs are all tested when there are at most
     _PAIR_BUDGET of them, else those of a pool: additive generators r, or
-    at most one non-one unit.  Source and images are coded: the source is
-    built by `mul_rows` and decoded only for phi, a product is found in the
-    source by its key, and phi(g) phi(h) is formed from the codes of the
-    blocks' entries (1,1), (1,2), (2,2) and of the tails.  Pairs are
-    multiplied one left factor at a time."""
+    at most one non-one unit.  A product is found in the source by its
+    key, and phi(g) phi(h) is formed from the codes of the two images.
+    Pairs are multiplied one left factor at a time."""
     units = R.units()
-    one = R.one
     cr = coded_ring(R)
     xs = [x(r) for r in R.elements()]
     n = xs[0].n
@@ -1185,7 +1147,6 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
     ri, ti = np.indices((len(xs), len(tups))).reshape(2, -1)
     D = encode_matrices(cr, [d(tup) for tup in tups])
     S = mul_rows(cr, encode_matrices(cr, xs)[ri], D[ti], n)
-    source = [decode_matrix(cr, g, n) for g in S]
     keys = pack_keys(cr, S, n)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -1194,36 +1155,31 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
     if repeat.any():
         r, tup = params[order[1:][repeat].min()]
         collision = f"r={R.element_repr(r)} torus={tuple(map(R.element_repr, tup))}"
-    _record(
-        rep, "parametrization-injective", "borel-parametrization", len(source), collision
-    )
+    _record(rep, "parametrization-injective", "borel-parametrization", len(S), collision)
     # one key per source element; `last` names the last parameters giving it
     last = np.append(~repeat, True)
     source_keys, last = sorted_keys[last], order[last]
 
-    target = [
-        (m, tail)
-        for m in affine_groups(R)[kind].elements()
-        for tail in itertools.product(units, repeat=tails)
-    ]
+    target = _affine_target(cr, kind, tails)
     predicted = R.order() * len(units) ** k
-    card_ok = len(target) == predicted and len(source) == predicted
+    card_ok = len(target) == predicted and len(S) == predicted
     rep.check(
         "target-cardinality",
         "borel-target-cardinality",
-        counts={"target": len(target), "source": len(source), "predicted": predicted},
+        counts={"target": len(target), "source": len(S), "predicted": predicted},
         counterexample=None
         if card_ok
-        else f"target {len(target)}, source {len(source)}, predicted {predicted}",
+        else f"target {len(target)}, source {len(S)}, predicted {predicted}",
     )
 
-    images = [phi(g) for g in source]
+    img = phi(S)
+    images = set(map(tuple, img.tolist()))
     rep.check(
         "map-injective",
         "borel-map-injectivity",
-        counts={"cases": len(source)},
+        counts={"cases": len(S)},
         counterexample=None
-        if len(set(images)) == len(source)
+        if len(images) == len(S)
         else "two source elements share an image",
     )
     rep.check(
@@ -1231,19 +1187,15 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
         "borel-map-image",
         counts={"cases": len(target)},
         counterexample=None
-        if set(images) == set(target)
+        if images == set(map(tuple, target.tolist()))
         else "image differs from the enumerated target",
     )
 
-    img = np.array(
-        [[R.encode(v) for v in (*m.rows[0], m.entry(2, 2), *tail)] for m, tail in images],
-        np.int64,
-    )
     owner = [params[i] for i in last[np.searchsorted(source_keys, keys)]]
-    pool = np.arange(len(source))
-    if len(source) ** 2 > _PAIR_BUDGET:
+    pool = np.arange(len(S))
+    if len(S) ** 2 > _PAIR_BUDGET:
         tadd = set(additive_presentation(R).generators)
-        pool = pool[[r in tadd or sum(u != one for u in tup) <= 1 for r, tup in owner]]
+        pool = pool[[r in tadd or sum(u != R.one for u in tup) <= 1 for r, tup in owner]]
     bad = None
     closed_bad = None
     cases = tested = 0
@@ -1315,17 +1267,18 @@ def borel_isomorphism_check(model, eta, ring=None):
         "borel-iso",
         {"type": model.label, "eta": _rname(root), "ring": R.descriptor},
     )
-    gm = case["gm"]
+    cr = coded_ring(R)
+    n, gm = model.n, case["gm"]
     if case["read"] is None:
 
-        def phi(g):
-            u = g.entry(2, 2)
-            r = R.neg(g.entry(5, 1))
-            m = Matrix.from_rows(R, [[R.one, R.mul(r, u)], [R.zero, u]])
-            return m, tuple(g.entry(t, t) for t in gm)
+        def phi(S):
+            u = S[:, _at(n, 2, 2)]
+            ru = cr.mul[cr.neg[S[:, _at(n, 5, 1)]], u]
+            diag = [_at(n, t, t) for t in gm]
+            return np.column_stack([np.full(len(S), cr.one), ru, u, S[:, diag]])
 
     else:
-        phi = _block_reader(R, case["read"], gm)
+        phi = _block_reader(cr, n, case["read"], gm)
     _factorization_checks(
         rep,
         R,
@@ -1356,7 +1309,7 @@ def borel_gln_check(n, i, j, ring):
         lambda r: Matrix.elementary(R, n, i, j, r),
         lambda tup: Matrix.diagonal(R, tup),
         n,
-        _block_reader(R, (i, j), gm),
+        _block_reader(coded_ring(R), n, (i, j), gm),
         "B2",
         len(gm),
     )

@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from abelslab.chevalley import (
     ChevalleyError,
+    MatrixModel,
     ROOT_COUNTS,
     SUPPORTED_LABELS,
-    affine_groups,
+    _affine_target,
+    borel_cases,
     borel_gln_check,
     borel_isomorphism_check,
     cartan_pairing,
@@ -22,6 +26,7 @@ from abelslab.chevalley import (
     torus_element,
     weyl_element,
 )
+from abelslab.kernels import coded_ring
 from abelslab.matrices import Matrix
 from abelslab.rings import additive_presentation, make_ring
 
@@ -245,15 +250,42 @@ def test_elementary_relation_counts():
     assert diag.counts["cases"] == 144
 
 
+def _target_card(rep):
+    return next(c for c in rep.checks if c.id == "target-cardinality").counts["target"]
+
+
 def test_affine_groups_and_iso():
-    groups = affine_groups(Z5)
-    assert groups["Aff"].order() == 20
-    assert groups["Aff-"].order() == 20
-    assert groups["B2"].order() == 80
-    assert groups["B2deg"].order() == 20
+    # the orders of A1's B2deg, G2's Aff- with one unit tail and GL_2's B2
+    assert _target_card(borel_isomorphism_check("A1", 0, Z5)) == 20
+    assert _target_card(borel_isomorphism_check("G2", 1, Z5)) == 80
+    assert _target_card(borel_gln_check(2, 1, 2, Z5)) == 80
     assert check_affine_iso(Z5)
     assert check_affine_iso(Z4)
     assert check_affine_iso(F4)
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["zmod:2", "zmod:3", "zmod:4", "zmod:5", "zmod:6", "polyq:2:1,1,1"]
+)
+def test_affine_target_rows_enumerate_the_target(descriptor):
+    R = make_ring(descriptor)
+    cr = coded_ring(R)
+    units = [u for u in R.elements() if R.is_unit(u)]
+    blocks = {
+        "Aff-": [(R.one, r, b) for b in units for r in R.elements()],
+        "B2": [(a, r, b) for a in units for b in units for r in R.elements()],
+        "B2deg": [(a, r, R.inverse(a)) for a in units for r in R.elements()],
+    }
+    for kind, block in blocks.items():
+        for tails in range(3):
+            expected = sorted(
+                tuple(R.encode(v) for v in (*m, *tail))
+                for m in block
+                for tail in itertools.product(units, repeat=tails)
+            )
+            rows = _affine_target(cr, kind, tails)
+            assert rows.shape == (len(expected), 3 + tails)
+            assert sorted(map(tuple, rows.tolist())) == expected, (kind, tails)
 
 
 def test_borel_retraction():
@@ -369,3 +401,31 @@ def test_finite_sweeps_multiply_coded_rows(matrix_products):
     assert check_steinberg("D4", Z3).ok
     assert borel_gln_check(4, 1, 2, Z4).ok
     assert matrix_products == []
+
+
+def test_borel_unreadable_element():
+    # the first simple root of A2 displayed at (2,1) instead of (1,2): the
+    # block read at rows/columns (1,2) has a nonzero lower corner
+    good = matrix_model("A2", Z3)
+    root = good.system.simples[0]
+    displays = dict(good._displays)
+    (i, j, coeff, power), = displays[root]
+    assert (i, j) == (1, 2)
+    displays[root] = ((j, i, coeff, power),)
+    bad = MatrixModel(
+        good.label, good.ring, good.system, good.n, displays,
+        dict(good._h_exps), good.torus_rows,
+    )
+    with pytest.raises(ChevalleyError, match="unreadable element"):
+        borel_isomorphism_check(bad, 0)
+
+
+def test_factorizations_read_no_matrix_entries(monkeypatch):
+    def refuse(self, i, j):
+        raise AssertionError("Matrix.entry read")
+
+    monkeypatch.setattr(Matrix, "entry", refuse)
+    for label, idx in borel_cases():
+        assert borel_isomorphism_check(label, idx, Z3).ok, (label, idx)
+    assert borel_gln_check(4, 1, 2, Z4).ok
+    assert check_affine_iso(Z4)
