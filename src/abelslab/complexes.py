@@ -405,19 +405,20 @@ def homology_h1(cx):
 
 
 def _homology_h1(cx):
-    """``homology_h1(cx)`` and the rational rank of ∂1 it was computed from."""
+    """``homology_h1(cx)``, the rational rank of ∂1 it was computed from, and
+    ∂2 as ``_boundary_matrix`` gives it (None below dimension 2)."""
     if cx.dim < 1:
-        return (0, ()), 0
+        return (0, ()), 0, None
     t1, (nv, ne) = _boundary_matrix(cx, 1)
     r1 = rational_rank(t1, nv, ne)
     if cx.dim >= 2:
-        t2, (_, nt) = _boundary_matrix(cx, 2)
-        factors = smith_invariant_factors(t2, ne, nt)
+        d2 = _boundary_matrix(cx, 2)
+        factors = smith_invariant_factors(d2[0], *d2[1])
     else:
-        factors = []
+        d2, factors = None, []
     r2 = len(factors)
     torsion = tuple(int(d) for d in factors if d > 1)
-    return (ne - r1 - r2, torsion), r1
+    return (ne - r1 - r2, torsion), r1, d2
 
 
 def betti_numbers(cx):
@@ -717,15 +718,14 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
                 else f"components={components}, generated={generated} of {order}",
             )
 
-    (rank, torsion), r1 = _homology_h1(cx)
+    (rank, torsion), r1, d2 = _homology_h1(cx)
     rep.config["h1_rank"] = rank
     rep.config["h1_torsion"] = len(torsion)
     if "h1" in checks:
-        # b1 = e - rank ∂1 - rank ∂2 over the rationals, reusing rank ∂1
+        # b1 = e - rank ∂1 - rank ∂2 over the rationals, reusing rank ∂1 and ∂2
         betti1 = len(cx.simplices[1]) - r1 if cx.dim >= 1 else 0
-        if cx.dim >= 2:
-            t2, (ne, nt) = _boundary_matrix(cx, 2)
-            betti1 -= rational_rank(t2, ne, nt)
+        if d2 is not None:
+            betti1 -= rational_rank(d2[0], *d2[1])
         agree = rank == betti1
         rep.check(
             "first-homology",

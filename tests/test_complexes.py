@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from test_snf import assert_routes_match_reference
 
 from abelslab.abels import (
     abels_group,
@@ -29,6 +32,7 @@ from abelslab.kernels import fits_packing
 from abelslab.matrices import Matrix
 from abelslab.presentation import todd_coxeter
 from abelslab.rings import make_ring
+from abelslab.snf import rational_rank, smith_invariant_factors
 
 Z2 = make_ring("zmod:2")
 Z3 = make_ring("zmod:3")
@@ -49,6 +53,25 @@ S3_CYC = S3_A @ S3_B
 
 def s3_complex():
     return coset_complex([S3_A, S3_B], ([S3_A], [S3_B]))
+
+
+# the 6-vertex triangulation of the real projective plane
+RP2 = (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+)
+# its suspension, with cone points 6 and 7
+SUSPENDED_RP2 = tuple(s + (c,) for s in RP2 for c in (6, 7))
+
+
+def complex_of(top):
+    """The complex of these top simplices and all their faces, one color."""
+    levels = [
+        sorted({f for s in top for f in combinations(s, k + 1)})
+        for k in range(len(top[0]))
+    ]
+    nv = len(levels[0])
+    return SimplicialComplex(range(nv), (0,) * nv, levels)
 
 
 # -- container validation -----------------------------------------------------
@@ -185,6 +208,55 @@ def test_contracting_complex_rank_five():
     assert is_simply_connected(cx) == "yes"
 
 
+def test_horospherical_ranks_agree_in_every_degree():
+    # A_4(Z/3), f = (162, 1620, 2430, 729): the two routes rank every ∂k
+    # alike, and the Betti numbers they give add up to the Euler
+    # characteristic
+    cx = coset_complex(abels_group(4, Z3), horospherical_family(4, Z3))
+    for k in (1, 2, 3):
+        tk, (rows, cols) = complexes._boundary_matrix(cx, k)
+        assert len(smith_invariant_factors(tk, rows, cols)) == rational_rank(
+            tk, rows, cols
+        )
+    assert cx.euler_characteristic() == sum(
+        (-1) ** k * bk for k, bk in enumerate(betti_numbers(cx))
+    )
+
+
+def test_torsion_of_rp2_and_its_suspension():
+    rp2 = complex_of(RP2)
+    assert rp2.f_vector == (6, 15, 10)
+    assert homology_h1(rp2) == (0, (2,))
+    assert betti_numbers(rp2) == (1, 0, 0)
+
+    # H2 = Z/2 moves up to the cokernel of ∂3
+    sigma = complex_of(SUSPENDED_RP2)
+    assert sigma.f_vector == (8, 27, 40, 20)
+    assert homology_h1(sigma) == (0, ())
+    assert betti_numbers(sigma) == (1, 0, 0, 0)
+    t3, (rows, cols) = complexes._boundary_matrix(sigma, 3)
+    assert smith_invariant_factors(t3, rows, cols) == [1] * 19 + [2]
+
+
+def test_boundary_maps_match_reference_routes():
+    a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
+    built = [
+        s3_complex(),
+        coset_complex([S3_A, S3_B], ([S3_CYC], [S3_CYC])),
+        coset_complex([a, b], ([a], [b])),
+        coset_complex(unipotent_and_torus(4, Z2)[0], contracting_family(4, Z2)),
+        coset_complex(abels_group(4, Z2), horospherical_family(4, Z2)),
+        coset_complex(unipotent_and_torus(5, Z2)[0], contracting_family(5, Z2)),
+        SimplicialComplex("uvw", (0, 1, 0), (((0,), (1,), (2,)), ((0, 1),))),
+        complex_of(RP2),
+        complex_of(SUSPENDED_RP2),
+    ]
+    for cx in built:
+        for k in range(1, cx.dim + 1):
+            tk, (rows, cols) = complexes._boundary_matrix(cx, k)
+            assert_routes_match_reference(tk, rows, cols)
+
+
 def test_verify_complex_runs_smith_form_once(monkeypatch):
     calls = []
 
@@ -207,13 +279,22 @@ def test_verify_complex_ranks_each_boundary_once(monkeypatch):
         ranked.append((rows, cols))
         return rank(triplets, rows, cols)
 
+    def built(cx, k):
+        dims.append(k)
+        return boundary(cx, k)
+
     rank = complexes.rational_rank
+    boundary = complexes._boundary_matrix
+    dims = []
     monkeypatch.setattr(complexes, "rational_rank", counted)
+    monkeypatch.setattr(complexes, "_boundary_matrix", built)
     cx = coset_complex(abels_group(4, Z2), horospherical_family(4, Z2))
     rep = verify_complex(4, Z2)
     assert rep.ok
     # ∂1 for homology_h1, ∂2 for the rational b1; not ∂1 again, nor ∂3
     assert ranked == [(40, 192), (192, 224)]
+    # ∂2 is built once, for both SNF and the rational rank
+    assert dims == [1, 2]
     (check,) = [c for c in rep.checks if c.id == "first-homology"]
     assert check.counts["rational_rank"] == betti_numbers(cx)[1]
 

@@ -1,9 +1,13 @@
 import random
+from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_snf as reference
+from abelslab import snf
 from abelslab.snf import (
     dense_to_triplets,
     quotient_order,
@@ -96,3 +100,68 @@ def test_invariant_factors_match_sympy(shape, data):
     # positive factors in a divisibility chain are in increasing order
     expected = sorted(d for d in diagonal if d)
     assert factors_of(rows) == expected
+
+
+# -- the reference routes ------------------------------------------------------
+
+
+def smith_moves(module, triplets, nrows, ncols):
+    """Invariant factors, and the (a, v) of every balanced division made."""
+    moves = []
+    quotient = module._balanced_quotient
+
+    def recorded(a, v):
+        moves.append((a, v))
+        return quotient(a, v)
+
+    with mock.patch.object(module, "_balanced_quotient", recorded):
+        factors = module.smith_invariant_factors(triplets, nrows, ncols)
+    return factors, moves
+
+
+def assert_routes_match_reference(triplets, nrows, ncols):
+    """Both routes agree with the reference ones on this matrix.
+
+    SNF must make the reference's row and column moves in the same order,
+    not only reach the same factors.  Every echelon row of the rational
+    route must be primitive and lead at the column it is filed under.
+    """
+    assert smith_moves(snf, triplets, nrows, ncols) == smith_moves(
+        reference, triplets, nrows, ncols
+    )
+    echelon = snf._rational_echelon(triplets, nrows, ncols)
+    for lead, row in echelon.items():
+        assert min(row) == lead
+        assert gcd(*row.values()) == 1
+    assert len(echelon) == reference.rational_rank(triplets, nrows, ncols)
+
+
+def matrices(entry, max_side):
+    return st.integers(1, max_side).flatmap(
+        lambda ncols: st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols),
+            min_size=1,
+            max_size=max_side,
+        )
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rows=matrices(st.one_of(st.just(0), st.integers(-12, 12)), 8))
+# the leading entry 3 is no multiple of the pivot 2: the row is scaled by
+# 2, the pivot subtracted 3 times and the content 3 divided out
+@example(rows=[[2, 1], [3, 0]])
+@example(rows=[[4, 6, 0], [6, 0, 9], [10, 15, 3]])
+# column operations leave residues in a row that then hands the pivot to
+# another row; SNF must still find those residues when they are least
+@example(rows=[[-8, 6, 0, -8], [-8, 0, 6, 6], [-9, 6, -9, -8]])
+@example(rows=[[0, 0, 8, 9, 9, 0], [0, 9, 0, 0, 8, 9], [-6, -6, 0, 0, 9, 9]])
+def test_integer_matrices_match_reference(rows):
+    assert_routes_match_reference(dense_to_triplets(rows), len(rows), len(rows[0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(rows=matrices(st.sampled_from((0, 0, 0, 0, 1, -1)), 12))
+def test_sparse_unit_matrices_match_reference(rows):
+    assert_routes_match_reference(dense_to_triplets(rows), len(rows), len(rows[0]))
+
