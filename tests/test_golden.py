@@ -40,6 +40,7 @@ CLI_CASES = {
     "borel-iso-n4-zmod4": ["borel-iso", "--n", "4", "--ring", "zmod:4"],
     "borel-iso-n4-zmod5": ["borel-iso", "--n", "4", "--ring", "zmod:5"],
     "forms-C2-zmod5": ["forms", "--type", "C2", "--ring", "zmod:5"],
+    "forms-all-zmod7": ["forms", "--type", "all", "--ring", "zmod:7"],
     "abels-n4-zmod2": ["abels", "--n", "4", "--ring", "zmod:2"],
     "abels-n4-zmod2-max-order-20": [
         "abels", "--n", "4", "--ring", "zmod:2", "--max-order", "20",
