@@ -19,8 +19,10 @@ diagonal element is its row of diagonal codes, and conjugation by a
 diagonal is entrywise.  A sweep computes one boolean per case, in sweep
 order, and `_record_rows` records it: a break-on-first sweep counts the
 cases up to its first failure, as `reports.first_failure` does.  Matrix
-objects remain for building generators, on the symbolic routes and in
-`check_form_invariance`.  All three factorization checks,
+objects remain for building generators, inverting the Weyl elements, on
+the symbolic routes and for the generator determinants of
+`check_form_invariance`, whose preservation test g^T F g = F runs on codes.
+All three factorization checks,
 `borel_isomorphism_check` (a root subgroup times the displayed torus),
 `borel_gln_check` (an elementary position times the diagonal of GL_n) and
 `check_affine_iso`, supply a source, a map phi and a target kind to one
@@ -117,15 +119,16 @@ class RootDatum:
     simples: tuple
     roots: tuple
 
-    def reflection_permutation(self, alpha):
-        index = {r: k for k, r in enumerate(self.roots)}
-        try:
-            return tuple(index[reflect(tuple(alpha), r)] for r in self.roots)
-        except KeyError as exc:
-            raise ChevalleyError(f"reflection leaves the root set: {exc}") from None
+
+_ROOT_SYSTEMS = {}
 
 
 def root_system(label):
+    """The root datum of `label`, closed under the simple reflections; each
+    label is built once per process."""
+    datum = _ROOT_SYSTEMS.get(label)
+    if datum is not None:
+        return datum
     try:
         simples = _SIMPLE_ROOTS[label]
     except KeyError:
@@ -136,7 +139,8 @@ def root_system(label):
         if not new:
             break
         roots |= new
-    return RootDatum(label, simples, tuple(sorted(roots)))
+    datum = _ROOT_SYSTEMS[label] = RootDatum(label, simples, tuple(sorted(roots)))
+    return datum
 
 
 # Model tables.  Displays are 1-based (row, col, coeff, power) entries per
@@ -882,36 +886,59 @@ def check_form_invariance(model, ring=None):
         counterexample=None if rank == n else f"rank {rank} < {n}",
     )
 
-    cases = 0
-    bad = None
-    det_bad = None
-    one = R.one
-    instances = []
-    for alpha in model.tabulated_roots:
-        for r in R.elements():
-            instances.append((f"x{_rname(alpha)}({R.element_repr(r)})",
-                              root_element(model, alpha, r)))
-    for beta in model.system.simples:
-        for u in R.units():
-            instances.append((f"h{_rname(beta)}({R.element_repr(u)})",
-                              semisimple_element(model, beta, u)))
-    for idx in range(len(model.torus_rows)):
-        for u in R.units():
-            params = [one] * len(model.torus_rows)
-            params[idx] = u
-            instances.append((f"torus-row-{idx}({R.element_repr(u)})",
-                              torus_element(model, params)))
-    for name, g in instances:
-        cases += 1
-        if g.transpose() @ F @ g != F:
-            bad = bad or name
-        if g.det() != one:
-            det_bad = det_bad or name
-    _record(rep, "invariant-form-preserved", "generators-preserve-form", cases, bad)
-    _record(
-        rep, "generator-determinants", "generators-have-determinant-one", cases, det_bad
-    )
+    _check_generators(rep, model, F)
     return rep
+
+
+def _form_instances(model):
+    """(name, matrix) of each generator instance over the finite ring:
+    x_alpha(r) for every tabulated root and element r, then h_beta(u) for
+    every simple root and unit u, then each torus row at every unit u."""
+    R = model.ring
+    show = R.element_repr
+    instances = [
+        (f"x{_rname(alpha)}({show(r)})", root_element(model, alpha, r))
+        for alpha in model.tabulated_roots
+        for r in R.elements()
+    ]
+    instances += [
+        (f"h{_rname(beta)}({show(u)})", semisimple_element(model, beta, u))
+        for beta in model.system.simples
+        for u in R.units()
+    ]
+    width = len(model.torus_rows)
+    for idx in range(width):
+        for u in R.units():
+            params = [R.one] * width
+            params[idx] = u
+            instances.append((f"torus-row-{idx}({show(u)})", torus_element(model, params)))
+    return instances
+
+
+def _preserves_form(cr, mats, F, n):
+    """One boolean per matrix g of `mats`: g^T F g = F, on coded rows."""
+    G = encode_matrices(cr, mats)
+    Gt = G.reshape(-1, n, n).transpose(0, 2, 1).reshape(G.shape)
+    Fv = encode_matrix(cr, F)
+    return (mul_rows(cr, mul_batch_right(cr, Gt, Fv, n), G, n) == Fv).all(axis=1)
+
+
+def _check_generators(rep, model, F):
+    """Record that every generator instance preserves the form F and has
+    determinant one; each record counts every instance and names the first
+    that fails."""
+    instances = _form_instances(model)
+    ok = _preserves_form(coded_ring(model.ring), [g for _, g in instances], F, model.n)
+    _record_rows(
+        rep, "invariant-form-preserved", "generators-preserve-form", ok,
+        lambda k: instances[k][0], cases=len(instances),
+    )
+    one = model.ring.one
+    det_bad = next((name for name, g in instances if g.det() != one), None)
+    _record(
+        rep, "generator-determinants", "generators-have-determinant-one",
+        len(instances), det_bad,
+    )
 
 
 # ---------------------------------------------------------------------------

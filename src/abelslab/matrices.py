@@ -5,9 +5,12 @@ row/column indices are 1-based throughout.  A product folds the ring's
 `add` and `mul` over each row-column pair, skipping zero left entries, so
 that Laurent rings check their term-count budget on every step; batches
 of products over finite rings run coded in `kernels`.  Inversion is exact:
-triangular matrices with unit diagonal go through back-substitution,
-everything else through the adjugate with a subset-DP determinant (intended
-for the small ambient sizes used here, n <= 8).
+diagonal matrices invert entrywise, triangular matrices with unit diagonal
+go through back-substitution, and everything else through Gauss-Jordan
+elimination with unit pivots.  Only a matrix with no unit pivot left in
+some column, as can happen over a non-local ring such as Z/6, falls back
+to the adjugate with a subset-DP determinant (intended for the small
+ambient sizes used here, n <= 8).
 """
 
 from functools import reduce
@@ -231,6 +234,9 @@ class Matrix:
             R.is_unit(d) for d in self.diagonal_entries()
         ):
             return self.transpose()._inverse_upper().transpose()
+        inv = self._inverse_unit_pivots()
+        if inv is not None:
+            return inv
         d = self.det()
         dinv = R.try_inverse(d)
         if dinv is None:
@@ -260,6 +266,41 @@ class Matrix:
                         acc = R.add(acc, R.mul(a[i][k], out[k][j]))
                 out[i][j] = R.neg(R.mul(dinv[i], acc))
         return Matrix._trusted(R, tuple(tuple(row) for row in out))
+
+    def _inverse_unit_pivots(self):
+        """Gauss-Jordan elimination of [self | 1] with a unit pivot in every
+        column, or None when some column has no unit left to pivot on.
+
+        Reaching the identity by invertible row operations proves that the
+        matrix is invertible, and the inverse is unique.
+        """
+        R = self.ring
+        n = self.n
+        add, mul, neg, z = R.add, R.mul, R.neg, R.zero
+        a = [
+            list(row) + [R.one if i == j else z for j in range(n)]
+            for i, row in enumerate(self.rows)
+        ]
+        for k in range(n):
+            for p in range(k, n):
+                pinv = None if a[p][k] == z else R.try_inverse(a[p][k])
+                if pinv is not None:
+                    break
+            else:
+                return None
+            # entries left of column k are zero in rows k.. by now
+            a[k], a[p] = a[p], a[k]
+            pivot = a[k] = [z] * k + [mul(pinv, v) for v in a[k][k:]]
+            for i in range(n):
+                f = a[i][k]
+                if i == k or f == z:
+                    continue
+                f = neg(f)
+                a[i] = a[i][:k] + [
+                    v if w == z else add(v, mul(f, w))
+                    for v, w in zip(a[i][k:], pivot[k:])
+                ]
+        return Matrix._trusted(R, tuple(tuple(row[n:]) for row in a))
 
     def _minor(self, drop_i, drop_j):
         rows = tuple(

@@ -1,13 +1,18 @@
+import ast
 import itertools
 
 import pytest
 
+import reference_chevalley as reference
 from abelslab.chevalley import (
     ChevalleyError,
     MatrixModel,
     ROOT_COUNTS,
     SUPPORTED_LABELS,
     _affine_target,
+    _check_generators,
+    _form_instances,
+    _preserves_form,
     borel_cases,
     borel_gln_check,
     borel_isomorphism_check,
@@ -28,6 +33,7 @@ from abelslab.chevalley import (
 )
 from abelslab.kernels import coded_ring
 from abelslab.matrices import Matrix
+from abelslab.reports import Report
 from abelslab.rings import additive_presentation, make_ring
 
 Z2 = make_ring("zmod:2")
@@ -61,11 +67,17 @@ def test_reflections_permute_roots():
     for label in ("A2", "C2", "B3", "G2", "D4"):
         datum = root_system(label)
         for alpha in datum.simples:
-            perm = datum.reflection_permutation(alpha)
+            perm = reference.reflection_permutation(datum, alpha)
             assert sorted(perm) == list(range(len(datum.roots)))
             assert datum.roots[perm[datum.roots.index(alpha)]] == tuple(
                 -x for x in alpha
             )
+
+
+def test_root_system_built_once():
+    for label in SUPPORTED_LABELS:
+        assert root_system(label) is root_system(label)
+        assert matrix_model(label, Z7).system is root_system(label)
 
 
 def test_unsupported_label_rejected():
@@ -225,6 +237,32 @@ def test_form_invariance_types():
         assert rep.config["kind"] == kind
         rank = next(c for c in rep.checks if c.id == "invariant-form-rank")
         assert rank.counts["rank"] == matrix_model(label, ring).n
+
+
+@pytest.mark.parametrize("ring", (Z5, Z7), ids=("zmod5", "zmod7"))
+@pytest.mark.parametrize("label", ("C2", "C3", "B3", "D4"))
+def test_form_sweep_matches_matrix_reference(label, ring):
+    """The coded g^T F g = F sweep against Matrix products, for the form
+    found and for that form with one entry changed, which fails."""
+    model = matrix_model(label, ring)
+    found = ast.literal_eval(check_form_invariance(model).config["form"])
+    bent = [list(row) for row in found]
+    bent[0][-1] = ring.add(bent[0][-1], ring.one)
+    instances = _form_instances(model)
+    mats = [g for _, g in instances]
+    cr = coded_ring(ring)
+    for rows, holds in ((found, True), (bent, False)):
+        F = Matrix.from_rows(ring, rows)
+        expected = reference.form_preserved(mats, F)
+        assert list(_preserves_form(cr, mats, F, model.n)) == expected
+        assert all(expected) == holds
+        rep = Report("forms")
+        _check_generators(rep, model, F)
+        record = next(c for c in rep.checks if c.id == "invariant-form-preserved")
+        assert record.counts == {"cases": len(instances), "failures": int(not holds)}
+        first = next((name for (name, _), ok in zip(instances, expected) if not ok), None)
+        assert record.counterexample == first
+        assert record.status == ("pass" if holds else "fail")
 
 
 def test_form_invariance_guards():

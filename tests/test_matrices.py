@@ -125,6 +125,47 @@ def test_inverse_general_and_det():
         sing.inverse()
 
 
+INVERSE_RINGS = ("zmod:4", "zmod:6", "zmod:7", "polyq:2:0,0,1")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(descriptor=st.sampled_from(INVERSE_RINGS), data=st.data())
+def test_inverse_exactly_when_determinant_is_a_unit(descriptor, data):
+    R = make_ring(descriptor)
+    n = data.draw(st.integers(1, 4))
+    entry = st.sampled_from(R.elements())
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = Matrix.from_rows(R, rows)
+    if R.is_unit(m.det()):
+        inv = m.inverse()
+        assert m.mul(inv).is_identity()
+        assert inv.mul(m).is_identity()
+    else:
+        with pytest.raises(MatrixError):
+            m.inverse()
+
+
+def test_inverse_without_unit_pivot_takes_the_adjugate():
+    # over Z/6 no entry of [[2,3],[3,2]] is a unit, yet det = -5 = 1 is
+    Z6 = ZModRing(6)
+    m = Matrix.from_rows(Z6, [[2, 3], [3, 2]])
+    assert m._inverse_unit_pivots() is None
+    inv = m.inverse()
+    # the adjugate [[2,-3],[-3,2]] is m itself
+    assert inv == m
+    assert m.mul(inv).is_identity() and inv.mul(m).is_identity()
+
+
+def test_inverse_of_singular_full_matrix_raises():
+    # neither diagonal nor triangular, with a unit pivot in the first
+    # column but not in the last, and det = 0 over Z/4
+    for rows in ([[1, 2], [2, 0]], [[1, 1], [1, 1]], [[3, 1, 2], [1, 0, 2], [2, 1, 0]]):
+        m = Matrix.from_rows(Z4, rows)
+        assert not Z4.is_unit(m.det())
+        with pytest.raises(MatrixError):
+            m.inverse()
+
+
 def test_det_multiplicative():
     rng = random.Random(3)
     for _ in range(20):

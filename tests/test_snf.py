@@ -165,3 +165,14 @@ def test_integer_matrices_match_reference(rows):
 def test_sparse_unit_matrices_match_reference(rows):
     assert_routes_match_reference(dense_to_triplets(rows), len(rows), len(rows[0]))
 
+
+
+@pytest.mark.parametrize("triplets", ([(0, 5, 1)], [(3, 0, 1)]), ids=("column", "row"))
+def test_out_of_shape_triplet_refused_by_both_routes(triplets):
+    messages = []
+    for route in (smith_invariant_factors, rational_rank):
+        with pytest.raises(ValueError) as exc:
+            route(triplets, 1, 2)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "outside 1x2 shape" in messages[0]
