@@ -125,16 +125,36 @@ def test_inverse_general_and_det():
         sing.inverse()
 
 
-INVERSE_RINGS = ("zmod:4", "zmod:6", "zmod:7", "polyq:2:0,0,1")
+INVERSE_RINGS = ("zmod:4", "zmod:6", "zmod:7", "polyq:2:0,0,1", "z")
+INVERSE_SHAPES = ("full", "diagonal", "upper", "lower")
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(descriptor=st.sampled_from(INVERSE_RINGS), data=st.data())
-def test_inverse_exactly_when_determinant_is_a_unit(descriptor, data):
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    descriptor=st.sampled_from(INVERSE_RINGS),
+    shape=st.sampled_from(INVERSE_SHAPES),
+    unit_diagonal=st.booleans(),
+    data=st.data(),
+)
+def test_inverse_exactly_when_determinant_is_a_unit(descriptor, shape, unit_diagonal, data):
+    # diagonal and triangular draws, with unit or arbitrary diagonals, are
+    # the inputs that once had inversion routes of their own
     R = make_ring(descriptor)
     n = data.draw(st.integers(1, 4))
-    entry = st.sampled_from(R.elements())
+    if R.finite:
+        entry, unit = st.sampled_from(R.elements()), st.sampled_from(R.units())
+    else:
+        entry, unit = st.integers(-3, 3), st.sampled_from([1, -1])
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(n):
+        if shape != "full":
+            rows[i] = [
+                v if (shape == "upper" and j >= i) or (shape == "lower" and j <= i)
+                else R.zero
+                for j, v in enumerate(rows[i])
+            ]
+        if unit_diagonal:
+            rows[i][i] = data.draw(unit)
     m = Matrix.from_rows(R, rows)
     if R.is_unit(m.det()):
         inv = m.inverse()
