@@ -28,7 +28,6 @@ the coded one is tested against.
 """
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,12 +35,7 @@ from . import kernels
 from .config import BudgetExceeded, get_budget
 from .matrices import Matrix
 from .reports import Report
-from .rings import (
-    IntegerRing,
-    LocalizedIntegersRing,
-    RingError,
-    additive_presentation,
-)
+from .rings import IntegerRing, RingError, additive_presentation
 
 
 class AbelsError(ValueError):
@@ -54,8 +48,6 @@ def _unit_generators(ring):
         return tuple(u for u in ring.units() if u != ring.one)
     if isinstance(ring, IntegerRing):
         return (-1,)
-    if isinstance(ring, LocalizedIntegersRing):
-        return (Fraction(-1),) + tuple(Fraction(p) for p in ring.primes)
     raise RingError(f"no unit generating set for {ring.descriptor}")
 
 
@@ -328,26 +320,6 @@ def subgroup_family(family, n, ring):
     if family == "contracting":
         return unipotent_and_torus(n, ring)[0], contracting_family(n, ring)
     raise AbelsError(f"unknown family {family!r}")
-
-
-def subgroup_by_name(name, n, ring):
-    """Resolve a CLI token: A, U, T, Z, H1..H4, U1..U4."""
-    token = str(name).strip().upper()
-    if token == "A":
-        return abels_group(n, ring)
-    if token == "U":
-        return unipotent_and_torus(n, ring)[0]
-    if token == "T":
-        return unipotent_and_torus(n, ring)[1]
-    if token == "Z":
-        return center_subgroup(n, ring)
-    if len(token) == 2 and token[0] in ("H", "U") and token[1].isdigit():
-        idx = int(token[1])
-        if 1 <= idx <= 4:
-            if token[0] == "H":
-                return horospherical(n, ring, idx)
-            return contracting(n, ring, idx)
-    raise AbelsError(f"unknown subgroup name {name!r}")
 
 
 # -- brute-force verification ---------------------------------------------

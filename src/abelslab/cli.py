@@ -5,7 +5,8 @@ table, optionally writes the full report to a file (JSON or TSV), and
 returns exit code 0 exactly when no check failed.  Inconclusive checks
 are flagged in the summary but do not fail the run.  Bad arguments exit
 2, unexpected internal errors exit 3.  Budget flags fall back to the
-ABELSLAB_BUDGET environment variable, then to the built-in default.
+ABELSLAB_BUDGET environment variable, then to the built-in default; a
+budget from either must be an integer >= 1.
 """
 
 import json
@@ -30,7 +31,7 @@ from .chevalley import (
     matrix_model,
 )
 from .complexes import ComplexError, coset_complex, export_complex, verify_complex
-from .config import BudgetExceeded
+from .config import BudgetError, BudgetExceeded, get_budget
 from .matrices import MatrixError
 from .presentation import (
     PresentationError,
@@ -39,6 +40,8 @@ from .presentation import (
 )
 from .reports import INCONCLUSIVE, Report, merge_reports, report_from_dict
 from .rings import RingError, make_ring
+
+_BUDGET = click.IntRange(min=1)
 
 _USAGE_ERRORS = (
     RingError,
@@ -236,6 +239,10 @@ def _tits_suite(descriptor, n, family, budget, seed=None):
 @click.group()
 def cli():
     """Exact verification toolkit for triangular matrix groups."""
+    try:
+        get_budget()
+    except BudgetError as exc:
+        raise click.UsageError(str(exc))
 
 
 @cli.group()
@@ -303,7 +310,7 @@ def verify_borel(n, descriptor, seed, out, fmt):
 @verify.command("abels")
 @click.option("--n", default=4, show_default=True, type=int)
 @click.option("--ring", "descriptor", default="zmod:2", show_default=True)
-@click.option("--max-order", type=int, default=None, help="group closure budget")
+@click.option("--max-order", type=_BUDGET, default=None, help="group closure budget")
 @_common_output
 def verify_abels_cmd(n, descriptor, max_order, seed, out, fmt):
     """Structural battery for the triangular group family."""
@@ -313,7 +320,7 @@ def verify_abels_cmd(n, descriptor, max_order, seed, out, fmt):
 @verify.command("presentations")
 @click.option("--n", default=4, show_default=True, type=int)
 @click.option("--ring", "descriptor", default="zmod:2", show_default=True)
-@click.option("--max-cosets", type=int, default=None, help="coset enumeration budget")
+@click.option("--max-cosets", type=_BUDGET, default=None, help="coset enumeration budget")
 @_common_output
 def verify_presentations_cmd(n, descriptor, max_cosets, seed, out, fmt):
     """Triangular presentations against the matrix groups."""
@@ -336,7 +343,7 @@ def verify_presentations_cmd(n, descriptor, max_cosets, seed, out, fmt):
     default="all",
     show_default=True,
 )
-@click.option("--max-order", type=int, default=None, help="group closure budget")
+@click.option("--max-order", type=_BUDGET, default=None, help="group closure budget")
 @_common_output
 def verify_complex_cmd(n, descriptor, family, check_token, max_order, seed, out, fmt):
     """Topology of the coset complex of a subgroup family."""
@@ -370,8 +377,8 @@ def verify_complex_cmd(n, descriptor, family, check_token, max_order, seed, out,
     default="contracting",
     show_default=True,
 )
-@click.option("--max-cosets", type=int, default=None, help="coset enumeration budget")
-@click.option("--max-order", type=int, default=None, help="group closure budget")
+@click.option("--max-cosets", type=_BUDGET, default=None, help="coset enumeration budget")
+@click.option("--max-order", type=_BUDGET, default=None, help="group closure budget")
 @_common_output
 def verify_tits(n, descriptor, family, max_cosets, max_order, seed, out, fmt):
     """Connectivity criterion: complex topology vs. group enumeration."""
@@ -412,7 +419,7 @@ def export():
     default="horospherical",
     show_default=True,
 )
-@click.option("--max-order", type=int, default=None, help="group closure budget")
+@click.option("--max-order", type=_BUDGET, default=None, help="group closure budget")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option(
     "--format",

@@ -37,7 +37,7 @@ from .presentation import (
     todd_coxeter,
 )
 from .reports import INCONCLUSIVE, Report
-from .snf import dense_to_triplets, rational_rank, smith_invariant_factors
+from .snf import rational_rank, smith_invariant_factors
 
 
 class ComplexError(ValueError):

@@ -104,13 +104,6 @@ def encode_matrices(cr, mats):
     return np.stack([encode_matrix(cr, m) for m in mats])
 
 
-def decode_matrix(cr, vec, n):
-    dec = cr.ring.decode
-    vals = [dec(int(c)) for c in vec]
-    rows = [tuple(vals[i * n : (i + 1) * n]) for i in range(n)]
-    return Matrix(cr.ring, rows)
-
-
 def identity_vec(cr, n):
     out = np.full(n * n, cr.zero, np.int64)
     out[:: n + 1] = cr.one

@@ -4,13 +4,11 @@ Rows are stored as nested tuples of canonical ring element values; public
 row/column indices are 1-based throughout.  A product folds the ring's
 `add` and `mul` over each row-column pair, skipping zero left entries, so
 that Laurent rings check their term-count budget on every step; batches
-of products over finite rings run coded in `kernels`.  Inversion is exact:
-diagonal matrices invert entrywise, triangular matrices with unit diagonal
-go through back-substitution, and everything else through Gauss-Jordan
-elimination with unit pivots.  Only a matrix with no unit pivot left in
-some column, as can happen over a non-local ring such as Z/6, falls back
-to the adjugate with a subset-DP determinant (intended for the small
-ambient sizes used here, n <= 8).
+of products over finite rings run coded in `kernels`.  Inversion is exact
+and has two routes: Gauss-Jordan elimination with unit pivots, and, only
+for a matrix with no unit pivot left in some column, as can happen over a
+non-local ring such as Z/6, the adjugate with a subset-DP determinant
+(intended for the small ambient sizes used here, n <= 8).
 """
 
 from functools import reduce
@@ -122,20 +120,6 @@ class Matrix:
             if i != j
         )
 
-    def is_upper_triangular(self):
-        z = self.ring.zero
-        return all(
-            self.rows[i][j] == z for i in range(self.n) for j in range(i)
-        )
-
-    def is_lower_triangular(self):
-        z = self.ring.zero
-        return all(
-            self.rows[i][j] == z
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-
     def diagonal_entries(self):
         return tuple(self.rows[i][i] for i in range(self.n))
 
@@ -211,29 +195,6 @@ class Matrix:
 
     def inverse(self):
         R = self.ring
-        n = self.n
-        if self.is_diagonal():
-            invs = []
-            for d in self.diagonal_entries():
-                iv = R.try_inverse(d)
-                if iv is None:
-                    raise MatrixError(
-                        f"diagonal entry {R.element_repr(d)} is not a unit"
-                    )
-                invs.append(iv)
-            z = R.zero
-            return Matrix._trusted(R, tuple(
-                tuple(iv if i == j else z for j in range(n))
-                for i, iv in enumerate(invs)
-            ))
-        if self.is_upper_triangular() and all(
-            R.is_unit(d) for d in self.diagonal_entries()
-        ):
-            return self._inverse_upper()
-        if self.is_lower_triangular() and all(
-            R.is_unit(d) for d in self.diagonal_entries()
-        ):
-            return self.transpose()._inverse_upper().transpose()
         inv = self._inverse_unit_pivots()
         if inv is not None:
             return inv
@@ -247,25 +208,6 @@ class Matrix:
         return Matrix._trusted(R, tuple(
             tuple(R.mul(dinv, v) for v in row) for row in adj.rows
         ))
-
-    def _inverse_upper(self):
-        R = self.ring
-        n = self.n
-        z = R.zero
-        a = self.rows
-        dinv = [R.inverse(a[i][i]) for i in range(n)]
-        out = [[z] * n for _ in range(n)]
-        for j in range(n - 1, -1, -1):
-            for i in range(j, -1, -1):
-                if i == j:
-                    out[i][j] = dinv[i]
-                    continue
-                acc = z
-                for k in range(i + 1, j + 1):
-                    if a[i][k] != z and out[k][j] != z:
-                        acc = R.add(acc, R.mul(a[i][k], out[k][j]))
-                out[i][j] = R.neg(R.mul(dinv[i], acc))
-        return Matrix._trusted(R, tuple(tuple(row) for row in out))
 
     def _inverse_unit_pivots(self):
         """Gauss-Jordan elimination of [self | 1] with a unit pivot in every
@@ -328,16 +270,6 @@ class Matrix:
 # -- group-theoretic helpers ------------------------------------------
 
 
-def commutator(x, y):
-    """x y x^-1 y^-1."""
-    return x.mul(y).mul(x.inverse()).mul(y.inverse())
-
-
-def conjugate(x, y):
-    """x y x^-1."""
-    return x.mul(y).mul(x.inverse())
-
-
 def conjugate_by_diagonal(d, e):
     """d e d^-1 computed entrywise for diagonal d."""
     if not d.is_diagonal():
@@ -353,21 +285,3 @@ def conjugate_by_diagonal(d, e):
     )
     return Matrix._trusted(R, rows)
 
-
-def hall_identity_check(a, b, c):
-    """Two composite commutator identities that hold in any group.
-
-    First: [c a c^-1, [b, c]] * [b c b^-1, [a, b]] * [a b a^-1, [c, a]] = 1.
-    Second: [a b, c] = a [b, c] a^-1 * [a, c].
-    """
-    a._require_compatible(b)
-    a._require_compatible(c)
-    one = Matrix.identity(a.ring, a.n)
-    t1 = commutator(conjugate(c, a), commutator(b, c))
-    t2 = commutator(conjugate(b, c), commutator(a, b))
-    t3 = commutator(conjugate(a, b), commutator(c, a))
-    first = t1.mul(t2).mul(t3) == one
-    lhs = commutator(a.mul(b), c)
-    rhs = conjugate(a, commutator(b, c)).mul(commutator(a, c))
-    second = lhs == rhs
-    return first and second

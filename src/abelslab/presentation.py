@@ -90,47 +90,6 @@ class Presentation:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(reduced))
 
-    def word_to_text(self, word):
-        parts = []
-        for x in word:
-            name = self.generators[abs(x) - 1]
-            parts.append(name if x > 0 else name.upper())
-        return " ".join(parts)
-
-    def text_to_word(self, text):
-        word = []
-        index = {g: k + 1 for k, g in enumerate(self.generators)}
-        for token in text.split():
-            low = token.lower()
-            if low not in index:
-                raise PresentationError(f"unknown generator token {token!r}")
-            word.append(index[low] if token == low else -index[low])
-        return free_reduce(word)
-
-
-def serialize_presentation(pres):
-    """Plain-text form: generator list line, then one relator per line.
-
-    Inversion is marked by case-toggling the generator name.
-    """
-    lines = [" ".join(pres.generators)]
-    for w in pres.relators:
-        lines.append(pres.word_to_text(w))
-    return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text):
-    lines = text.splitlines()
-    if not lines:
-        raise PresentationError("empty presentation text")
-    gens = tuple(lines[0].split())
-    pres = Presentation(gens, ())
-    relators = []
-    for line in lines[1:]:
-        if line.strip():
-            relators.append(pres.text_to_word(line))
-    return Presentation(gens, tuple(relators))
-
 
 # -- triangular window presentations ---------------------------------------
 
@@ -393,21 +352,6 @@ class CosetTable:
             raise PresentationError("action requires a complete table")
         col = 2 * (gen - 1)
         return tuple(row[col] for row in self.rows)
-
-    def is_transitive(self):
-        if not self.rows:
-            return False
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for v in self.rows[a]:
-                    if v >= 0 and v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return len(seen) == len(self.rows)
 
     def trace(self, start, word):
         """Follow a signed word from a coset; -1 if the path leaves the table."""

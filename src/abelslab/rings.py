@@ -25,8 +25,6 @@ different rings on purpose.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import snf
-
 
 class RingError(ValueError):
     pass
@@ -92,9 +90,6 @@ class Ring:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def try_inverse(self, a):
         """Multiplicative inverse of a, or None when a is not a unit."""
         raise NotImplementedError
@@ -121,23 +116,6 @@ class Ring:
                 out = self.mul(out, base)
             base = self.mul(base, base)
             k >>= 1
-        return out
-
-    def from_int(self, k):
-        k = int(k)
-        out = self.zero
-        step = self.one if k >= 0 else self.neg(self.one)
-        for _ in range(abs(k)):
-            out = self.add(out, step)
-        return out
-
-    def scale_int(self, k, a):
-        """k*a as repeated addition; exact for any integer k."""
-        k = int(k)
-        out = self.zero
-        step = a if k >= 0 else self.neg(a)
-        for _ in range(abs(k)):
-            out = self.add(out, step)
         return out
 
     def characteristic(self):
@@ -182,9 +160,6 @@ class IntegerRing(Ring):
     def try_inverse(self, a):
         return a if a in (1, -1) else None
 
-    def from_int(self, k):
-        return int(k)
-
     def scale_int(self, k, a):
         return int(k) * a
 
@@ -222,9 +197,6 @@ class ZModRing(Ring):
             return pow(a, -1, self.modulus)
         except ValueError:
             return None
-
-    def from_int(self, k):
-        return int(k) % self.modulus
 
     def scale_int(self, k, a):
         return (int(k) * a) % self.modulus
@@ -332,9 +304,6 @@ class PolyQuotientRing(Ring):
                 return b
         return None
 
-    def from_int(self, k):
-        return tuple([int(k) % self.p] + [0] * (self.degree - 1))
-
     def scale_int(self, k, a):
         p = self.p
         k = int(k) % p
@@ -390,18 +359,8 @@ class LocalizedIntegersRing(Ring):
         m = int(m)
         if m < 2:
             raise RingError(f"zloc parameter must be >= 2, got {m}")
-        self.m = m
         self.primes = tuple(_prime_factors(m))
         self.descriptor = f"zloc:{m}"
-
-    def _check(self, a):
-        den = a.denominator
-        for p in self.primes:
-            while den % p == 0:
-                den //= p
-        if den != 1:
-            raise RingError(f"{a} has denominator outside zloc:{self.m}")
-        return a
 
     def add(self, a, b):
         return a + b
@@ -423,14 +382,8 @@ class LocalizedIntegersRing(Ring):
             return None
         return 1 / a
 
-    def from_int(self, k):
-        return Fraction(k)
-
     def scale_int(self, k, a):
         return k * a
-
-    def from_fraction(self, fr):
-        return self._check(Fraction(fr))
 
     def characteristic(self):
         return 0
@@ -492,11 +445,6 @@ class LaurentRing(Ring):
         exps = tuple(1 if k == i else 0 for k in range(len(self.names)))
         return ((exps, self.base.one),)
 
-    def constant(self, c):
-        if c == self.base.zero:
-            return ()
-        return (((0,) * len(self.names), c),)
-
     def add(self, a, b):
         out = dict(a)
         bz = self.base
@@ -537,9 +485,6 @@ class LaurentRing(Ring):
                 return None
         return ((tuple(-e for e in exps), cinv),)
 
-    def from_int(self, k):
-        return self.constant(self.base.from_int(k))
-
     def scale_int(self, k, a):
         bz = self.base
         out = {}
@@ -551,18 +496,6 @@ class LaurentRing(Ring):
 
     def characteristic(self):
         return self.base.characteristic()
-
-    def substitute(self, a, values):
-        """Evaluate in the base ring; `values` maps variable name -> element."""
-        bz = self.base
-        out = bz.zero
-        for exps, c in a:
-            term = c
-            for name, e in zip(self.names, exps):
-                if e:
-                    term = bz.mul(term, bz.power(values[name], e))
-            out = bz.add(out, term)
-        return out
 
     def element_repr(self, a):
         if not a:
@@ -601,14 +534,6 @@ class AdditivePresentation:
     relators: tuple
     products: tuple
 
-    def expand(self, row):
-        """Map an integer coefficient row to the ring element it denotes."""
-        R = self.ring
-        out = R.zero
-        for coeff, t in zip(row, self.generators):
-            out = R.add(out, R.scale_int(coeff, t))
-        return out
-
 
 def additive_presentation(ring):
     if isinstance(ring, ZModRing):  # covers gf as well
@@ -645,41 +570,6 @@ def additive_presentation(ring):
             ring=ring, generators=(1,), relators=(), products=(((1,),),)
         )
     raise RingError(f"no additive presentation for {ring.descriptor}")
-
-
-def verify_additive_presentation(pres):
-    """Check the structural invariants of an additive presentation."""
-    ring = pres.ring
-    T = pres.generators
-    k = len(T)
-    if k == 0 or T[0] != ring.one:
-        return False
-    for row in pres.relators:
-        if len(row) != k or pres.expand(row) != ring.zero:
-            return False
-    if len(pres.products) != k:
-        return False
-    for i in range(k):
-        if len(pres.products[i]) != k:
-            return False
-        for j in range(k):
-            row = pres.products[i][j]
-            if len(row) != k:
-                return False
-            if pres.products[j][i] != row:
-                return False
-            if pres.expand(row) != ring.mul(T[i], T[j]):
-                return False
-    # unit row: 1 * t_j = t_j must be the standard basis row
-    for j in range(k):
-        expect = tuple(1 if t == j else 0 for t in range(k))
-        if pres.products[0][j] != expect:
-            return False
-    if ring.finite:
-        triplets = snf.dense_to_triplets(pres.relators)
-        if snf.quotient_order(triplets, len(pres.relators), k) != ring.order():
-            return False
-    return True
 
 
 def make_ring(descriptor):

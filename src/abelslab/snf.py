@@ -14,16 +14,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def dense_to_triplets(rows):
-    """Convert a list-of-lists matrix to (i, j, value) triplets."""
-    out = []
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                out.append((i, j, int(v)))
-    return out
-
-
 def _sparse_rows(triplets, nrows, ncols):
     """The rows {j: v} of the matrix, repeated triplets summed; a triplet
     outside the nrows x ncols shape raises ValueError."""
@@ -181,17 +171,6 @@ def smith_invariant_factors(triplets, nrows, ncols):
                     big[a], big[b] = g, big[a] // g * big[b]
                     changed = True
     return [1] * (len(diag) - len(big)) + sorted(big)
-
-
-def quotient_order(triplets, nrows, ncols):
-    """Order of Z^ncols modulo the row span, or None if infinite."""
-    factors = smith_invariant_factors(triplets, nrows, ncols)
-    if len(factors) < ncols:
-        return None
-    out = 1
-    for d in factors:
-        out *= d
-    return out
 
 
 def _primitive(row):

@@ -6,11 +6,23 @@ minimum key (|v|, i, j) at each step, and `rational_rank` runs Gaussian
 elimination over Fractions.  They are kept, unchanged, only so the tests
 can require the current functions to give the same invariant factors and
 ranks, and the Smith route the same sequence of row and column moves.
+`dense_to_triplets` writes a dense integer matrix as the (i, j, value)
+triplets that both the reference and the current routes read.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
+
+
+def dense_to_triplets(rows):
+    """Convert a list-of-lists matrix to (i, j, value) triplets."""
+    out = []
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                out.append((i, j, int(v)))
+    return out
 
 
 def _build_sparse(triplets, nrows, ncols):

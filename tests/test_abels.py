@@ -18,13 +18,13 @@ from abelslab.abels import (
     contracting,
     horospherical,
     intersections,
-    subgroup_by_name,
     unipotent_and_torus,
     verify_abels,
 )
 from abelslab.config import BudgetExceeded
 from abelslab.matrices import Matrix
-from abelslab.rings import make_ring
+from abelslab.rings import RingError, make_ring
+from reference_abels import subgroup_by_name
 
 Z2 = make_ring("zmod:2")
 Z3 = make_ring("zmod:3")
@@ -282,6 +282,22 @@ def test_finite_normality_inverts_no_matrix(monkeypatch):
     assert check_normality(u4, abels_group(4, Z4))
     assert not check_normality(t4, abels_group(4, Z4))
     assert calls == []
+
+
+def test_infinite_normality_fails_for_the_torus(monkeypatch):
+    # negative control for the infinite-ring route, which conjugates the
+    # subgroup generators by Matrix inverses of the ambient generators
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: calls.append(None) or inverse(self))
+    assert not check_normality(unipotent_and_torus(4, ZZ)[1], abels_group(4, ZZ))
+    assert calls
+
+
+def test_localized_integers_have_no_generators():
+    zloc = make_ring("zloc:6")
+    with pytest.raises(RingError, match="no additive presentation for zloc:6"):
+        check_normality(unipotent_and_torus(4, zloc)[1], abels_group(4, zloc))
 
 
 def test_abelian_contracting():

