@@ -131,8 +131,6 @@ INVERSE_SHAPES = ("full", "diagonal", "upper", "lower")
     data=st.data(),
 )
 def test_inverse_exactly_when_determinant_is_a_unit(descriptor, shape, unit_diagonal, data):
-    # diagonal and triangular draws, with unit or arbitrary diagonals, are
-    # the inputs that once had inversion routes of their own
     R = make_ring(descriptor)
     n = data.draw(st.integers(1, 4))
     if R.finite:
