@@ -21,13 +21,10 @@ two displayed projections over the shared diagonal coordinate.
 Over a finite ring every check reads members only as coded rows from
 ``elements_encoded``: membership is a ``_pattern_mask`` over the code
 columns and products are batch products from ``kernels``.  Matrix objects
-appear in three places only: the generators, which are encoded before any
-scan; the infinite-ring routes of ``check_abels_retraction`` and
-``check_normality``; and ``SubgroupSpec.elements``, the plain enumeration
-the coded one is tested against.
+appear in two places only: the generators, which are encoded before any
+scan; and the infinite-ring routes of ``check_abels_retraction`` and
+``check_normality``.
 """
-
-import itertools
 
 import numpy as np
 
@@ -161,22 +158,6 @@ class SubgroupSpec:
                 if code in ("f", "u"):
                     slots.append((i, j, code))
         return slots
-
-    def elements(self):
-        """Yield every member, ascending in row-major entry-code order."""
-        R = self.ring
-        elems, units = R.elements(), R.units()
-        slots = self._variable_slots()
-        choices = [elems if code == "f" else units for _, _, code in slots]
-        base = [
-            [R.one if self.pattern[i][j] == "1" else R.zero for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        for combo in itertools.product(*choices):
-            rows = [row[:] for row in base]
-            for (i, j, _), v in zip(slots, combo):
-                rows[i][j] = v
-            yield Matrix(R, rows)
 
     def elements_encoded(self, budget=None):
         """All members as coded row vectors, ascending in packed-key order."""

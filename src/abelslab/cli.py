@@ -382,6 +382,8 @@ def verify_complex_cmd(n, descriptor, family, check_token, max_order, seed, out,
 @_common_output
 def verify_tits(n, descriptor, family, max_cosets, max_order, seed, out, fmt):
     """Connectivity criterion: complex topology vs. group enumeration."""
+    if max_cosets is not None and max_order is not None:
+        raise click.UsageError("give one budget: --max-cosets or --max-order, not both")
     budget = max_cosets if max_cosets is not None else max_order
     return _emit(_tits_suite(descriptor, n, family, budget, seed), out, fmt)
 

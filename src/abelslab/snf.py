@@ -1,4 +1,4 @@
-"""Exact integer Smith normal form and rational rank.
+"""Exact integer Smith normal form, rational rank, and coreduction.
 
 Two deliberately independent code paths: `smith_invariant_factors` reduces an
 integer matrix by exact row/column operations (sparse dict rows, pivots taken
@@ -7,9 +7,17 @@ in order of the key (|v|, i, j) from a heap, balanced remainders), while
 without column operations.  Homology checks cross-validate one against the
 other, so neither may be rewritten in terms of the other.  They share only
 `_sparse_rows`, which reads the triplets and refuses one outside the shape.
+
+The Smith route does not run on a chain complex's own boundary maps:
+`morse_complex` first coreduces the complex (Mrozek and Batko, *Coreduction
+homology algorithm*, 2009).  Each pairing of a cell with its only live face
+is an elementary reduction with a unit pivot (Kaczynski, Mrozek and
+Ślusarek, 1998), so integral homology, torsion included, is that of the
+small Morse complex of critical cells that is left, and
+`smith_invariant_factors` runs on its boundaries only.
 """
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -218,3 +226,89 @@ def _rational_echelon(triplets, nrows, ncols):
 def rational_rank(triplets, nrows, ncols):
     """Rank over Q by integer row elimination (independent route)."""
     return len(_rational_echelon(triplets, nrows, ncols))
+
+
+def morse_complex(boundaries):
+    """The Morse boundaries left by coreducing a chain complex.
+
+    ``boundaries`` lists ∂1..∂k, each as (triplets, (nrows, ncols)) with one
+    row per (d-1)-cell and one column per d-cell.  One vertex becomes
+    critical; then a live cell whose only live face has coefficient ±1 is
+    paired with that face, again and again; when no such cell is left, the
+    lowest-dimensional live cell becomes critical.  Critical cells stay in
+    the complex, so the correction term of each pairing lands on them
+    alone.  The result has the form of ``boundaries``, with rows and
+    columns indexed by the critical cells in the order they became
+    critical, and the same integral homology.
+    """
+    sizes = [boundaries[0][1][0]] + [ncols for _, (_, ncols) in boundaries]
+    live = [{} for _ in range(sizes[0])]  # cell -> {live face: coefficient}
+    for d, (triplets, (nrows, ncols)) in enumerate(boundaries):
+        if nrows != sizes[d]:
+            raise ValueError(f"boundary {d + 1} has {nrows} rows, not {sizes[d]}")
+        base, columns = len(live) - nrows, [{} for _ in range(ncols)]
+        for i, row in enumerate(_sparse_rows(triplets, nrows, ncols)):
+            for j, v in row.items():
+                columns[j][base + i] = v
+        live += columns
+    cofaces = [[] for _ in live]
+    for c, faces in enumerate(live):
+        for f in faces:
+            cofaces[f].append(c)
+    degree = [d for d, size in enumerate(sizes) for _ in range(size)]
+    alive = bytearray(b"\x01") * len(live)
+    morse = [{} for _ in live]  # cell -> {critical face: coefficient}
+    critical = [[] for _ in sizes]
+    index = {}
+    queue = deque(c for c, faces in enumerate(live) if len(faces) == 1)
+
+    def drop_face(a, c):
+        # the live face a of c dies; queue c if one live face is left
+        coef = live[c].pop(a)
+        if len(live[c]) == 1:
+            queue.append(c)
+        return coef
+
+    nxt = 0
+    while True:
+        while queue:
+            b = queue.popleft()
+            if not (alive[b] and len(live[b]) == 1):
+                continue
+            ((a, s),) = live[b].items()
+            if s not in (1, -1):
+                continue
+            # ∂c -= (<∂c, a> / s) ∂b for every live coface c of a; ∂b is
+            # s·a plus its critical faces, so only those entries change
+            alive[a] = alive[b] = 0
+            for c in cofaces[a]:
+                if alive[c]:
+                    f = drop_face(a, c) * s
+                    target = morse[c]
+                    for x, v in morse[b].items():
+                        w = target.get(x, 0) - f * v
+                        if w:
+                            target[x] = w
+                        else:
+                            del target[x]
+            for c in cofaces[b]:
+                if alive[c]:
+                    drop_face(b, c)
+        while nxt < len(live) and not alive[nxt]:
+            nxt += 1
+        if nxt == len(live):
+            break
+        # every face of the lowest live cell is dead: its boundary is final
+        alive[nxt] = 0
+        index[nxt] = len(critical[degree[nxt]])
+        critical[degree[nxt]].append(nxt)
+        for c in cofaces[nxt]:
+            if alive[c]:
+                morse[c][nxt] = drop_face(nxt, c)
+    return [
+        (
+            [(index[x], index[c], v) for c in critical[d] for x, v in morse[c].items()],
+            (len(critical[d - 1]), len(critical[d])),
+        )
+        for d in range(1, len(sizes))
+    ]

@@ -1,8 +1,13 @@
-"""Named subgroups of `abelslab.abels`, used only by tests.
+"""Named subgroups of `abelslab.abels` and their plain enumeration, used
+only by tests.
 
 `subgroup_by_name` resolves a short name to its `SubgroupSpec`, so a test
-can be parametrized over subgroups by name.
+can be parametrized over subgroups by name.  `spec_elements` lists a
+subgroup's members as `Matrix` objects, the enumeration that the coded
+`SubgroupSpec.elements_encoded` is tested against.
 """
+
+import itertools
 
 from abelslab.abels import (
     AbelsError,
@@ -12,6 +17,7 @@ from abelslab.abels import (
     horospherical,
     unipotent_and_torus,
 )
+from abelslab.matrices import Matrix
 
 
 def subgroup_by_name(name, n, ring):
@@ -32,3 +38,20 @@ def subgroup_by_name(name, n, ring):
                 return horospherical(n, ring, idx)
             return contracting(n, ring, idx)
     raise AbelsError(f"unknown subgroup name {name!r}")
+
+
+def spec_elements(spec):
+    """Yield every member of the subgroup, ascending in row-major
+    entry-code order."""
+    R, n = spec.ring, spec.n
+    choices = {"f": R.elements(), "u": R.units()}
+    slots = [(i, j) for i in range(n) for j in range(n) if spec.pattern[i][j] in choices]
+    base = [
+        [R.one if spec.pattern[i][j] == "1" else R.zero for j in range(n)]
+        for i in range(n)
+    ]
+    for combo in itertools.product(*(choices[spec.pattern[i][j]] for i, j in slots)):
+        rows = [row[:] for row in base]
+        for (i, j), v in zip(slots, combo):
+            rows[i][j] = v
+        yield Matrix(R, rows)

@@ -6,8 +6,11 @@ minimum key (|v|, i, j) at each step, and `rational_rank` runs Gaussian
 elimination over Fractions.  They are kept, unchanged, only so the tests
 can require the current functions to give the same invariant factors and
 ranks, and the Smith route the same sequence of row and column moves.
-`dense_to_triplets` writes a dense integer matrix as the (i, j, value)
-triplets that both the reference and the current routes read.
+`homology_h1` is first homology from Smith normal form of the whole of
+∂1 and ∂2, the route `abelslab.complexes` took before it coreduced the
+complex; the tests require the Morse route to give the same rank and
+torsion.  `dense_to_triplets` writes a dense integer matrix as the
+(i, j, value) triplets that both the reference and the current routes read.
 """
 
 from collections import defaultdict
@@ -198,3 +201,12 @@ def rational_rank(triplets, nrows, ncols):
                 else:
                     work.pop(j, None)
     return rank
+
+
+def homology_h1(d1, d2=None):
+    """(rank, torsion factors) of H1 from Smith normal form of the unreduced
+    ∂1 and ∂2, each given as (triplets, (nrows, ncols)); no ∂2 for a graph."""
+    t1, (nv, ne) = d1
+    factors = smith_invariant_factors(d2[0], *d2[1]) if d2 else []
+    rank = ne - len(smith_invariant_factors(t1, nv, ne)) - len(factors)
+    return rank, tuple(d for d in factors if d > 1)

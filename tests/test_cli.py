@@ -192,6 +192,17 @@ def test_budget_flag_below_one_is_usage_error(capsys, command, flag, value):
     assert f"Invalid value for '{flag}'" in err
 
 
+def test_tits_refuses_two_budgets(capsys):
+    # the suite has one budget; neither flag may be silently dropped
+    code, out, err = invoke(
+        capsys, "verify", "tits", "--n", "4", "--ring", "zmod:2",
+        "--max-cosets", "100000", "--max-order", "5",
+    )
+    assert code == 2
+    assert "usage error: give one budget: --max-cosets or --max-order, not both" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "lots", "2.5"])
 def test_budget_environment_below_one_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("ABELSLAB_BUDGET", value)
@@ -296,6 +307,19 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "commutators: PASS" in proc.stdout
+
+
+def test_cli_import_loads_no_optional_heavy_modules():
+    # importing abelslab.cli is the whole set-up cost of a command; none of
+    # these modules is needed for it
+    heavy = ("numpy.ma", "sympy", "hypothesis", "scipy")
+    probe = f"import sys, abelslab.cli\nprint([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(abelslab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(shutil.which("abelslab") is None, reason="abelslab console script not installed")

@@ -2,8 +2,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import reference_snf
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_snf import assert_routes_match_reference
 
+from abelslab import abels
 from abelslab.abels import (
     abels_group,
     contracting_family,
@@ -28,9 +32,11 @@ from abelslab.complexes import (
     nerve_oracle,
     verify_complex,
 )
+from abelslab.config import BudgetExceeded
 from abelslab.kernels import fits_packing
 from abelslab.matrices import Matrix
 from abelslab.presentation import todd_coxeter
+from abelslab.reports import INCONCLUSIVE
 from abelslab.rings import make_ring
 from abelslab.snf import rational_rank, smith_invariant_factors
 
@@ -65,13 +71,25 @@ SUSPENDED_RP2 = tuple(s + (c,) for s in RP2 for c in (6, 7))
 
 
 def complex_of(top):
-    """The complex of these top simplices and all their faces, one color."""
+    """The complex of these top simplices and all their faces, one color;
+    the vertices that occur are numbered 0, 1, ... in the order of their
+    labels."""
+    number = {v: k for k, v in enumerate(sorted({v for s in top for v in s}))}
+    top = [tuple(sorted(number[v] for v in s)) for s in top]
     levels = [
         sorted({f for s in top for f in combinations(s, k + 1)})
-        for k in range(len(top[0]))
+        for k in range(max(map(len, top)))
     ]
     nv = len(levels[0])
     return SimplicialComplex(range(nv), (0,) * nv, levels)
+
+
+def unreduced_h1(cx):
+    """H1 from Smith normal form of the whole of ∂1 and ∂2."""
+    if cx.dim < 1:
+        return (0, ())
+    maps = [complexes._boundary_matrix(cx, k) for k in range(1, min(cx.dim, 2) + 1)]
+    return reference_snf.homology_h1(*maps)
 
 
 # -- container validation -----------------------------------------------------
@@ -255,6 +273,21 @@ def test_boundary_maps_match_reference_routes():
         for k in range(1, cx.dim + 1):
             tk, (rows, cols) = complexes._boundary_matrix(cx, k)
             assert_routes_match_reference(tk, rows, cols)
+        assert homology_h1(cx) == unreduced_h1(cx)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    top=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example(top=RP2)
+def test_reduced_h1_matches_unreduced_on_random_complexes(top):
+    cx = complex_of(top)
+    assert homology_h1(cx) == unreduced_h1(cx)
 
 
 def test_verify_complex_runs_smith_form_once(monkeypatch):
@@ -299,6 +332,74 @@ def test_verify_complex_ranks_each_boundary_once(monkeypatch):
     assert check.counts["rational_rank"] == betti_numbers(cx)[1]
 
 
+# -- negative controls: every verify_complex check can fail --------------------
+
+
+def only_check(rep, check_id, status="fail"):
+    (check,) = [c for c in rep.checks if c.id == check_id]
+    assert check.status == status
+    return check.counterexample
+
+
+def test_verify_complex_homogeneity_can_fail(monkeypatch):
+    monkeypatch.setattr(complexes, "check_homogeneous_colorable", lambda cx, dim: False)
+    rep = verify_complex(4, Z2, family="contracting")
+    assert only_check(rep, "homogeneous-colorable") == (
+        "a simplex repeats a color or misses the top dimension"
+    )
+
+
+def test_verify_complex_components_can_fail(monkeypatch):
+    monkeypatch.setattr(complexes, "closure_order", lambda *args, **kwargs: 32)
+    rep = verify_complex(4, Z2, family="contracting")
+    assert only_check(rep, "components") == "components=1, generated=32 of 64"
+
+    def overflow(*args, **kwargs):
+        raise BudgetExceeded("inconclusive-budget: generation check overflowed")
+
+    monkeypatch.setattr(complexes, "closure_order", overflow)
+    rep = verify_complex(4, Z2, family="contracting")
+    assert only_check(rep, "components", INCONCLUSIVE) == (
+        "inconclusive-budget: generation check overflowed"
+    )
+
+
+def test_verify_complex_first_homology_can_fail(monkeypatch):
+    # a rational route that ranks ∂1 and ∂2 one short reads b1 = 2
+    rank = complexes.rational_rank
+    monkeypatch.setattr(
+        complexes, "rational_rank", lambda t, rows, cols: rank(t, rows, cols) - 1
+    )
+    rep = verify_complex(4, Z2, family="contracting")
+    assert only_check(rep, "first-homology") == (
+        "smith normal form gives rank 0, rational rank 2"
+    )
+
+
+def test_verify_complex_simple_connectivity_can_fail(monkeypatch):
+    # the S3 pair complex is a hexagon: H1 = Z, so pi1 is not trivial
+    hexagon = ([S3_A, S3_B], ([S3_A], [S3_B]))
+    monkeypatch.setattr(abels, "subgroup_family", lambda family, n, ring: hexagon)
+    rep = verify_complex(4, Z2)
+    assert rep.ok and rep.config["pi1"] == "no"
+    monkeypatch.setattr(complexes, "is_simply_connected", lambda *args, **kwargs: "yes")
+    rep = verify_complex(4, Z2)
+    assert only_check(rep, "simple-connectivity") == (
+        "verdict yes but H1 = (rank 1, torsion ())"
+    )
+
+
+def test_verify_complex_disconnected_complex_is_not_simply_connected(monkeypatch):
+    # both members are <S3_CYC>, which does not generate S3: two components
+    split = ([S3_A, S3_B], ([S3_CYC], [S3_CYC]))
+    monkeypatch.setattr(abels, "subgroup_family", lambda family, n, ring: split)
+    rep = verify_complex(4, Z2)
+    assert rep.ok
+    assert (rep.config["components"], rep.config["pi1"]) == (2, "no")
+    (check,) = [c for c in rep.checks if c.id == "simple-connectivity"]
+    assert check.anchor == "disconnected-complexes-are-not-simply-connected"
+
+
 def test_pi1_enumeration_confirms_simple_connectivity():
     cx = coset_complex(abels_group(4, Z2), horospherical_family(4, Z2))
     table = todd_coxeter(fundamental_group(cx))
@@ -310,15 +411,18 @@ def test_pi1_enumeration_confirms_simple_connectivity():
 
 
 def test_nerve_oracle_matches_small_instances():
-    assert nerve_oracle([S3_A, S3_B], ([S3_A], [S3_B])) == s3_complex()
+    s3 = nerve_oracle([S3_A, S3_B], ([S3_A], [S3_B]))
+    assert s3 == s3_complex()
     amb = abels_group(4, Z2)
     fam = horospherical_family(4, Z2)
-    assert nerve_oracle(amb, fam) == coset_complex(amb, fam)
+    a4 = nerve_oracle(amb, fam)
+    assert a4 == coset_complex(amb, fam)
+    a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
+    for cx in (s3, a4, nerve_oracle([a, b], ([a], [b]))):
+        assert homology_h1(cx) == unreduced_h1(cx)
 
 
 def test_nerve_oracle_budget():
-    from abelslab.config import BudgetExceeded
-
     amb = unipotent_and_torus(4, Z3)[0]
     with pytest.raises(BudgetExceeded):
         nerve_oracle(amb, contracting_family(4, Z3), budget=100)
@@ -375,7 +479,15 @@ def test_action_analysis_on_contracting_family():
     assert all(c.status == "pass" for c in rep.checks)
 
 
-def test_compare_construction_routes():
+def test_compare_construction_routes(monkeypatch):
+    reduced = []
+
+    def counted(boundaries):
+        reduced.append(boundaries[0][1])
+        return morse(boundaries)
+
+    morse = complexes.morse_complex
+    monkeypatch.setattr(complexes, "morse_complex", counted)
     rep = compare_complexes(4, Z2)
     assert rep.ok
     assert [(c.id, c.status) for c in rep.sorted_checks()] == [
@@ -383,3 +495,5 @@ def test_compare_construction_routes():
         ("first-homology", "pass"),
         ("simple-connectivity", "pass"),
     ]
+    # H1 once per complex, passed on to the simple-connectivity verdict
+    assert reduced == [(40, 192), (40, 192)]

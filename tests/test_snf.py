@@ -173,3 +173,22 @@ def test_out_of_shape_triplet_refused_by_both_routes(triplets):
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert "outside 1x2 shape" in messages[0]
+
+
+# -- coreduction ---------------------------------------------------------------
+
+
+def test_morse_complex_pairs_only_unit_faces():
+    # a segment: one vertex stays critical, the edge pairs with the other
+    assert snf.morse_complex([([(0, 0, -1), (1, 0, 1)], (2, 1))]) == [([], (1, 0))]
+    # RP² with one cell per degree: ∂1 = 0 and ∂2 = 2e.  The edge is the
+    # disk's only face, but with coefficient 2, so every cell stays critical
+    rp2 = [([], (1, 1)), ([(0, 0, 2)], (1, 1))]
+    assert snf.morse_complex(rp2) == rp2
+
+
+def test_morse_complex_refuses_inconsistent_shapes():
+    with pytest.raises(ValueError, match="outside 1x2 shape"):
+        snf.morse_complex([([(0, 5, 1)], (1, 2))])
+    with pytest.raises(ValueError, match="boundary 2 has 3 rows, not 2"):
+        snf.morse_complex([([], (1, 2)), ([], (3, 1))])
