@@ -9,15 +9,15 @@ product expansion m(t,s) comes from the ring's multiplication rows); the
 economic variant drops the top-corner column generators and keeps only the
 two overlapping index windows plus explicit bridging commutators.
 
-Todd-Coxeter is HLT with row filling: scan each relator at each live coset,
-define cosets to fill gaps, merge coincidences via union-find with the
-smaller index surviving, and run a definition-free lookahead pass before
-declaring overflow.  Each coset is processed once, in creation order; a
-complete table is then checked to be a closed coset action (total, every
-relator acting trivially, every subgroup word fixing coset 0), so
-completeness is a checked property rather than an artifact of processing
-order.  Enumeration is deterministic: relators in definition order, cosets
-in creation order.
+Todd-Coxeter is HLT with row filling on a column-major table: scan each
+relator at each live coset unless its cycle there is already closed, define
+cosets to fill gaps, merge coincidences via union-find with the smaller
+index surviving, and run a definition-free lookahead pass before declaring
+overflow.  Each coset is processed once, in creation order; a complete
+table is then checked to be a closed coset action (total, every relator
+acting trivially, every subgroup word fixing coset 0), so completeness is a
+checked property rather than an artifact of processing order.  Enumeration
+is deterministic: relators in definition order, cosets in creation order.
 """
 
 from dataclasses import dataclass
@@ -72,13 +72,8 @@ class Presentation:
 
     def __post_init__(self):
         gens = tuple(str(g) for g in self.generators)
-        if len(set(gens)) != len(gens):
-            raise PresentationError("generator names must be unique")
-        for g in gens:
-            if not g or not any(ch.isalpha() for ch in g) or g != g.lower():
-                raise PresentationError(
-                    f"generator name {g!r} must be lowercase and contain a letter"
-                )
+        if not all(gens) or len(set(gens)) != len(gens):
+            raise PresentationError("generator names must be non-empty and unique")
         reduced = []
         for w in self.relators:
             w = free_reduce(w)
@@ -319,7 +314,8 @@ def tietze_reduce(pres):
 class CosetTable:
     """Coset action table.
 
-    Rows are cosets in creation order.  Columns alternate generator and
+    Rows are cosets in creation order, transposed from the column-major
+    table that ``todd_coxeter`` fills.  Columns alternate generator and
     inverse actions: column 2k is the action of generator k+1, column 2k+1
     of its inverse.  Entries are coset indices, -1 when undefined.  A
     "complete" table is total, closed under all relators, and transitive.
@@ -377,17 +373,18 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
     always set together with their inverse entries, so once a coincidence
     has been processed no live row points at a dead coset: scans follow
     table entries directly, and the union-find is consulted only inside
-    coincidence processing and to re-resolve a coset after a death.  The
-    compressed table of a complete enumeration is checked before it is
-    returned: it must be total with inverse columns, every relator must act
-    as the identity and every subgroup word must fix coset 0; a table that
-    fails raises PresentationError.
+    coincidence processing and to re-resolve a coset after a death.
+
+    The table is column-major, each column list ending in a spare -1 so
+    that following an undefined entry stays at -1.  A relator whose columns
+    lead from a coset back to it is defined and closed there, the one case
+    in which its scan writes nothing, so that scan is skipped.  A complete
+    table must pass ``_check_complete``, else PresentationError is raised.
     """
     budget = get_budget(budget)
     if budget < 1:
         raise PresentationError(f"coset budget must be >= 1, got {budget}")
     ngens = len(pres.generators)
-    ncols = 2 * ngens
 
     def col_of(x):
         return 2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1
@@ -402,9 +399,14 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
         if w:
             subwords.append(tuple(col_of(x) for x in w))
 
-    # entry (coset a, column c) at table[a * ncols + c]
-    blank = [-1] * ncols
-    table = list(blank)
+    # entry (coset a, column c) at cols[c][a]; cols[c][-1] is the spare -1
+    cols = [[-1, -1] for _ in range(2 * ngens)]
+    pairs = [(col, cols[c ^ 1]) for c, col in enumerate(cols)]
+
+    def paths(w):
+        return tuple(cols[c] for c in w), tuple(cols[c ^ 1] for c in w)
+
+    relpaths = [paths(w) for w in relators]
     parent = [0]
     live = peak_live = 1
     defined = coincidences = lookaheads = 0
@@ -437,27 +439,23 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
         while qi < len(queue):
             dead = queue[qi]
             qi += 1
-            base = dead * ncols
-            for c in range(ncols):
-                d = table[base + c]
+            for col, inv in pairs:
+                d = col[dead]
                 if d == -1:
                     continue
-                table[base + c] = -1
-                back = d * ncols + (c ^ 1)
-                if table[back] == dead:
-                    table[back] = -1
+                col[dead] = -1
+                if inv[d] == dead:
+                    inv[d] = -1
                 mu, nu = rep(dead), rep(d)
-                fwd = mu * ncols + c
-                back = nu * ncols + (c ^ 1)
-                if table[fwd] != -1:
-                    merge(nu, table[fwd], queue)
-                elif table[back] != -1:
-                    merge(mu, table[back], queue)
+                if col[mu] != -1:
+                    merge(nu, col[mu], queue)
+                elif inv[nu] != -1:
+                    merge(mu, inv[nu], queue)
                 else:
-                    table[fwd] = nu
-                    table[back] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
 
-    def define(f, c):
+    def define(f, col, inv):
         # may run a lookahead pass; callers must restart their scan when
         # any coset died (re-resolving representatives), so here it is
         # enough to re-resolve f and bail out if the slot got filled
@@ -470,16 +468,17 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
             lookahead()
             lookahead_spent = True
             f = rep(f)
-            if table[f * ncols + c] != -1:
-                return table[f * ncols + c]
+            if col[f] != -1:
+                return col[f]
             if live >= budget:
                 overflow = True
                 return -1
         new = len(parent)
-        table.extend(blank)
+        for c in cols:
+            c.append(-1)
         parent.append(new)
-        table[f * ncols + c] = new
-        table[new * ncols + (c ^ 1)] = f
+        col[f] = new
+        inv[new] = f
         live += 1
         defined += 1
         if live > peak_live:
@@ -487,15 +486,15 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
         lookahead_spent = False
         return new
 
-    def scan(alpha, word, fill):
+    def scan(alpha, fwd, back, fill):
         # alpha is live; it is re-resolved only after a death
         while True:
             f = b = alpha
             i = 0
-            j = len(word) - 1
+            j = len(fwd) - 1
             while True:
                 while i <= j:
-                    nxt = table[f * ncols + word[i]]
+                    nxt = fwd[i][f]
                     if nxt == -1:
                         break
                     f = nxt
@@ -505,7 +504,7 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
                         coincidence(f, b)
                     return
                 while j >= i:
-                    nxt = table[b * ncols + (word[j] ^ 1)]
+                    nxt = back[j][b]
                     if nxt == -1:
                         break
                     b = nxt
@@ -514,26 +513,31 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
                     coincidence(f, b)
                     return
                 if j == i:
-                    table[f * ncols + word[i]] = b
-                    table[b * ncols + (word[i] ^ 1)] = f
+                    fwd[i][f] = b
+                    back[i][b] = f
                     return
                 if not fill:
                     return
                 deaths = coincidences
-                if define(f, word[i]) == -1:
+                if define(f, fwd[i], back[i]) == -1:
                     return
                 if coincidences != deaths:
                     alpha = rep(alpha)
                     break
 
+    def scan_relators(alpha, fill):
+        for fwd, back in relpaths:
+            if overflow or parent[alpha] != alpha:
+                return
+            f = alpha
+            for col in fwd:
+                f = col[f]
+            if f != alpha:  # back at alpha: closed, a scan would write nothing
+                scan(alpha, fwd, back, fill)
+
     def lookahead():
         for a in range(len(parent)):
-            if parent[a] != a:
-                continue
-            for r in relators:
-                scan(a, r, False)
-                if parent[a] != a:
-                    break
+            scan_relators(a, False)
 
     alpha = 0
     while alpha < len(parent) and not overflow:
@@ -542,21 +546,17 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
                 for w in subwords:
                     if overflow:
                         break
-                    scan(0, w, True)
-            for r in relators:
+                    scan(0, *paths(w), True)
+            scan_relators(alpha, True)
+            for col, inv in pairs:
                 if overflow or parent[alpha] != alpha:
                     break
-                scan(alpha, r, True)
-            base = alpha * ncols
-            for c in range(ncols):
-                if overflow or parent[alpha] != alpha:
-                    break
-                if table[base + c] == -1:
-                    define(alpha, c)
+                if col[alpha] == -1:
+                    define(alpha, col, inv)
         alpha += 1
 
     status = "overflow" if overflow else "complete"
-    rows = _compress(table, parent, ncols)
+    rows = _compress(cols, parent)
     if status == "complete":
         _check_complete(rows, relators, subwords)
     return CosetTable(
@@ -570,10 +570,10 @@ def todd_coxeter(pres, subgroup_words=(), budget=None):
     )
 
 
-def _compress(table, parent, ncols):
+def _compress(cols, parent):
     """Live rows renumbered in creation order; entries at dead cosets -> -1."""
     total = len(parent)
-    rows = np.array(table, dtype=np.int64).reshape(total, ncols)
+    rows = np.array([c[:total] for c in cols], np.int64).reshape(len(cols), total).T
     alive = np.flatnonzero(np.array(parent) == np.arange(total))
     renumber = np.full(total + 1, -1, dtype=np.int64)
     renumber[alive] = np.arange(len(alive))

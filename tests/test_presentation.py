@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import reference_presentation as reference
 from abelslab import presentation
 from abelslab.abels import contracting_family, unipotent_and_torus
+from abelslab.complexes import coset_complex, fundamental_group
 from abelslab.config import BudgetExceeded
 from abelslab.matrices import Matrix
 from abelslab.presentation import (
@@ -84,9 +85,10 @@ def test_presentation_validation():
     with pytest.raises(PresentationError):
         Presentation(("a", "a"), ())
     with pytest.raises(PresentationError):
-        Presentation(("A",), ())
-    with pytest.raises(PresentationError):
-        Presentation(("12",), ())
+        Presentation(("",), ())
+    # names are labels only: no case or alphabet rule
+    assert Presentation(("A",), ()).generators == ("A",)
+    assert Presentation(("12",), ()).generators == ("12",)
     with pytest.raises(PresentationError):
         Presentation(("a",), ((2,),))
 
@@ -274,6 +276,11 @@ def assert_same_enumeration(pres, subgroup=(), budget=None):
     new = todd_coxeter(pres, subgroup, budget)
     old = reference.todd_coxeter(pres, subgroup, budget)
     assert (new.status, new.rows) == (old.status, old.rows)
+    return new
+
+
+def moves(table):
+    return (table.defined, table.peak_live, table.coincidences, table.lookaheads)
 
 
 @property_settings(400)
@@ -282,19 +289,22 @@ def test_todd_coxeter_matches_reference(case):
     assert_same_enumeration(*case)
 
 
-@pytest.mark.parametrize(
-    "build,n,ringpres",
-    [
-        (un_canonical_presentation, 4, P_Z3),
-        (un_economic_presentation, 4, P_Z3),
-        (un_canonical_presentation, 5, P_Z2),
-        (un_economic_presentation, 5, P_Z2),
-        (un_canonical_presentation, 4, P_Z4),
-        (un_economic_presentation, 4, P_Z4),
-    ],
-)
+# (defined, peak_live, coincidences, lookaheads) pin the sequence of moves,
+# which equal final rows alone do not
+TRIANGULAR_MOVES = {
+    (un_canonical_presentation, 4, P_Z3): (958, 740, 230, 0),
+    (un_economic_presentation, 4, P_Z3): (1257, 794, 529, 0),
+    (un_canonical_presentation, 5, P_Z2): (1482, 1057, 459, 0),
+    (un_economic_presentation, 5, P_Z2): (3179, 1479, 2156, 0),
+    (un_canonical_presentation, 4, P_Z4): (7888, 4458, 3793, 0),
+    (un_economic_presentation, 4, P_Z4): (9620, 5122, 5525, 0),
+}
+
+
+@pytest.mark.parametrize("build,n,ringpres", list(TRIANGULAR_MOVES))
 def test_todd_coxeter_matches_reference_on_triangular_groups(build, n, ringpres):
-    assert_same_enumeration(build(n, ringpres))
+    table = assert_same_enumeration(build(n, ringpres))
+    assert moves(table) == TRIANGULAR_MOVES[build, n, ringpres]
 
 
 def test_todd_coxeter_matches_reference_at_overflow():
@@ -304,9 +314,39 @@ def test_todd_coxeter_matches_reference_at_overflow():
     for budget in (1, 2, 5, 64):
         assert_same_enumeration(infinite_dihedral, (), budget)
     pres = un_canonical_presentation(4, P_Z2)
-    for budget in (8, 40, 63, 64):
-        assert_same_enumeration(pres, (), budget)
-        assert_same_enumeration(pres, ((1,), (4,)), budget)
+    expected = {
+        8: ("overflow", (7, 8, 0, 1)),
+        40: ("overflow", (39, 40, 0, 1)),
+        63: ("overflow", (65, 63, 3, 2)),
+        64: ("complete", (66, 64, 3, 1)),
+    }
+    for budget, (status, counters) in expected.items():
+        t = assert_same_enumeration(pres, (), budget)
+        assert (t.status, moves(t)) == (status, counters)
+        t = assert_same_enumeration(pres, ((1,), (4,)), budget)
+        assert (t.status, t.count, moves(t)) == ("complete", 8, (8, 8, 1, 0))
+
+
+def test_todd_coxeter_matches_reference_on_coincidence_heavy_inputs():
+    # the colimit of `verify tits --n 4 --ring zmod:2`: 254 cosets defined,
+    # 191 of them die
+    tits = colimit_presentation(family_diagram(contracting_family(4, Z2)))
+    assert moves(assert_same_enumeration(tits)) == (254, 74, 191, 0)
+    a, b = s3_matrices()
+    # the relative enumeration of acceptance criterion C08
+    free = colimit_presentation(family_diagram(([a], [b])))
+    relative = assert_same_enumeration(free, ((1, 2) * 6,), 4096)
+    assert (relative.status, relative.count) == ("complete", 12)
+    # pi_1 of the S3 hexagon is free of rank one, before and after Tietze
+    hexagon = fundamental_group(coset_complex([a, b], ([a], [b])))
+    for pres in (hexagon, tietze_reduce(hexagon)):
+        assert assert_same_enumeration(pres, (), 64).status == "overflow"
+    # pi_1 of the contracting complex of A_4(Z/2) before Tietze: every coset
+    # defined dies, and at budget 8 only after a lookahead
+    group = unipotent_and_torus(4, Z2)[0]
+    pi1 = fundamental_group(coset_complex(group, contracting_family(4, Z2)))
+    assert moves(assert_same_enumeration(pi1)) == (23, 9, 23, 0)
+    assert moves(assert_same_enumeration(pi1, (), 8)) == (21, 8, 21, 1)
 
 
 def test_coset_table_counters():
@@ -641,3 +681,64 @@ def test_generation_overflow_is_inconclusive():
     record = {c.id: c for c in rep.checks}["canonical-generates"]
     assert record.status == "inconclusive"
     assert record.counterexample == "inconclusive-budget: group closure overflowed"
+
+
+# -- negative controls: each check of verify_presentations can fail ------------
+
+
+def presentation_records(n, ring):
+    return {c.id: c for c in verify_presentations(n, ring).checks}
+
+
+def test_presentations_index_fails_on_a_weakened_presentation(monkeypatch):
+    # dropping any one relator of U_3 or U_4 either changes nothing or makes
+    # the group infinite (an overflow, so INCONCLUSIVE); squaring the last
+    # additive relator, e23^2 -> e23^4, gives a finite group of order 16
+    # whose relators all still hold on the elementary matrices
+    build = presentation.un_canonical_presentation
+
+    def weakened(n, ringpres):
+        pres = build(n, ringpres)
+        *kept, last = pres.relators
+        return Presentation(pres.generators, (*kept, last * 2))
+
+    monkeypatch.setattr(presentation, "un_canonical_presentation", weakened)
+    records = presentation_records(3, Z2)
+    index = records["canonical-index"]
+    assert index.status == "fail"
+    assert index.counterexample == "enumerated 16 cosets, expected 8"
+    assert records["canonical-relators-hold"].status == "pass"
+    assert records["canonical-generates"].status == "pass"
+
+
+def test_presentations_relators_fail_on_a_wrong_image(monkeypatch):
+    check = presentation.von_dyck_check
+
+    def swapped(pres, assignment):
+        images = dict(assignment)
+        images["e12t0"], images["e13t0"] = images["e13t0"], images["e12t0"]
+        return check(pres, images)
+
+    monkeypatch.setattr(presentation, "von_dyck_check", swapped)
+    records = presentation_records(4, Z2)
+    for variant in ("canonical", "economic"):
+        holds = records[f"{variant}-relators-hold"]
+        assert holds.status == "fail"
+        assert holds.counterexample == "a relator evaluates to a non-identity matrix"
+        assert records[f"{variant}-index"].status == "pass"
+        assert records[f"{variant}-generates"].status == "pass"
+
+
+def test_presentations_generation_fails_on_a_short_closure(monkeypatch):
+    order = presentation.closure_order
+    monkeypatch.setattr(
+        presentation,
+        "closure_order",
+        lambda ring, gens, budget: order(ring, gens, budget) - 1,
+    )
+    records = presentation_records(3, Z2)
+    generates = records["canonical-generates"]
+    assert generates.status == "fail"
+    assert generates.counterexample == "images generate 7 elements, expected 8"
+    assert records["canonical-index"].status == "pass"
+    assert records["canonical-relators-hold"].status == "pass"
