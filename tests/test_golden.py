@@ -34,6 +34,7 @@ CLI_CASES = {
     "steinberg-A2-zmod3": ["steinberg", "--type", "A2", "--ring", "zmod:3"],
     "steinberg-A1-zloc6": ["steinberg", "--type", "A1", "--ring", "zloc:6"],
     "steinberg-all-zmod3": ["steinberg", "--type", "all", "--ring", "zmod:3"],
+    "steinberg-all-zmod4": ["steinberg", "--type", "all", "--ring", "zmod:4"],
     "commutators-n3-zmod2": ["commutators", "--n", "3", "--ring", "zmod:2"],
     "borel-iso-n3-zmod2": ["borel-iso", "--n", "3", "--ring", "zmod:2"],
     "borel-iso-n4-zmod3": ["borel-iso", "--n", "4", "--ring", "zmod:3"],
@@ -41,6 +42,8 @@ CLI_CASES = {
     "borel-iso-n4-zmod5": ["borel-iso", "--n", "4", "--ring", "zmod:5"],
     "forms-C2-zmod5": ["forms", "--type", "C2", "--ring", "zmod:5"],
     "forms-all-zmod7": ["forms", "--type", "all", "--ring", "zmod:7"],
+    "forms-all-zmod3": ["forms", "--type", "all", "--ring", "zmod:3"],
+    "forms-all-zmod13": ["forms", "--type", "all", "--ring", "zmod:13"],
     "abels-n4-zmod2": ["abels", "--n", "4", "--ring", "zmod:2"],
     "abels-n4-zmod2-max-order-20": [
         "abels", "--n", "4", "--ring", "zmod:2", "--max-order", "20",
