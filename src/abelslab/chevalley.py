@@ -22,6 +22,10 @@ cases up to its first failure, as `reports.first_failure` does.  Matrix
 objects remain for building generators, inverting the Weyl elements, on
 the symbolic routes and for the generator determinants of
 `check_form_invariance`, whose preservation test g^T F g = F runs on codes.
+`check_weyl_conjugation` conjugates one batch per simple root alpha: the
+cases of every root whose reflection is tabulated, then x_alpha for the
+double conjugation, in one pair of batch products.
+
 All three factorization checks,
 `borel_isomorphism_check` (a root subgroup times the displayed torus),
 `borel_gln_check` (an elementary position times the diagonal of GL_n) and
@@ -31,6 +35,14 @@ the source pairs past `_PAIR_BUDGET`.  There the generators x(r) and
 d(units) are the only Matrix objects: phi selects (or, for G2's short root
 and the affine map, combines) code columns of the coded source, and
 `_affine_target` lists the target as code rows.
+
+The invariant form F is the nullspace mod p of a linear system in its n*n
+entries.  Each symbolic generator G(t) is read into a stack of coefficient
+matrices C_e, and every coefficient of G(t)^T F G(t) - F is one row of the
+system, all rows of a generator built by one einsum.  One numpy elimination
+reduces them with the symmetry rows of the form's kind.  A row space has a
+single reduced row echelon form, so the pivots, the basis and F do not
+depend on the order in which the rows are built or reduced.
 """
 
 import itertools
@@ -502,10 +514,13 @@ def _steinberg_finite(model, rep):
     ui, r = np.indices((len(units), q)).reshape(2, -1)
     u = cr.unit_codes[ui]
     text_ur = _naming(R, ("u", units), ("r", elements))
+    scales = {
+        k: _unit_rows(cr, (k,))[:, 0] for k in {cartan_pairing(a, b) for a in xs for b in hs}
+    }
     for alpha, X in xs.items():
         for beta, H in hs.items():
             pairing = cartan_pairing(alpha, beta)
-            scale = _unit_rows(cr, (pairing,))[:, 0]
+            scale = scales[pairing]
             _record_rows(
                 rep, f"torus-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "torus-conjugation-scaling",
@@ -666,23 +681,32 @@ def check_weyl_conjugation(model, ring=None):
         wv, wiv = encode_matrix(cr, w), encode_matrix(cr, w.inverse())
         return lambda X: mul_batch_right(cr, mul_batch_left(cr, wv, X, n), wiv, n)
 
+    # the cases of beta before conjugation by w: h x_beta(s) h^-1 against
+    # t = v^<beta,gamma> s, for h = h_gamma(v): gamma-major, then v, then s
+    scales = {
+        k: _unit_rows(cr, (k,))[:, 0]
+        for k in {cartan_pairing(beta, gamma) for beta in tab for gamma in simples}
+    }
+    cases = {
+        beta: (
+            np.concatenate([_conj_diag(cr, hs[g][v], xs[beta][s], n) for g in simples]),
+            np.concatenate([cr.mul[scales[cartan_pairing(beta, g)][v], s] for g in simples]),
+        )
+        for beta in tab
+    }
+
     for alpha in simples:
         conj_w = conjugator(alpha)
-        for beta in tab:
-            delta = reflect(alpha, beta)
-            if delta not in tabset:
-                continue
-            # w h x_beta(s) h^-1 w^-1 against t = v^<beta,gamma> s, for
-            # h = h_gamma(v): gamma-major, then v, then s
-            conj, t = [], []
-            for gamma in simples:
-                scale = _unit_rows(cr, (cartan_pairing(beta, gamma),))[:, 0]
-                conj.append(_conj_diag(cr, hs[gamma][v], xs[beta][s], n))
-                t.append(cr.mul[scale[v], s])
+        betas = [beta for beta in tab if reflect(alpha, beta) in tabset]
+        # one conjugation for every beta's cases and for xs[alpha]
+        batch = [cases[beta][0] for beta in betas] + [xs[alpha]]
+        ends = np.cumsum([len(X) for X in batch[:-1]])
+        images = np.split(conj_w(np.concatenate(batch)), ends)
+        for beta, image in zip(betas, images):
             sign = _one_sign(
                 rep, cr, f"weyl-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "weyl-reflection-conjugation",
-                xs[delta], conj_w(np.concatenate(conj)), np.concatenate(t),
+                xs[reflect(alpha, beta)], image, cases[beta][1],
                 "{}: image not in the reflected root subgroup", "sign flip at {}",
                 lambda k: f"gamma={_rname(simples[k // v.size])} {text_vs(k % v.size)}",
             )
@@ -692,7 +716,7 @@ def check_weyl_conjugation(model, ring=None):
         _one_sign(
             rep, cr, f"weyl-double-conjugation:{_rname(alpha)}",
             "weyl-double-conjugation-sign",
-            xs[alpha], conj_w(conj_w(xs[alpha])), np.arange(q),
+            xs[alpha], conj_w(images[-1]), np.arange(q),
             "{}: double conjugate left the subgroup", "{}: double conjugation sign flip",
             lambda k: f"r={show(elements[k])}",
         )
@@ -744,42 +768,95 @@ _FORM_KIND = {"C2": "alternating", "C3": "alternating", "B3": "symmetric", "D4":
 FORM_TYPES = tuple(_FORM_KIND)
 
 
-def _rref_mod_p(rows, ncols, p):
-    mat = [list(r) for r in rows]
+def _rref_mod_p(M, p):
+    """The reduced row echelon form of the integer matrix M mod p, p prime,
+    as (its nonzero rows, their pivot columns).  Each pivot is the first
+    row from the current rank down with a nonzero entry in the column; it
+    is scaled by its inverse, `pow`, and cleared from every other row.  No
+    intermediate reaches p^2, so int64 is exact for p < 3 * 10^9."""
+    M = M % p
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
+    for col in range(M.shape[1]):
+        rank = len(pivots)
+        below = np.flatnonzero(M[rank:, col])
+        if not below.size:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] % p:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        top = rank + below[0]
+        M[[rank, top]] = M[[top, rank]]
+        M[rank] = M[rank] * pow(int(M[rank, col]), -1, p) % p
+        hit = np.flatnonzero(M[:, col])
+        hit = hit[hit != rank]
+        M[hit] = (M[hit] - M[hit, col, None] * M[rank] % p) % p
         pivots.append(col)
-        rank += 1
-    return mat[:rank], pivots
+    return M[: len(pivots)], pivots
 
 
-def _nullspace_mod_p(rows, ncols, p):
-    reduced, pivots = _rref_mod_p(rows, ncols, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = (-row[f]) % p
-        basis.append(tuple(vec))
+def _nullspace_mod_p(M, p):
+    """A basis of the right nullspace of M mod p, one row per free column
+    in increasing order: 1 at that column, minus the column of the reduced
+    rows at the pivots."""
+    reduced, pivots = _rref_mod_p(M, p)
+    free = [c for c in range(M.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), M.shape[1]), np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -reduced[:, free].T % p
     return basis
+
+
+def _coefficient_stack(G):
+    """(C, low): G(t) = sum over e of t^(low + e) C[e], a one-variable
+    matrix over Z/p read into an (E, n, n) stack of coefficient codes.  The
+    exponents run from low <= 0 to at least 0."""
+    terms = [
+        (e, i, j, c)
+        for i, row in enumerate(G.rows)
+        for j, entry in enumerate(row)
+        for (e,), c in entry
+    ]
+    exps = [0] + [e for e, *_ in terms]
+    low, high = min(exps), max(exps)
+    C = np.zeros((high - low + 1, G.n, G.n), np.int64)
+    for e, i, j, c in terms:
+        C[e - low, i, j] = c
+    return C, low
+
+
+def _preservation_rows(G, p):
+    """The nonzero rows mod p, over columns (i, j) of F, of
+    G(t)^T F G(t) = F.
+
+    Row (a, b) of exponent e holds the sum over e1 + e2 = e of
+    C[e1][i, a] C[e2][j, b] at column (i, j), the identity subtracted at
+    e = 0: one einsum for every product, reduced mod p before the sums."""
+    C, low = _coefficient_stack(G)
+    E, n = C.shape[:2]
+    products = np.einsum("xia,yjb->xyabij", C, C) % p
+    rows = np.zeros((2 * E - 1, n, n, n, n), np.int64)
+    for x in range(E):
+        rows[x : x + E] += products[x]
+    d = np.arange(n)
+    rows[-2 * low, d[:, None], d, d[:, None], d] -= 1
+    rows = rows.reshape(-1, n * n) % p
+    return rows[rows.any(axis=1)]
+
+
+def _symmetry_rows(n, kind, p):
+    """Over the columns (i, j) of F: F[i, j] + F[j, i] = 0 for i < j and
+    F[i, i] = 0 (alternating), or F[i, j] - F[j, i] = 0 for i < j
+    (symmetric)."""
+    i, j = np.triu_indices(n, 0 if kind == "alternating" else 1)
+    rows = np.zeros((i.size, n * n), np.int64)
+    k = np.arange(i.size)
+    rows[k, i * n + j] = 1
+    rows[k, j * n + i] = 1 if kind == "alternating" else p - 1
+    return rows
+
+
+def _form_system(model, kind, p):
+    """The rows mod p of every generator of `_symbolic_generators`, then
+    the symmetry rows of `kind`: their nullspace is the space of forms."""
+    rows = [_preservation_rows(G, p) for _name, G, _L in _symbolic_generators(model)]
+    return np.concatenate(rows + [_symmetry_rows(model.n, kind, p)])
 
 
 def _symbolic_generators(model):
@@ -803,6 +880,20 @@ def _symbolic_generators(model):
 
 
 def check_form_invariance(model, ring=None):
+    """Find the invariant form F of a C, B or D model over Z/p and check it.
+
+    Each generator of `_symbolic_generators` is a one-variable matrix G(t)
+    = sum_e t^e C_e, read into a stack of coefficient matrices mod p.  The
+    form F, as n*n unknowns, is invariant under G exactly when every
+    coefficient of G(t)^T F G(t) - F vanishes: one linear row per entry
+    (a, b) and exponent e, built for a whole generator by one einsum
+    (`_preservation_rows`).  These rows and the symmetry rows of the form's
+    kind are reduced in one elimination mod p.  A row space has a single
+    reduced row echelon form, so the pivots, the nullspace basis and the F
+    normalised from its first vector do not depend on the order in which
+    the rows are built.  The records state the nullspace dimension (one
+    ray expected), the rank of F, and that every generator instance over
+    the finite ring preserves F and has determinant one."""
     model = _resolve_model(model, ring)
     R = model.ring
     if model.label not in _FORM_KIND:
@@ -812,46 +903,12 @@ def check_form_invariance(model, ring=None):
     p = R.modulus
     kind = _FORM_KIND[model.label]
     n = model.n
-    nun = n * n
     rep = Report(
         "forms",
         {"type": model.label, "ring": R.descriptor, "kind": kind},
     )
 
-    rows = []
-    for _name, G, L in _symbolic_generators(model):
-        for a in range(n):
-            for b in range(n):
-                bucket = {}
-                for i in range(n):
-                    gia = G.rows[i][a]
-                    if gia == L.zero:
-                        continue
-                    for j in range(n):
-                        prod = L.mul(gia, G.rows[j][b])
-                        for exps, coeff in prod:
-                            row = bucket.setdefault(exps, [0] * nun)
-                            row[i * n + j] = (row[i * n + j] + coeff) % p
-                const = bucket.setdefault((0,), [0] * nun)
-                const[a * n + b] = (const[a * n + b] - 1) % p
-                for row in bucket.values():
-                    if any(row):
-                        rows.append(row)
-
-    sym_rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [0] * nun
-            if i == j:
-                if kind == "alternating":
-                    row[i * n + i] = 1
-                    sym_rows.append(row)
-                continue
-            row[i * n + j] = 1
-            row[j * n + i] = 1 if kind == "alternating" else p - 1
-            sym_rows.append(row)
-
-    basis = _nullspace_mod_p(rows + sym_rows, nun, p)
+    basis = _nullspace_mod_p(_form_system(model, kind, p), p)
     dim = len(basis)
     rep.check(
         "invariant-form-exists",
@@ -867,18 +924,15 @@ def check_form_invariance(model, ring=None):
         if dim == 1
         else f"expected a one-dimensional solution space, got {dim}",
     )
-    if not basis:
+    if not dim:
         return rep
 
-    vec = list(basis[0])
-    lead = next(v for v in vec if v)
-    inv = pow(lead, -1, p)
-    vec = [(v * inv) % p for v in vec]
-    F = Matrix.from_rows(R, [[vec[i * n + j] for j in range(n)] for i in range(n)])
+    vec = basis[0]
+    form = vec * pow(int(vec[np.flatnonzero(vec)[0]]), -1, p) % p
+    F = Matrix.from_rows(R, form.reshape(n, n).tolist())
     rep.config["form"] = str([list(r) for r in F.rows])
 
-    fr, _ = _rref_mod_p([list(r) for r in F.rows], n, p)
-    rank = len(fr)
+    rank = len(_rref_mod_p(form.reshape(n, n), p)[1])
     rep.check(
         "invariant-form-rank",
         "invariant-form-nondegenerate",

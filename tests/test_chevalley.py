@@ -1,18 +1,26 @@
 import ast
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_chevalley as reference
+from abelslab import chevalley
 from abelslab.chevalley import (
     ChevalleyError,
     MatrixModel,
     ROOT_COUNTS,
     SUPPORTED_LABELS,
+    _FORM_KIND,
     _affine_target,
     _check_generators,
     _form_instances,
+    _form_system,
+    _nullspace_mod_p,
     _preserves_form,
+    _rref_mod_p,
     borel_cases,
     borel_gln_check,
     borel_isomorphism_check,
@@ -34,7 +42,7 @@ from abelslab.chevalley import (
 from abelslab.kernels import coded_ring
 from abelslab.matrices import Matrix
 from abelslab.reports import Report
-from abelslab.rings import additive_presentation, make_ring
+from abelslab.rings import LaurentRing, additive_presentation, make_ring
 
 Z2 = make_ring("zmod:2")
 Z3 = make_ring("zmod:3")
@@ -265,6 +273,115 @@ def test_form_sweep_matches_matrix_reference(label, ring):
         assert record.status == ("pass" if holds else "fail")
 
 
+@st.composite
+def zero_heavy_matrices(draw):
+    """(M, p, rank bound): a matrix of codes mod p, at most 40 x 20, of one
+    of three kinds.  "sparse" keeps each entry with a drawn density (0 gives
+    the all-zero matrix); "deficient" is a product through k < min(m, c)
+    dimensions; "full" has rank min(m, c): a unit diagonal, sparse entries
+    right of it, then rows and columns permuted."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    m, c = draw(st.integers(1, 40)), draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(("sparse", "deficient", "full")))
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sparse(shape):
+        return rng.integers(0, p, shape) * (rng.random(shape) < density)
+
+    if kind == "sparse":
+        return sparse((m, c)), p, min(m, c)
+    k = min(m, c)
+    if kind == "deficient":
+        k = draw(st.integers(0, k - 1))
+        return sparse((m, k)) @ sparse((k, c)) % p, p, k
+    M = np.triu(sparse((m, c)), 1)
+    M[np.arange(k), np.arange(k)] = rng.integers(1, p, k)
+    return M[rng.permutation(m)][:, rng.permutation(c)], p, k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=zero_heavy_matrices())
+def test_elimination_matches_reference(case):
+    M, p, bound = case
+    reduced, pivots = _rref_mod_p(M, p)
+    expected_rows, expected_pivots = reference._rref_mod_p(M.tolist(), M.shape[1], p)
+    assert pivots == expected_pivots
+    assert reduced.tolist() == expected_rows
+    assert len(pivots) <= bound
+    if not M.any():
+        assert pivots == []
+    assert [tuple(v) for v in _nullspace_mod_p(M, p).tolist()] == reference._nullspace_mod_p(
+        M.tolist(), M.shape[1], p
+    )
+
+
+def test_elimination_fixed_ranks():
+    assert _rref_mod_p(np.zeros((3, 4), np.int64), 5)[1] == []
+    full = np.array([[0, 2, 1], [3, 0, 0], [1, 1, 1]])
+    reduced, pivots = _rref_mod_p(full, 7)
+    assert pivots == [0, 1, 2] and reduced.tolist() == np.eye(3, dtype=int).tolist()
+    # the third row is the sum of the first two
+    deficient = np.array([[1, 2, 0, 1], [0, 1, 1, 3], [1, 3, 1, 4]])
+    assert _rref_mod_p(deficient, 5)[1] == [0, 1]
+    assert _nullspace_mod_p(deficient, 5).shape == (2, 4)
+
+
+@pytest.mark.parametrize("modulus", (3, 5, 7, 11, 13))
+@pytest.mark.parametrize("label", ("C2", "C3", "B3", "D4"))
+def test_form_nullspace_matches_reference(label, modulus):
+    """The coefficient-stack system and its numpy elimination give the
+    nullspace basis of the Laurent-bucket rows and list elimination."""
+    model = matrix_model(label, make_ring(f"zmod:{modulus}"))
+    kind = _FORM_KIND[label]
+    rows = reference.form_system(model, kind, modulus)
+    expected = reference._nullspace_mod_p(rows, model.n**2, modulus)
+    basis = _nullspace_mod_p(_form_system(model, kind, modulus), modulus)
+    assert [tuple(v) for v in basis.tolist()] == expected
+    assert len(expected) == 1
+
+
+def _form_record(rep, check_id):
+    return next(c for c in rep.checks if c.id == check_id)
+
+
+def test_form_checks_fail_on_too_few_generators(monkeypatch):
+    """With the torus rows alone, C2 over Z/7 leaves a plane of forms, and
+    the first basis vector is a degenerate form."""
+    generators = chevalley._symbolic_generators
+    monkeypatch.setattr(
+        chevalley, "_symbolic_generators",
+        lambda model: [g for g in generators(model) if g[0].startswith("torus-row-")],
+    )
+    rep = check_form_invariance("C2", Z7)
+    ray = _form_record(rep, "invariant-form-unique-ray")
+    assert ray.status == "fail"
+    assert ray.counterexample == "expected a one-dimensional solution space, got 2"
+    rank = _form_record(rep, "invariant-form-rank")
+    assert rank.status == "fail" and rank.counterexample == "rank 2 < 4"
+    assert not rep.ok
+
+
+def test_form_checks_fail_on_a_scalar_generator(monkeypatch):
+    """2 I preserves no nonzero form over Z/7: 4 F = F forces F = 0."""
+    generators = chevalley._symbolic_generators
+
+    def with_scalar(model):
+        gens = generators(model)
+        L = gens[0][2]
+        two = L.scale_int(2, L.one)
+        return gens + [("scalar-2", Matrix.diagonal(L, [two] * model.n), L)]
+
+    monkeypatch.setattr(chevalley, "_symbolic_generators", with_scalar)
+    rep = check_form_invariance("C2", Z7)
+    exists = _form_record(rep, "invariant-form-exists")
+    assert exists.status == "fail"
+    assert exists.counterexample == "the constraint system has trivial nullspace"
+    assert exists.counts == {"dimension": 0}
+    assert _form_record(rep, "invariant-form-unique-ray").status == "fail"
+    assert [c.id for c in rep.checks] == ["invariant-form-exists", "invariant-form-unique-ray"]
+
+
 def test_form_invariance_guards():
     with pytest.raises(ChevalleyError):
         check_form_invariance("A2", Z5)
@@ -467,3 +584,43 @@ def test_factorizations_read_no_matrix_entries(monkeypatch):
         assert borel_isomorphism_check(label, idx, Z3).ok, (label, idx)
     assert borel_gln_check(4, 1, 2, Z4).ok
     assert check_affine_iso(Z4)
+
+
+@pytest.fixture
+def laurent_products(monkeypatch):
+    """Counts LaurentRing.mul calls."""
+    calls = []
+    mul = LaurentRing.mul
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(LaurentRing, "mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", ("C2", "D4"))
+def test_form_search_multiplies_no_laurent_entries(laurent_products, label):
+    model = matrix_model(label, Z7)
+    chevalley._symbolic_generators(model)
+    generators_alone = len(laurent_products)
+    laurent_products.clear()
+    assert check_form_invariance(model).ok
+    assert len(laurent_products) <= generators_alone
+
+
+def test_weyl_conjugation_makes_one_batch_per_simple_root(monkeypatch):
+    """Per simple root, one left product for every case batch and x_alpha
+    together and one for the double conjugation; then one for the
+    non-simple membership spot check."""
+    calls = []
+    mul_batch_left = chevalley.mul_batch_left
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return mul_batch_left(*args, **kwargs)
+
+    monkeypatch.setattr(chevalley, "mul_batch_left", counted)
+    assert check_weyl_conjugation("D4", Z3).ok
+    assert len(calls) == 2 * len(root_system("D4").simples) + 1 == 9

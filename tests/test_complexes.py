@@ -35,7 +35,7 @@ from abelslab.complexes import (
 from abelslab.config import BudgetExceeded
 from abelslab.kernels import fits_packing
 from abelslab.matrices import Matrix
-from abelslab.presentation import todd_coxeter
+from abelslab.presentation import Presentation, todd_coxeter
 from abelslab.reports import INCONCLUSIVE
 from abelslab.rings import make_ring
 from abelslab.snf import rational_rank, smith_invariant_factors
@@ -405,6 +405,24 @@ def test_pi1_enumeration_confirms_simple_connectivity():
     table = todd_coxeter(fundamental_group(cx))
     assert table.status == "complete"
     assert table.count == 1
+
+
+@pytest.mark.parametrize(
+    "relators,budget,verdict",
+    [(((1,),), None, "yes"), (((1, 1),), None, "no"), ((), 8, "inconclusive")],
+    ids=("x", "x^2", "free"),
+)
+def test_simple_connectivity_reads_the_coset_enumeration(
+    monkeypatch, relators, budget, verdict
+):
+    """With trivial H1 given, the verdict comes from Todd-Coxeter on the
+    reduced presentation: one coset is "yes", two cosets "no", and the
+    infinite cyclic group overflows the budget."""
+    monkeypatch.setattr(
+        complexes, "tietze_reduce", lambda pres: Presentation(("x",), relators)
+    )
+    cx = complex_of([(0, 1, 2)])
+    assert is_simply_connected(cx, budget=budget, h1=(0, ())) == verdict
 
 
 # -- oracle agreement -------------------------------------------------------------
