@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_chevalley as reference
@@ -302,6 +302,10 @@ def zero_heavy_matrices(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(case=zero_heavy_matrices())
+@example(case=(np.zeros((3, 4), np.int64), 5, 0))
+@example(case=(np.array([[0, 2, 1], [3, 0, 0], [1, 1, 1]]), 7, 3))
+# the third row is the sum of the first two
+@example(case=(np.array([[1, 2, 0, 1], [0, 1, 1, 3], [1, 3, 1, 4]]), 5, 2))
 def test_elimination_matches_reference(case):
     M, p, bound = case
     reduced, pivots = _rref_mod_p(M, p)
@@ -314,17 +318,6 @@ def test_elimination_matches_reference(case):
     assert [tuple(v) for v in _nullspace_mod_p(M, p).tolist()] == reference._nullspace_mod_p(
         M.tolist(), M.shape[1], p
     )
-
-
-def test_elimination_fixed_ranks():
-    assert _rref_mod_p(np.zeros((3, 4), np.int64), 5)[1] == []
-    full = np.array([[0, 2, 1], [3, 0, 0], [1, 1, 1]])
-    reduced, pivots = _rref_mod_p(full, 7)
-    assert pivots == [0, 1, 2] and reduced.tolist() == np.eye(3, dtype=int).tolist()
-    # the third row is the sum of the first two
-    deficient = np.array([[1, 2, 0, 1], [0, 1, 1, 3], [1, 3, 1, 4]])
-    assert _rref_mod_p(deficient, 5)[1] == [0, 1]
-    assert _nullspace_mod_p(deficient, 5).shape == (2, 4)
 
 
 @pytest.mark.parametrize("modulus", (3, 5, 7, 11, 13))
