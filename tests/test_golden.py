@@ -53,6 +53,10 @@ CLI_CASES = {
         "presentations", "--n", "4", "--ring", "zmod:2", "--max-cosets", "10",
     ],
     "complex-n4-zmod2": ["complex", "--n", "4", "--ring", "zmod:2"],
+    "complex-n4-zmod2-contracting": [
+        "complex", "--n", "4", "--ring", "zmod:2", "--family", "contracting",
+    ],
+    "complex-n5-zmod2": ["complex", "--n", "5", "--ring", "zmod:2"],
     "complex-n4-zmod2-max-order-5": [
         "complex", "--n", "4", "--ring", "zmod:2", "--max-order", "5",
     ],
