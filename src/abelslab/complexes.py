@@ -23,11 +23,6 @@ from .kernels import (
     encode_matrices,
     group_closure,
     closure_order,
-    closure_set,
-    identity_vec,
-    mul_batch_left,
-    mul_batch_right,
-    pack_keys,
 )
 from .presentation import (
     Presentation,
@@ -96,11 +91,6 @@ class SimplicialComplex:
     def f_vector(self):
         return tuple(len(level) for level in self.simplices)
 
-    def euler_characteristic(self):
-        return sum(
-            (-1) ** k * len(level) for k, level in enumerate(self.simplices)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)
@@ -114,34 +104,14 @@ class SimplicialComplex:
 
 
 class CosetComplex(SimplicialComplex):
-    """Coset complex retaining the group data behind each vertex."""
+    """Coset complex retaining the sorted keys of its ambient group."""
 
-    def __init__(
-        self,
-        vertices,
-        colors,
-        simplices,
-        ring,
-        n,
-        keys,
-        labels,
-        offsets,
-        member_keys,
-    ):
+    def __init__(self, vertices, colors, simplices, keys):
         super().__init__(vertices, colors, simplices)
-        self.ring = ring
-        self.n = n
         self.keys = keys
-        self.labels = labels
-        self.offsets = tuple(offsets)
-        self.member_keys = tuple(member_keys)
 
 
 # -- construction -------------------------------------------------------------
-
-
-def _python_element_key(ring, mat):
-    return tuple(ring.encode(x) for row in mat.rows for x in row)
 
 
 def _base_q(q, codes):
@@ -177,7 +147,6 @@ def coset_complex(group, family, budget=None):
     if status != "complete":
         raise BudgetExceeded("inconclusive-budget: group closure overflowed")
     labels = []
-    member_keys = []
     for member in family:
         mstatus, melems, mkeys = group_closure(
             cr, encode_matrices(cr, generator_list(member)), n, budget=budget
@@ -189,7 +158,6 @@ def coset_complex(group, family, budget=None):
                 "family member is not contained in the ambient group"
             )
         labels.append(coset_labels(cr, elems, keys, melems, n))
-        member_keys.append(mkeys)
 
     vertices = []
     colors = []
@@ -212,77 +180,7 @@ def coset_complex(group, family, budget=None):
             for sub in combinations(ch, size):
                 levels[size - 1].add(sub)
     simplices = tuple(tuple(sorted(level)) for level in levels)
-    return CosetComplex(
-        vertices,
-        colors,
-        simplices,
-        ring,
-        n,
-        keys,
-        tuple(labels),
-        offsets,
-        member_keys,
-    )
-
-
-def nerve_oracle(group, family, budget=200):
-    """Brute-force nerve of the left-coset covering, for cross-checking.
-
-    Enumerates every coset as an explicit element set and tests every
-    color-distinct subset for a common element.  Intended for small groups;
-    the budget caps the ambient order.
-    """
-    family = list(family)
-    if not family:
-        raise ComplexError("family must be nonempty")
-    gens = generator_list(group)
-    ring = gens[0].ring
-    elements = sorted(
-        closure_set(ring, gens, budget),
-        key=lambda m: _python_element_key(ring, m),
-    )
-    element_set = set(elements)
-    cosets = []
-    vertices = []
-    colors = []
-    for color, member in enumerate(family):
-        mset = closure_set(
-            ring, generator_list(member), budget, what="member closure"
-        )
-        if not mset <= element_set:
-            raise ComplexError(
-                "family member is not contained in the ambient group"
-            )
-        seen = set()
-        for g in elements:
-            coset = frozenset(g.mul(h) for h in mset)
-            if coset not in seen:
-                seen.add(coset)
-                cosets.append((color, coset))
-                vertices.append((color, _base_q(ring.order(), min(
-                    _python_element_key(ring, m) for m in coset
-                ))))
-                colors.append(color)
-    nv = len(vertices)
-    levels = [tuple((v,) for v in range(nv))]
-    current = [((v,), cosets[v][1]) for v in range(nv)]
-    for _ in range(1, len(family)):
-        nxt = []
-        for simplex, common in current:
-            last = simplex[-1]
-            for v in range(last + 1, nv):
-                if cosets[v][0] == cosets[last][0]:
-                    continue
-                if any(cosets[v][0] == cosets[u][0] for u in simplex):
-                    continue
-                inter = common & cosets[v][1]
-                if inter:
-                    nxt.append((simplex + (v,), inter))
-        if not nxt:
-            break
-        levels.append(tuple(sorted(s for s, _ in nxt)))
-        current = nxt
-    return SimplicialComplex(vertices, colors, levels)
+    return CosetComplex(vertices, colors, simplices, keys)
 
 
 # -- connectivity and homotopy -------------------------------------------------
@@ -475,181 +373,6 @@ def export_complex(cx):
         for s in level:
             lines.append(" ".join([str(dim)] + [str(v) for v in s]))
     return "\n".join(lines) + "\n"
-
-
-def action_analysis(group, cx, budget=None):
-    """Left-multiplication action of the group on its coset complex.
-
-    Three exhaustive checks: the induced vertex map of every group element
-    is a well-defined color-preserving permutation; the maximal simplices
-    of the complex are exactly the chambers of group elements (one orbit);
-    and the stabilizer of every chamber is the correspondingly conjugated
-    intersection of the family members.
-    """
-    budget = get_budget(budget)
-    if not isinstance(cx, CosetComplex):
-        raise ComplexError("action analysis needs a coset complex")
-    gens = generator_list(group)
-    ring = gens[0].ring
-    n = gens[0].n
-    rep = Report(suite="action", config={"ring": ring.descriptor, "n": n})
-    cr = coded_ring(ring)
-    status, elems, keys = group_closure(
-        cr, encode_matrices(cr, gens), n, budget=budget
-    )
-    if status != "complete":
-        raise BudgetExceeded("inconclusive-budget: group closure overflowed")
-    if elems.shape[0] != cx.keys.shape[0] or not (keys == cx.keys).all():
-        raise ComplexError("group does not match the complex")
-    rep.config["order"] = int(len(keys))
-    order = elems.shape[0]
-    m = len(cx.labels)
-    stacked = np.stack([lab for lab, _ in cx.labels], axis=1)
-    for color in range(m):
-        stacked[:, color] += cx.offsets[color]
-
-    # position of g*x for every x, one row per g
-    perms = np.empty((order, order), dtype=np.int64)
-    for gi in range(order):
-        moved = mul_batch_left(cr, elems[gi], elems, n)
-        perms[gi] = np.searchsorted(keys, pack_keys(cr, moved, n))
-
-    bad = None
-    counts = 0
-    for gi in range(order):
-        pos = perms[gi]
-        for color, (lab, _) in enumerate(cx.labels):
-            counts += 1
-            ncosets = int(lab.max()) + 1
-            image = np.empty(ncosets, dtype=np.int64)
-            image[lab] = lab[pos]
-            if not (image[lab] == lab[pos]).all():
-                bad = f"element {gi} does not act on color {color} cosets"
-                break
-            if not (np.sort(image) == np.arange(ncosets)).all():
-                bad = f"element {gi} is not a permutation on color {color}"
-                break
-        if bad:
-            break
-    rep.check(
-        "vertex-action",
-        "elements-permute-vertices-within-colors",
-        counts={"cases": counts},
-        counterexample=bad,
-    )
-
-    chambers = {tuple(int(v) for v in row) for row in stacked}
-    maximal = set(cx.simplices[m - 1])
-    one_orbit = chambers == maximal
-    rep.check(
-        "chamber-orbit",
-        "maximal-simplices-are-element-chambers",
-        counts={"chambers": len(chambers), "maximal": len(maximal)},
-        counterexample=None
-        if one_orbit
-        else f"{len(chambers)} chambers vs {len(maximal)} maximal simplices",
-    )
-
-    ident_pos = int(
-        np.searchsorted(keys, pack_keys(cr, identity_vec(cr, n)[None], n))[0]
-    )
-    base = stacked[ident_pos]
-    base_stab = np.nonzero((stacked == base[None, :]).all(axis=1))[0]
-    meet = cx.member_keys[0]
-    for mk in cx.member_keys[1:]:
-        meet = np.intersect1d(meet, mk)
-    inter_ok = (
-        base_stab.size == meet.size
-        and (keys[base_stab] == np.sort(meet)).all()
-    )
-    rep.check(
-        "base-stabilizer",
-        "base-chamber-stabilizer-is-family-intersection",
-        counts={"stabilizer": int(base_stab.size), "intersection": int(meet.size)},
-        counterexample=None
-        if inter_ok
-        else f"stabilizer {base_stab.size} vs intersection {meet.size}",
-    )
-
-    bad = None
-    checked = 0
-    hit_r, hit_c = np.nonzero(perms == ident_pos)
-    inv_pos = np.empty(order, dtype=np.int64)
-    inv_pos[hit_r] = hit_c
-    for hi in range(order):
-        checked += 1
-        # stabilizer of the chamber of h, computed from the action
-        gh_pos = perms[:, hi]
-        stab = np.nonzero((stacked[gh_pos] == stacked[hi][None, :]).all(axis=1))[0]
-        # h * (base stabilizer) * h^-1, computed from the group
-        conj = mul_batch_right(
-            cr,
-            mul_batch_left(cr, elems[hi], elems[base_stab], n),
-            elems[int(inv_pos[hi])],
-            n,
-        )
-        expected = np.sort(np.searchsorted(keys, pack_keys(cr, conj, n)))
-        if stab.shape != expected.shape or not (stab == expected).all():
-            bad = f"chamber of element {hi} has an unexpected stabilizer"
-            break
-    rep.check(
-        "chamber-stabilizer",
-        "chamber-stabilizers-are-conjugated-intersections",
-        counts={"chambers_checked": checked, "base_stabilizer": int(base_stab.size)},
-        counterexample=bad,
-    )
-    return rep
-
-
-def compare_complexes(n, ring, budget=None):
-    """Coset complex of the full horospherical family against the
-    unipotent one: components, first homology, and the simple-connectivity
-    verdict must agree."""
-    from .abels import subgroup_family
-
-    budget = get_budget(budget)
-    rep = Report(
-        suite="complex-comparison",
-        config={"n": n, "ring": ring.descriptor},
-    )
-    cx_full = coset_complex(*subgroup_family("horospherical", n, ring), budget)
-    cx_uni = coset_complex(*subgroup_family("contracting", n, ring), budget)
-
-    c_full = connected_components(cx_full)
-    c_uni = connected_components(cx_uni)
-    rep.check(
-        "components",
-        "component-counts-agree",
-        counts={"full": c_full, "unipotent": c_uni},
-        counterexample=None
-        if c_full == c_uni
-        else f"{c_full} components vs {c_uni}",
-    )
-
-    h_full = homology_h1(cx_full)
-    h_uni = homology_h1(cx_uni)
-    rep.check(
-        "first-homology",
-        "first-homology-agrees",
-        counts={
-            "full_rank": h_full[0],
-            "unipotent_rank": h_uni[0],
-            "full_torsion": len(h_full[1]),
-            "unipotent_torsion": len(h_uni[1]),
-        },
-        counterexample=None if h_full == h_uni else f"{h_full} vs {h_uni}",
-    )
-
-    s_full = is_simply_connected(cx_full, budget, h1=h_full)
-    s_uni = is_simply_connected(cx_uni, budget, h1=h_uni)
-    rep.check(
-        "simple-connectivity",
-        "simple-connectivity-verdicts-agree",
-        INCONCLUSIVE if s_full == s_uni == "inconclusive" else None,
-        counts={"full_vertices": len(cx_full.vertices), "unipotent_vertices": len(cx_uni.vertices)},
-        counterexample=None if s_full == s_uni else f"{s_full!r} vs {s_uni!r}",
-    )
-    return rep
 
 
 def verify_complex(n, ring, family="horospherical", checks=("components", "h1", "pi1"), budget=None):

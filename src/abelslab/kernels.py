@@ -28,11 +28,9 @@ multiplies two equally long batches row by row, folding ``mul`` over k with
 Two closures serve different callers.  ``group_closure`` is the coded
 BFS: it gives the coded element set sorted by key, and ``closure_order``
 runs it on Matrix generators for callers that need only the order.  Every
-finite ring takes this route.  ``closure_python`` and its wrapper
-``closure_set`` build the closure as a set of Matrix objects, for callers
-that need the matrices themselves, for infinite rings (the only inputs on
-which ``closure_order`` uses them), and as the reference the coded kernel
-is tested against.
+finite ring takes this route.  ``closure_python`` builds the closure as a
+set of Matrix objects; ``closure_order`` runs it only on infinite rings,
+and the tests check the coded kernel against it.
 """
 
 from functools import lru_cache
@@ -375,33 +373,25 @@ def closure_python(ring, gen_mats, budget=None):
     return "complete", seen
 
 
-def closure_set(ring, gen_mats, budget=None, what="group closure"):
-    """The complete closure of ``closure_python`` as a set of Matrix objects.
-
-    Overflow raises ``BudgetExceeded("inconclusive-budget: <what>
-    overflowed")``; callers that need key order sort the set.
-    """
-    status, seen = closure_python(ring, gen_mats, budget=budget)
-    if status != "complete":
-        raise BudgetExceeded(f"inconclusive-budget: {what} overflowed")
-    return seen
-
-
 def closure_order(ring, gen_mats, budget=None, what="group closure"):
     """Order of the group generated by the Matrix objects ``gen_mats``.
 
     Over a finite ring the closure runs coded in ``group_closure``, with
-    either key format; only an infinite ring takes ``closure_set``.  Both
+    either key format; only an infinite ring takes ``closure_python``.  Both
     routes overflow exactly when the closure is larger than the budget and
     then raise ``BudgetExceeded("inconclusive-budget: <what> overflowed")``.
     """
     if not gen_mats:
         raise KernelError("empty generator list")
-    n = gen_mats[0].n
-    if not ring.finite:
-        return len(closure_set(ring, gen_mats, budget, what))
-    cr = coded_ring(ring)
-    status, elems, _ = group_closure(cr, encode_matrices(cr, gen_mats), n, budget)
+    if ring.finite:
+        cr = coded_ring(ring)
+        status, elems, _ = group_closure(
+            cr, encode_matrices(cr, gen_mats), gen_mats[0].n, budget
+        )
+        order = elems.shape[0]
+    else:
+        status, seen = closure_python(ring, gen_mats, budget)
+        order = len(seen)
     if status != "complete":
         raise BudgetExceeded(f"inconclusive-budget: {what} overflowed")
-    return elems.shape[0]
+    return order

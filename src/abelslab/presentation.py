@@ -342,13 +342,6 @@ class CosetTable:
     def count(self):
         return len(self.rows)
 
-    def action(self, gen):
-        """Permutation induced by the 1-based generator on a complete table."""
-        if self.status != "complete":
-            raise PresentationError("action requires a complete table")
-        col = 2 * (gen - 1)
-        return tuple(row[col] for row in self.rows)
-
     def trace(self, start, word):
         """Follow a signed word from a coset; -1 if the path leaves the table."""
         a = start

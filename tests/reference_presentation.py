@@ -10,7 +10,8 @@ separate per-position additive-relator loop.  They are kept, unchanged,
 only so the tests can require the current functions to give exactly the
 same coset tables and presentations.  `evaluate_word` multiplies a word's
 letters as Matrix objects, one product per letter; the coded
-`von_dyck_check` is tested against it.
+`von_dyck_check` is tested against it.  `coset_action` reads the
+permutation a generator induces on the cosets of a complete table.
 """
 
 from abelslab.config import get_budget
@@ -25,6 +26,14 @@ from abelslab.presentation import (
     free_reduce,
     power_word,
 )
+
+
+def coset_action(table, gen):
+    """Permutation induced by the 1-based generator on a complete table."""
+    if table.status != "complete":
+        raise PresentationError("action requires a complete table")
+    col = 2 * (gen - 1)
+    return tuple(row[col] for row in table.rows)
 
 
 def tietze_reduce(pres):

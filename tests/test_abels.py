@@ -243,6 +243,26 @@ def test_torus_invariance():
     assert check_torus_invariance(5, Z5)
 
 
+def test_torus_invariance_fails_for_a_narrowed_pattern(monkeypatch):
+    # U1 keeps its generators but its pattern drops (1,2), where the
+    # elementary generators e12(t) sit: their torus conjugates leave it
+    real = abels.contracting_family
+
+    def narrowed(n, ring):
+        first, *rest = real(n, ring)
+        pattern = [list(row) for row in first.pattern]
+        pattern[0][1] = "0"
+        spec = SubgroupSpec(ring, n, first.name, pattern)
+        spec._gens = first.generators
+        return (spec, *rest)
+
+    monkeypatch.setattr(abels, "contracting_family", narrowed)
+    assert not check_torus_invariance(4, Z2)
+    assert not check_torus_invariance(4, Z3)
+    rep = verify_abels(4, Z3)
+    assert {c.id: c.status for c in rep.checks}["torus-invariance"] == "fail"
+
+
 def test_retraction():
     assert check_abels_retraction(4, Z3)
     assert check_abels_retraction(4, Z4)
@@ -324,6 +344,32 @@ def test_fiber_product_rejects_another_family(monkeypatch):
         abels, "horospherical", lambda n, ring, i: real(n, ring, 1 if i == 4 else i)
     )
     assert abels.horospherical(4, Z3, 4).order() == real(4, Z3, 4).order()
+    assert not check_h4_fiber_product(Z2)
+    assert not check_h4_fiber_product(Z3)
+
+
+def test_fiber_product_fails_on_the_fiber_count(monkeypatch):
+    # H3 has order q^2 u^2, the fiber q^3 u^2
+    real = abels.horospherical
+    monkeypatch.setattr(
+        abels, "horospherical", lambda n, ring, i: real(n, ring, 3 if i == 4 else i)
+    )
+    assert not check_h4_fiber_product(Z2)
+    assert not check_h4_fiber_product(Z3)
+
+
+def test_fiber_product_fails_when_products_do_not_split(monkeypatch):
+    # the members of H4 are right, but an extra generator e12(1) outside H4
+    # mixes entry (2,4) into (1,4), so the split is not multiplicative
+    real = abels.horospherical
+
+    def with_e12(n, ring, i):
+        spec = real(n, ring, i)
+        if i == 4:
+            spec._gens = spec.generators + (Matrix.elementary(ring, n, 1, 2, ring.one),)
+        return spec
+
+    monkeypatch.setattr(abels, "horospherical", with_e12)
     assert not check_h4_fiber_product(Z2)
     assert not check_h4_fiber_product(Z3)
 

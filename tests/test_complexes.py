@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 import reference_snf
+from reference_complexes import euler_characteristic, nerve_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_snf import assert_routes_match_reference
@@ -19,17 +20,14 @@ from abelslab.complexes import (
     ComplexError,
     CosetComplex,
     SimplicialComplex,
-    action_analysis,
     betti_numbers,
     check_homogeneous_colorable,
-    compare_complexes,
     connected_components,
     coset_complex,
     export_complex,
     fundamental_group,
     homology_h1,
     is_simply_connected,
-    nerve_oracle,
     verify_complex,
 )
 from abelslab.config import BudgetExceeded
@@ -102,7 +100,7 @@ def test_simplicial_complex_validation():
     cx = SimplicialComplex(verts, cols, base)
     assert cx.dim == 1
     assert cx.f_vector == (3, 1)
-    assert cx.euler_characteristic() == 2
+    assert euler_characteristic(cx) == 2
     with pytest.raises(ComplexError):
         SimplicialComplex(verts, (0, 1), base)
     with pytest.raises(ComplexError):
@@ -209,8 +207,8 @@ def test_horospherical_complex_small():
     assert homology_h1(cx) == (0, ())
     assert is_simply_connected(cx) == "yes"
     assert betti_numbers(cx) == (1, 0, 7, 0)
-    assert cx.euler_characteristic() == 8
-    assert cx.euler_characteristic() == sum(
+    assert euler_characteristic(cx) == 8
+    assert euler_characteristic(cx) == sum(
         (-1) ** k * bk for k, bk in enumerate(betti_numbers(cx))
     )
 
@@ -236,7 +234,7 @@ def test_horospherical_ranks_agree_in_every_degree():
         assert len(smith_invariant_factors(tk, rows, cols)) == rational_rank(
             tk, rows, cols
         )
-    assert cx.euler_characteristic() == sum(
+    assert euler_characteristic(cx) == sum(
         (-1) ** k * bk for k, bk in enumerate(betti_numbers(cx))
     )
 
@@ -473,31 +471,17 @@ def test_export_format():
     )
 
 
-# -- group action ------------------------------------------------------------------
+# -- the two families ---------------------------------------------------------------
 
 
-def test_action_analysis_on_full_family():
-    amb = abels_group(4, Z2)
-    cx = coset_complex(amb, horospherical_family(4, Z2))
-    rep = action_analysis(amb, cx)
-    assert rep.ok
-    assert {c.id for c in rep.checks} == {
-        "vertex-action",
-        "chamber-orbit",
-        "base-stabilizer",
-        "chamber-stabilizer",
-    }
-
-
-def test_action_analysis_on_contracting_family():
-    amb = unipotent_and_torus(5, Z2)[0]
-    cx = coset_complex(amb, contracting_family(5, Z2))
-    rep = action_analysis(amb, cx)
-    assert rep.ok
-    assert all(c.status == "pass" for c in rep.checks)
-
-
-def test_compare_construction_routes(monkeypatch):
+@pytest.mark.parametrize(
+    "n, ring, skeleton",
+    [(4, Z2, (40, 192)), (4, Z3, (162, 1620)), (5, Z2, (288, 1152))],
+    ids=["A4-zmod2", "A4-zmod3", "A5-zmod2"],
+)
+def test_families_give_the_same_verdicts(n, ring, skeleton, monkeypatch):
+    # the horospherical complex and its contracting counterpart pass every
+    # check and agree on every verdict; each is coreduced exactly once
     reduced = []
 
     def counted(boundaries):
@@ -506,12 +490,17 @@ def test_compare_construction_routes(monkeypatch):
 
     morse = complexes.morse_complex
     monkeypatch.setattr(complexes, "morse_complex", counted)
-    rep = compare_complexes(4, Z2)
-    assert rep.ok
-    assert [(c.id, c.status) for c in rep.sorted_checks()] == [
-        ("components", "pass"),
-        ("first-homology", "pass"),
-        ("simple-connectivity", "pass"),
-    ]
-    # H1 once per complex, passed on to the simple-connectivity verdict
-    assert reduced == [(40, 192), (40, 192)]
+    configs = []
+    for family in ("horospherical", "contracting"):
+        rep = verify_complex(n, ring, family)
+        assert rep.ok
+        assert [(c.id, c.status) for c in rep.sorted_checks()] == [
+            ("components", "pass"),
+            ("first-homology", "pass"),
+            ("homogeneous-colorable", "pass"),
+            ("simple-connectivity", "pass"),
+        ]
+        assert rep.config.pop("family") == family
+        configs.append(rep.config)
+    assert configs[0] == configs[1]
+    assert reduced == [skeleton, skeleton]

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from abelslab.abels import abels_group, horospherical_family
 from abelslab.chevalley import (
     MatrixModel,
     borel_isomorphism_check,
@@ -24,7 +23,6 @@ from abelslab.chevalley import (
     matrix_model,
 )
 from abelslab.cli import run
-from abelslab.complexes import action_analysis, compare_complexes, coset_complex
 from abelslab.reports import Report, merge_reports
 from abelslab.rings import make_ring
 
@@ -74,8 +72,6 @@ CLI_CASES = {
 }
 
 LIBRARY_CASES = (
-    "action-analysis-A4-zmod2",
-    "compare-complexes-n4-zmod2",
     "perturbed-models",
     "quadratic-A1-zmod7",
 )
@@ -146,20 +142,14 @@ def _perturbed_models_report():
 
 
 def _library_report(name):
-    Z2 = make_ring("zmod:2")
-    if name == "action-analysis-A4-zmod2":
-        ambient = abels_group(4, Z2)
-        rep = action_analysis(ambient, coset_complex(ambient, horospherical_family(4, Z2)))
-    elif name == "quadratic-A1-zmod7":
+    if name == "quadratic-A1-zmod7":
         bad = _quadratic_a1_model()
         rep = merge_reports(
             [check_steinberg(bad), check_weyl_conjugation(bad), borel_isomorphism_check(bad, 0)],
             suite="quadratic-A1",
         )
-    elif name == "perturbed-models":
-        rep = _perturbed_models_report()
     else:
-        rep = compare_complexes(4, Z2)
+        rep = _perturbed_models_report()
     return _normalized(rep.to_dict(timestamp=False))
 
 

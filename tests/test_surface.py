@@ -6,7 +6,8 @@ outside its own definition: as a name, an attribute, or a string (the
 benchmark's tracer names the functions it wraps as strings).  Names are
 matched by spelling only, so two methods called `add` share their uses.
 A function wanted only by tests belongs in a `tests/reference_*.py`
-module; the names below are the deliberate exceptions.
+module; the click commands below are the only exceptions.  Every
+module-level import of `src/abelslab` must also be read by its module.
 """
 
 import ast
@@ -28,11 +29,6 @@ ALLOWED = {
     "cli.verify_all",
     "cli.export_complex_cmd",
     "cli.report_merge",
-    # the nerve and group-action routes that coset_complex is checked against
-    "complexes.nerve_oracle",
-    "complexes.action_analysis",
-    "complexes.compare_complexes",
-    "complexes.SimplicialComplex.euler_characteristic",
 }
 
 
@@ -78,3 +74,25 @@ def unused_public_names():
 
 def test_public_names_have_a_caller_outside_tests():
     assert unused_public_names() == ALLOWED
+
+
+def unread_imports():
+    unread = set()
+    for path in sorted((ROOT / "src" / "abelslab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.add(f"{path.stem}.{name}")
+    return unread
+
+
+def test_src_imports_are_used():
+    assert unread_imports() == set()
