@@ -20,10 +20,10 @@ two displayed projections over the shared diagonal coordinate.
 
 Over a finite ring every check reads members only as coded rows from
 ``elements_encoded``: membership is a ``_pattern_mask`` over the code
-columns and products are batch products from ``kernels``.  Matrix objects
-appear in two places only: the generators, which are encoded before any
-scan; and the infinite-ring routes of ``check_abels_retraction`` and
-``check_normality``.
+columns, and products are batch products or product keys from
+``kernels``.  Matrix objects appear in two places only: the generators,
+which are encoded before any scan; and the infinite-ring routes of
+``check_abels_retraction`` and ``check_normality``.
 """
 
 import numpy as np
@@ -538,7 +538,14 @@ def check_h4_fiber_product(ring, budget=None):
 
 
 def check_normality(sub, amb, budget=None):
-    """Conjugation by every ambient generator preserves the subgroup."""
+    """Conjugation by every ambient generator preserves the subgroup.
+
+    Over a finite ring g X g^-1 = X exactly when g*X and X*g have the same
+    sorted keys; ``kernels.product_keys`` gives both sides for every
+    generator and keys the members once on its key route.  Over an infinite
+    ring every generator and its inverse must conjugate each subgroup
+    generator into the pattern.
+    """
     if sub.n != amb.n or sub.ring.descriptor != amb.ring.descriptor:
         raise AbelsError("specs must share ambient size and ring")
     R = sub.ring
@@ -565,10 +572,8 @@ def check_normality(sub, amb, budget=None):
     # when gX = Xg: compare the sorted keys of both sides
     cr = kernels.coded_ring(R)
     X = sub.elements_encoded(budget)
-    for g in amb.generators:
-        gv = kernels.encode_matrix(cr, g)
-        left = kernels.pack_keys(cr, kernels.mul_batch_left(cr, gv, X, n), n)
-        right = kernels.pack_keys(cr, kernels.mul_batch_right(cr, X, gv, n), n)
+    gens = [kernels.encode_matrix(cr, g) for g in amb.generators]
+    for left, right in kernels.product_keys(cr, X, gens, n):
         if not (np.sort(left) == np.sort(right)).all():
             return False
     return True

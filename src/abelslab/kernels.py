@@ -18,12 +18,32 @@ of a chunk is its key, and for each output index i a table holds
 T[i, key] = sum_k g[i, k] * v[k] over the chunk's entries v.  One key per
 column and one gather per output row then replace the 2n lookups in the
 ring's mul and add tables, and the chunks' partial sums are combined with
-add.  w is the largest width with q**w <= min(TABLE_CAP, batch rows), so a
-table is never larger than the batch it serves; at w = 1 the gather is the
-plain per-k loop.  Closure and the center scan build each generator's
-tables once and reuse them.  Where both factors vary per case, ``mul_rows``
-multiplies two equally long batches row by row, folding ``mul`` over k with
-``add``.
+add.  No table has more than TABLE_CAP columns: w is the largest width with
+q**w <= min(TABLE_CAP, batch rows), so a chunk table is also never larger
+than the batch it serves, and at w = 1 the gather is the plain per-k loop.
+Where both factors vary per case, ``mul_rows`` multiplies two equally long
+batches row by row, folding ``mul`` over k with ``add``.
+
+The closure, the center scan and ``product_keys`` need only the keys of
+their products, and on the key route they never write out the products'
+codes.  A line of a matrix, one row or one column of n codes, has a base-q
+key below q**n.  Row i of x*g depends on row i of x alone, and column j of
+g*x on column j of x alone, so for a fixed g one key table of q**n entries
+gives each line's share of the product's int64 key:
+
+    key(x*g) = sum_i q**(n*(n-1-i)) * P[rowkey_i(x)]
+    key(g*x) = sum_j q**(n-1-j) * S[colkey_j(x)]
+
+where, for v the line with key r or c, P[r] is the base-q key of the row
+v*g and S[c] = sum_i q**(n*(n-1-i)) * (g*v)[i].  Every partial sum is at
+most the product's key, so both are exact wherever the keys are int64.
+
+The route rule is one predicate: the key route runs exactly when the keys
+are int64 (``fits_packing``) and q**n <= TABLE_CAP.  Every other input
+(byte keys, or longer lines) takes the chunked gather, which is also the
+only route of ``mul_batch_left``, ``mul_batch_right``, ``mul_rows`` and
+``coset_labels``.  Either route builds each generator's tables once and
+reuses them.
 
 Two closures serve different callers.  ``group_closure`` is the coded
 BFS: it gives the coded element set sorted by key, and ``closure_order``
@@ -241,14 +261,121 @@ def mul_rows(cr, As, Bs, n):
     return out.reshape(-1, n * n)
 
 
+# -- key tables --------------------------------------------------------
+
+
+def _keyed(q, n):
+    """The route rule: int64 keys, and q**n <= TABLE_CAP."""
+    return fits_packing(q, n) and q**n <= TABLE_CAP
+
+
+@lru_cache(maxsize=None)
+def _line_codes(q, n):
+    """The codes of the line with each key below q**n, as (q**n, n)."""
+    codes = np.arange(q**n)[:, None] // _powers(q, n) % q
+    codes.flags.writeable = False
+    return codes
+
+
+def _line_keys(cr, vecs, n):
+    """(row keys, column keys) of coded matrices, (m, n) each."""
+    X = vecs.reshape(-1, n, n)
+    pw = _powers(cr.q, n)
+    return X @ pw, pw @ X
+
+
+def _right_table(cr, g, n):
+    """P with key(x*g) = sum_i q**(n*(n-1-i)) * P[rowkey_i(x)]."""
+    return _powers(cr.q, n) @ _tables(cr, g.reshape(n, n).T, n)[0]
+
+
+def _left_table(cr, g, n):
+    """S with key(g*x) = sum_j q**(n-1-j) * S[colkey_j(x)]."""
+    return _powers(cr.q**n, n) @ _tables(cr, g.reshape(n, n), n)[0]
+
+
+def _key_products(cr, g, n, rows, cols):
+    """Keys of g*x and of x*g for the matrices x with these line keys."""
+    left = _left_table(cr, g, n)[cols] @ _powers(cr.q, n)
+    right = _right_table(cr, g, n)[rows] @ _powers(cr.q**n, n)
+    return left, right
+
+
+def product_keys(cr, X, gens, n):
+    """Keys of g*X and of X*g, row for row, for each coded generator g.
+
+    On the key route X is keyed once, by its line keys; otherwise both
+    sides are batch products keyed by ``pack_keys``.
+    """
+    if _keyed(cr.q, n):
+        rows, cols = _line_keys(cr, X, n)
+        for g in gens:
+            yield _key_products(cr, g, n, rows, cols)
+    else:
+        for g in gens:
+            yield (
+                pack_keys(cr, mul_batch_left(cr, g, X, n), n),
+                pack_keys(cr, mul_batch_right(cr, X, g, n), n),
+            )
+
+
+# -- closure and center ------------------------------------------------
+
+
+def _unique(keys):
+    """Sorted distinct keys; faster than np.unique, which hashes int64."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.shape[0], bool)
+    keep[:1] = True
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _key_steps(cr, gens, n):
+    """Closure steps on key tables: a level is multiplied as row keys."""
+    Q = cr.q**n
+    place = _powers(Q, n)
+    tables = [_right_table(cr, g, n) for g in gens]
+
+    def frontier(keys):
+        return keys[:, None] // place % Q
+
+    def products(rows):
+        return (P[rows] @ place for P in tables)
+
+    def decode(keys):
+        return _line_codes(cr.q, n)[frontier(keys)].reshape(-1, n * n)
+
+    return frontier, products, decode
+
+
+def _chunk_steps(cr, gens, n, w):
+    """Closure steps on chunk gathers: a level is multiplied as codes."""
+    tables = [_tables(cr, g.reshape(n, n).T, w) for g in gens]
+
+    def frontier(keys):
+        return _unpack(keys, cr, n)
+
+    def products(codes):
+        fkeys = _batch_keys(cr, _rows(codes, n), w)
+        prod = np.empty((codes.shape[0], n, n), np.int64)
+        for gtables in tables:
+            _gather(cr, gtables, fkeys, prod.transpose(0, 2, 1))
+            yield pack_keys(cr, prod.reshape(-1, n * n), n)
+
+    return frontier, products, frontier
+
+
 def group_closure(cr, gens, n, budget=None):
     """BFS closure of the generated subgroup, seeded with the identity.
 
     Returns (status, elems, keys) with keys from ``pack_keys`` and elems
     sorted by key; status is "complete" or "overflow" (partial set, still
-    sorted and deduplicated).  Each generator's gather tables are built once
-    and serve every level.  The search keeps only keys and unpacks the
-    elements of each new level, and of the result, from them.
+    sorted and deduplicated).  The search keeps only keys.  On the key route
+    a level is multiplied as its row keys, one key table lookup per row
+    and generator, and the result is decoded through the codes of each
+    line; otherwise each level is unpacked and multiplied by chunk gathers.
+    Each generator's tables are built once and serve every level.
     """
     budget = get_budget(budget)
     if gens.ndim != 2 or gens.shape[1] != n * n:
@@ -256,41 +383,58 @@ def group_closure(cr, gens, n, budget=None):
     ident = identity_vec(cr, n)[None, :]
     if gens.shape[0] == 0:
         return "complete", ident, pack_keys(cr, ident, n)
-    w = _width(cr.q, n, budget)
-    tables = [_tables(cr, g.reshape(n, n).T, w) for g in gens]
-    keys = np.unique(pack_keys(cr, np.concatenate([ident, gens]), n))
+    if _keyed(cr.q, n):
+        frontier, products, decode = _key_steps(cr, gens, n)
+    else:
+        frontier, products, decode = _chunk_steps(
+            cr, gens, n, _width(cr.q, n, budget)
+        )
+    keys = _unique(pack_keys(cr, np.concatenate([ident, gens]), n))
     if keys.shape[0] > budget:
         keys = keys[:budget]
-        return "overflow", _unpack(keys, cr, n), keys
-    frontier = _unpack(keys, cr, n)
+        return "overflow", decode(keys), keys
+    level = frontier(keys)
     status = "complete"
-    while frontier.shape[0]:
-        fkeys = _batch_keys(cr, _rows(frontier, n), w)
-        prod = np.empty((frontier.shape[0], n, n), np.int64)
-        flat = prod.reshape(-1, n * n)
+    while level.shape[0]:
         fresh = []
-        for gtables in tables:
-            _gather(cr, gtables, fkeys, prod.transpose(0, 2, 1))
-            pk = pack_keys(cr, flat, n)
+        for pk in products(level):
             pos = np.searchsorted(keys, pk).clip(max=keys.shape[0] - 1)
             fresh.append(pk[keys[pos] != pk])
-        pk = np.unique(np.concatenate(fresh))
+        pk = _unique(np.concatenate(fresh))
         if not pk.shape[0]:
             break
         if keys.shape[0] + pk.shape[0] > budget:
             status = "overflow"
             break
         keys = np.sort(np.concatenate([keys, pk]))
-        frontier = _unpack(pk, cr, n)
-    return status, _unpack(keys, cr, n), keys
+        level = frontier(pk)
+    return status, decode(keys), keys
 
 
 def center_mask(cr, elems, gens, n):
     """True where an element commutes with every generator.
 
     Elements are filtered generator by generator: each generator tests only
-    the elements that commute with all the generators before it.
+    the elements that commute with all the generators before it.  On the
+    key route x commutes with g when the keys of g*x and x*g agree, read
+    from the line keys of x, which are computed once; otherwise
+    ``_center_chunks`` compares the products' codes.
     """
+    if not _keyed(cr.q, n):
+        return _center_chunks(cr, elems, gens, n)
+    rows, cols = _line_keys(cr, elems, n)
+    alive = np.arange(elems.shape[0])
+    for g in gens:
+        left, right = _key_products(cr, g, n, rows, cols)
+        keep = left == right
+        alive, rows, cols = alive[keep], rows[keep], cols[keep]
+    mask = np.zeros(elems.shape[0], bool)
+    mask[alive] = True
+    return mask
+
+
+def _center_chunks(cr, elems, gens, n):
+    """``center_mask`` by chunk gathers, 2**14 elements at a time."""
     N = elems.shape[0]
     w = _width(cr.q, n, N)
     sides = [

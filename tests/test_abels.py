@@ -287,11 +287,63 @@ def test_semidirect_factorizations():
     assert check_semidirect(unipotent_and_torus(4, Z3)[1])
 
 
+def test_semidirect_fails_when_the_orders_do_not_split(monkeypatch):
+    # a torus that pins entry (2,2) to one: |A| != |A & U| * |A & T|
+    real = abels.unipotent_and_torus
+
+    def narrowed(n, ring):
+        uni, torus = real(n, ring)
+        return uni, abels._spec(ring, "T", "11" + "u" * (n - 3) + "1")
+
+    monkeypatch.setattr(abels, "unipotent_and_torus", narrowed)
+    assert not check_semidirect(abels_group(4, Z3))
+
+
+@pytest.mark.parametrize("where, code", [
+    (5, 0),  # entry (2,2) zero: the diagonal part is not invertible
+    (4, 1),  # entry (2,1) one: the unitriangular part leaves U
+    (0, 2),  # entry (1,1) two: the diagonal part leaves T
+])
+def test_semidirect_fails_on_a_perturbed_member(monkeypatch, where, code):
+    # the last member of A_4(Z/3) comes back with one entry changed
+    real = SubgroupSpec.elements_encoded
+
+    def perturbed(self, budget=None):
+        V = real(self, budget)
+        if self.name == "A":
+            V[-1, where] = code
+        return V
+
+    monkeypatch.setattr(SubgroupSpec, "elements_encoded", perturbed)
+    assert not check_semidirect(abels_group(4, Z3))
+
+
+def test_semidirect_fails_when_the_unipotent_part_is_not_normal(monkeypatch):
+    # H3 with the extra generator e23(1): its members and patterns are
+    # unchanged, but e23 conjugates e12(1) out of H3 & U
+    def right_product(*args, **kwargs):
+        raise AssertionError("normality left the key route")
+
+    monkeypatch.setattr(kernels, "mul_batch_right", right_product)
+    spec = horospherical(4, Z3, 3)
+    assert check_semidirect(spec)
+    spec._gens = spec.generators + (Matrix.elementary(Z3, 4, 2, 3, Z3.one),)
+    assert not check_semidirect(spec)
+
+
 def test_normality():
     u4, t4 = unipotent_and_torus(4, Z3)
     assert check_normality(u4, abels_group(4, Z3))
     assert not check_normality(t4, abels_group(4, Z3))
     assert check_normality(unipotent_and_torus(4, ZZ)[0], abels_group(4, ZZ))
+
+
+def test_torus_is_not_normal_on_either_route(monkeypatch):
+    t4 = unipotent_and_torus(4, Z3)[1]
+    assert not check_normality(t4, abels_group(4, Z3))
+    monkeypatch.setattr(kernels, "TABLE_CAP", 1)
+    assert not check_normality(t4, abels_group(4, Z3))
+    assert check_normality(unipotent_and_torus(4, Z3)[0], abels_group(4, Z3))
 
 
 def test_finite_normality_inverts_no_matrix(monkeypatch):

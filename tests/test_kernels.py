@@ -12,6 +12,7 @@ from abelslab.abels import (
     abels_group,
     check_closure_matches_pattern,
     contracting_family,
+    verify_abels,
 )
 from abelslab.complexes import verify_complex
 from abelslab.config import BudgetExceeded
@@ -85,6 +86,15 @@ def test_packing_guard():
     assert fits_packing(5, 5)
     assert not fits_packing(7, 5)
     assert not fits_packing(2, 8)
+
+
+def test_route_rule():
+    # key tables exactly where the keys are int64 and q**n <= TABLE_CAP
+    assert kernels.TABLE_CAP == 4096
+    assert kernels._keyed(8, 4) and kernels._keyed(2, 7) and kernels._keyed(7, 4)
+    assert not kernels._keyed(9, 4)  # int64 keys, 6 561 line keys
+    assert not kernels._keyed(1009, 2)
+    assert not kernels._keyed(2, 8)  # byte keys, 256 line keys
 
 
 @pytest.mark.parametrize("descriptor, n", [
@@ -477,3 +487,110 @@ def test_packable_callers_take_the_coded_closure(monkeypatch):
     # the nerve oracle builds its cosets from Matrix objects on purpose
     monkeypatch.undo()
     assert nerve_oracle([a, b], ([a], [b])) == cx
+
+
+# -- key tables against chunk gathers --------------------------------------
+
+
+def _on_both_routes(run):
+    """run() on the key route and with every product on the chunk route."""
+    key = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TABLE_CAP", 1)
+        chunk = run()
+    return key, chunk
+
+
+@PROPERTY
+@given(case=st.sampled_from(SMALL_GROUPS), data=st.data())
+def test_closure_routes_agree(case, data):
+    name, n, descriptor = case
+    cr = coded_ring(make_ring(descriptor))
+    spec = subgroup_by_name(name, n, cr.ring)
+    gens = encode_matrices(
+        cr, data.draw(st.lists(st.sampled_from(spec.generators), min_size=1, max_size=4))
+    )
+    order = group_closure(cr, gens, n)[1].shape[0]
+    drawn = data.draw(st.integers(1, order + 1))
+    for budget in sorted({max(order - 1, 1), order, order + 1, drawn}):
+        key, chunk = _on_both_routes(lambda: group_closure(cr, gens, n, budget))
+        assert key[0] == chunk[0]
+        assert np.array_equal(key[1], chunk[1])
+        assert np.array_equal(key[2], chunk[2])
+
+
+@PROPERTY
+@given(case=st.sampled_from(SMALL_GROUPS), data=st.data())
+def test_center_routes_agree(case, data):
+    name, n, descriptor = case
+    cr = coded_ring(make_ring(descriptor))
+    spec = subgroup_by_name(name, n, cr.ring)
+    gens = encode_matrices(
+        cr, data.draw(st.lists(st.sampled_from(spec.generators), min_size=1, max_size=4))
+    )
+    elems = spec.elements_encoded()
+    key, chunk = _on_both_routes(lambda: kernels.center_mask(cr, elems, gens, n))
+    assert np.array_equal(key, chunk)
+
+
+# every (ring, n) of PRODUCT_RINGS whose products run on key tables
+KEYED = tuple(
+    (descriptor, n)
+    for descriptor in PRODUCT_RINGS
+    for n in range(2, 8)
+    if kernels._keyed(make_ring(descriptor).order(), n)
+)
+
+
+@PROPERTY
+@given(
+    case=st.sampled_from(KEYED),
+    size=st.integers(1, 300),
+    gens=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the longest lines: q**n = 4096 = TABLE_CAP
+@example(case=("zmod:8", 4), size=300, gens=2, seed=0)
+def test_key_tables_match_batch_products(case, size, gens, seed):
+    descriptor, n = case
+    cr = coded_ring(make_ring(descriptor))
+    assert kernels._keyed(cr.q, n)
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, cr.q, (size, n * n))
+    G = rng.integers(0, cr.q, (gens, n * n))
+    got = list(kernels.product_keys(cr, X, G, n))
+    assert len(got) == gens
+    for g, (left, right) in zip(G, got):
+        assert np.array_equal(left, pack_keys(cr, mul_batch_left(cr, g, X, n), n))
+        assert np.array_equal(right, pack_keys(cr, mul_batch_right(cr, X, g, n), n))
+
+
+def test_keyed_inputs_take_the_key_route(monkeypatch):
+    def chunk_route(*args, **kwargs):
+        raise AssertionError("a chunk route ran on a keyed input")
+
+    monkeypatch.setattr(kernels, "_chunk_steps", chunk_route)
+    monkeypatch.setattr(kernels, "_center_chunks", chunk_route)
+    # in these suites only finite normality would multiply on the right
+    monkeypatch.setattr(kernels, "mul_batch_right", chunk_route)
+    Z2 = make_ring("zmod:2")
+    for rep in (
+        verify_abels(4, make_ring("zmod:4")),
+        verify_abels(5, Z2),
+        verify_presentations(4, make_ring("zmod:3")),
+        verify_complex(4, Z2),
+    ):
+        assert {c.status for c in rep.checks} == {"pass"}
+
+
+def test_byte_keys_take_the_chunk_route(monkeypatch):
+    def key_route(*args, **kwargs):
+        raise AssertionError("key tables built for byte keys")
+
+    monkeypatch.setattr(kernels, "_key_steps", key_route)
+    monkeypatch.setattr(kernels, "_line_keys", key_route)
+    spec = subgroup_by_name("U3", 4, make_ring("zmod:16"))
+    assert check_closure_matches_pattern(spec)
+    cr = coded_ring(spec.ring)
+    elems = spec.elements_encoded()
+    assert kernels.center_mask(cr, elems, elems, 4).all()

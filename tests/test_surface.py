@@ -2,8 +2,10 @@
 
 A public top-level function or class, or a public method of a top-level
 class, counts as used when its name appears in `src/` or `perfbench/`
-outside its own definition: as a name, an attribute, or a string (the
-benchmark's tracer names the functions it wraps as strings).  Names are
+outside its own definition: as a name or an attribute, or, in
+`perfbench/` only, as a string (the benchmark's tracer names the
+functions it wraps as strings).  A string in `src/` is no use: a report's
+suite or check id that spells a name does not call it.  Names are
 matched by spelling only, so two methods called `add` share their uses.
 A function wanted only by tests belongs in a `tests/reference_*.py`
 module; the click commands below are the only exceptions.  Every
@@ -32,13 +34,13 @@ ALLOWED = {
 }
 
 
-def _uses(tree):
+def _uses(tree, strings=False):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
 
 
@@ -58,7 +60,11 @@ def unused_public_names():
         for part in ("src", "perfbench")
         for path in sorted((ROOT / part).rglob("*.py"))
     }
-    uses = Counter(name for tree in trees.values() for name in _uses(tree))
+    uses = Counter(
+        name
+        for path, tree in trees.items()
+        for name in _uses(tree, strings=ROOT / "perfbench" in path.parents)
+    )
     unused = set()
     for path, tree in trees.items():
         if path.parent != ROOT / "src" / "abelslab":
