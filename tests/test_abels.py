@@ -279,6 +279,61 @@ def test_retraction_budget():
         check_abels_retraction(4, Z3, budget=100)
 
 
+def test_retraction_fails_when_the_image_leaves_the_window(monkeypatch):
+    # a window that pins (2,3) to zero: r keeps that entry of every member
+    monkeypatch.setattr(abels, "_window_spec", lambda n, ring: abels._spec(
+        ring, "B2window", "1uu" + "1" * (n - 3)
+    ))
+    assert not check_abels_retraction(4, Z2)
+    assert not check_abels_retraction(4, Z3)
+
+
+def test_retraction_fails_when_the_window_is_not_fixed(monkeypatch):
+    # a window with a free (1,2) still holds every image, but r clears (1,2)
+    monkeypatch.setattr(abels, "_window_spec", lambda n, ring: abels._spec(
+        ring, "B2window", "1uu" + "1" * (n - 3), [(2, 3), (1, 2)]
+    ))
+    assert not check_abels_retraction(4, Z2)
+    assert not check_abels_retraction(4, Z3)
+
+
+def test_retraction_fails_when_the_corner_survives(monkeypatch):
+    # a "center" at (2,3) lies in the window, so r does not kill it
+    monkeypatch.setattr(abels, "center_subgroup", lambda n, ring: abels._spec(
+        ring, "Z", "1" * n, [(2, 3)]
+    ))
+    assert not check_abels_retraction(4, Z2)
+    assert not check_abels_retraction(4, Z3)
+
+
+def test_retraction_fails_on_the_torus_image(monkeypatch):
+    # a "torus" with a free (2,3): r keeps that entry, the diagonal map drops it
+    real = abels.unipotent_and_torus
+
+    def widened(n, ring):
+        uni, _ = real(n, ring)
+        return uni, abels._spec(ring, "T", abels._pinned(n), [(2, 3)])
+
+    monkeypatch.setattr(abels, "unipotent_and_torus", widened)
+    assert not check_abels_retraction(4, Z2)
+    assert not check_abels_retraction(4, Z3)
+
+
+def test_retraction_fails_when_it_is_not_multiplicative(monkeypatch):
+    # an ambient pattern with a free (3,2): every image still lies in the
+    # window, but e32(1)*x adds entry (2,3) of x to its (3,3), which r keeps
+    real = abels.abels_group
+
+    def with_e32(n, ring):
+        pattern = [list(row) for row in real(n, ring).pattern]
+        pattern[2][1] = "f"
+        return SubgroupSpec(ring, n, "A", pattern)
+
+    monkeypatch.setattr(abels, "abels_group", with_e32)
+    assert not check_abels_retraction(4, Z2)
+    assert not check_abels_retraction(4, Z3)
+
+
 def test_semidirect_factorizations():
     assert check_semidirect(abels_group(4, Z3))
     assert check_semidirect(abels_group(4, Z4))
@@ -422,6 +477,21 @@ def test_fiber_product_fails_when_products_do_not_split(monkeypatch):
         return spec
 
     monkeypatch.setattr(abels, "horospherical", with_e12)
+    assert not check_h4_fiber_product(Z2)
+    assert not check_h4_fiber_product(Z3)
+
+
+def test_fiber_product_fails_when_a_member_is_not_rebuilt(monkeypatch):
+    # a split whose second factor drops entry (2,4): both factors keep their
+    # patterns and share (2,2), but the split no longer determines the member
+    real = abels._h4_split
+
+    def lossy(cr, vecs):
+        left, right = real(cr, vecs)
+        right[:, 7] = cr.zero
+        return left, right
+
+    monkeypatch.setattr(abels, "_h4_split", lossy)
     assert not check_h4_fiber_product(Z2)
     assert not check_h4_fiber_product(Z3)
 
