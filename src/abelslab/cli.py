@@ -221,10 +221,9 @@ def _tits_suite(descriptor, n, family, budget, seed=None):
     ring = _parse_ring(descriptor)
     try:
         group, members = subgroup_family(family, n, ring)
+        rep = tits_criterion_check(group, members, budget)
     except _USAGE_ERRORS as exc:
         raise click.UsageError(str(exc))
-    try:
-        rep = tits_criterion_check(group, members, budget)
     except BudgetExceeded as exc:
         rep = Report("tits")
         rep.check("budget", "exploration-budget", INCONCLUSIVE, counterexample=str(exc))

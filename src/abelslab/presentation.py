@@ -1067,13 +1067,18 @@ def tits_criterion_check(group, family, budget=None):
     the natural map (closure of the union of family generators); simple
     connectivity is compared against the colimit presentation enumerating
     to exactly the group order.  Overflow on the colimit side downgrades a
-    verdict to inconclusive instead of failing.
+    verdict to inconclusive instead of failing.  The coset complex needs a
+    finite ring, so an infinite one is refused before any closure runs.
     """
     from . import complexes
 
     budget = get_budget(budget)
     group_gens = generator_list(group)
     ring = group_gens[0].ring
+    if not ring.finite:
+        raise PresentationError(
+            f"the Tits criterion needs a finite ring, got {ring.descriptor}"
+        )
     rep = Report(
         suite="tits",
         config={"family_size": len(family), "ring": ring.descriptor},

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import abelslab
-from abelslab import cli
+from abelslab import cli, kernels
 from abelslab.cli import run
 from abelslab.config import BudgetError, get_budget
 
@@ -228,6 +228,22 @@ def test_abels_over_an_infinite_ring_is_usage_error(capsys):
     code, _, err = invoke(capsys, "verify", "abels", "--n", "4", "--ring", "zloc:6")
     assert code == 2
     assert "usage error: zloc:6 is not finite" in err
+
+
+@pytest.mark.parametrize("ring, message", [
+    ("z", "the Tits criterion needs a finite ring, got z"),
+    ("zloc:6", "no additive presentation for zloc:6"),
+])
+def test_tits_over_an_infinite_ring_is_usage_error(capsys, monkeypatch, ring, message):
+    # refused before any closure: over z one would run to the budget
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a closure ran over an infinite ring")
+
+    monkeypatch.setattr(kernels, "closure_python", no_closure)
+    code, out, err = invoke(capsys, "verify", "tits", "--n", "4", "--ring", ring)
+    assert code == 2
+    assert f"usage error: {message}" in err
+    assert out == ""
 
 
 def test_presentation_budget_flag(capsys, tmp_path):
