@@ -9,7 +9,11 @@ suite or check id that spells a name does not call it.  Names are
 matched by spelling only, so two methods called `add` share their uses.
 A function wanted only by tests belongs in a `tests/reference_*.py`
 module; the click commands below are the only exceptions.  Every
-module-level import of `src/abelslab` must also be read by its module.
+private top-level function or class, and every private method of a
+top-level class, must likewise be referenced in `src/` outside its own
+definition (dunder methods are exempt), so that a helper left behind by
+a refactor fails here.  Every module-level import of `src/abelslab`
+must also be read by its module.
 """
 
 import ast
@@ -44,7 +48,7 @@ def _uses(tree, strings=False):
             yield node.value
 
 
-def _public_definitions(module, tree):
+def _definitions(module, tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield f"{module}.{node.name}", node
@@ -54,10 +58,13 @@ def _public_definitions(module, tree):
                     yield f"{module}.{node.name}.{item.name}", item
 
 
-def unused_public_names():
+def _unused_names(private):
+    """Definitions of `src/abelslab` named nowhere else: public ones in
+    `src/` and `perfbench/`, or private ones, dunders aside, in `src/`."""
+    parts = ("src",) if private else ("src", "perfbench")
     trees = {
         path: ast.parse(path.read_text())
-        for part in ("src", "perfbench")
+        for part in parts
         for path in sorted((ROOT / part).rglob("*.py"))
     }
     uses = Counter(
@@ -69,17 +76,23 @@ def unused_public_names():
     for path, tree in trees.items():
         if path.parent != ROOT / "src" / "abelslab":
             continue
-        for qualified, node in _public_definitions(path.stem, tree):
-            if node.name.startswith("_"):
+        for qualified, node in _definitions(path.stem, tree):
+            name = node.name
+            dunder = name.startswith("__") and name.endswith("__")
+            if dunder or name.startswith("_") != private:
                 continue
-            own = sum(1 for name in _uses(node) if name == node.name)
-            if uses[node.name] == own:
+            own = sum(1 for used in _uses(node) if used == name)
+            if uses[name] == own:
                 unused.add(qualified)
     return unused
 
 
 def test_public_names_have_a_caller_outside_tests():
-    assert unused_public_names() == ALLOWED
+    assert _unused_names(private=False) == ALLOWED
+
+
+def test_private_helpers_are_referenced_in_src():
+    assert _unused_names(private=True) == set()
 
 
 def unread_imports():
