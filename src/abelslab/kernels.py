@@ -38,12 +38,13 @@ where, for v the line with key r or c, P[r] is the base-q key of the row
 v*g and S[c] = sum_i q**(n*(n-1-i)) * (g*v)[i].  Every partial sum is at
 most the product's key, so both are exact wherever the keys are int64.
 
-The route rule is one predicate: the key route runs exactly when the keys
-are int64 (``fits_packing``) and q**n <= TABLE_CAP.  Every other input
-(byte keys, or longer lines) takes the chunked gather, which is also the
-only route of ``mul_batch_left``, ``mul_batch_right``, ``mul_rows`` and
-``coset_labels``.  Either route builds each generator's tables once and
-reuses them.
+The route rule is one predicate, read only by ``product_keys`` and
+``group_closure``: the key route runs exactly when the keys are int64
+(``fits_packing``) and q**n <= TABLE_CAP.  Every other input (byte keys,
+or longer lines) takes the chunked gather, which is also the only route
+of ``mul_batch_left``, ``mul_batch_right``, ``mul_rows`` and
+``coset_labels``.  On either route the closure builds each generator's
+tables once and reuses them at every level.
 
 Two closures serve different callers.  ``group_closure`` is the coded
 BFS: it gives the coded element set sorted by key, and ``closure_order``
@@ -294,13 +295,6 @@ def _left_table(cr, g, n):
     return _powers(cr.q**n, n) @ _tables(cr, g.reshape(n, n), n)[0]
 
 
-def _key_products(cr, g, n, rows, cols):
-    """Keys of g*x and of x*g for the matrices x with these line keys."""
-    left = _left_table(cr, g, n)[cols] @ _powers(cr.q, n)
-    right = _right_table(cr, g, n)[rows] @ _powers(cr.q**n, n)
-    return left, right
-
-
 def product_keys(cr, X, gens, n):
     """Keys of g*X and of X*g, row for row, for each coded generator g.
 
@@ -310,7 +304,10 @@ def product_keys(cr, X, gens, n):
     if _keyed(cr.q, n):
         rows, cols = _line_keys(cr, X, n)
         for g in gens:
-            yield _key_products(cr, g, n, rows, cols)
+            yield (
+                _left_table(cr, g, n)[cols] @ _powers(cr.q, n),
+                _right_table(cr, g, n)[rows] @ _powers(cr.q**n, n),
+            )
     else:
         for g in gens:
             yield (
@@ -411,52 +408,26 @@ def group_closure(cr, gens, n, budget=None):
     return status, decode(keys), keys
 
 
+# elements per center-scan chunk, which bounds the scan's product arrays
+_CENTER_CHUNK = 1 << 16
+
+
 def center_mask(cr, elems, gens, n):
     """True where an element commutes with every generator.
 
-    Elements are filtered generator by generator: each generator tests only
-    the elements that commute with all the generators before it.  On the
-    key route x commutes with g when the keys of g*x and x*g agree, read
-    from the line keys of x, which are computed once; otherwise
-    ``_center_chunks`` compares the products' codes.
+    The elements are scanned in chunks of ``_CENTER_CHUNK`` and filtered
+    generator by generator: each generator tests only the elements of the
+    chunk that commute with all the generators before it, and x commutes
+    with g when the ``product_keys`` of g*x and x*g agree.
     """
-    if not _keyed(cr.q, n):
-        return _center_chunks(cr, elems, gens, n)
-    rows, cols = _line_keys(cr, elems, n)
-    alive = np.arange(elems.shape[0])
-    for g in gens:
-        left, right = _key_products(cr, g, n, rows, cols)
-        keep = left == right
-        alive, rows, cols = alive[keep], rows[keep], cols[keep]
     mask = np.zeros(elems.shape[0], bool)
-    mask[alive] = True
-    return mask
-
-
-def _center_chunks(cr, elems, gens, n):
-    """``center_mask`` by chunk gathers, 2**14 elements at a time."""
-    N = elems.shape[0]
-    w = _width(cr.q, n, N)
-    sides = [
-        (_tables(cr, g.reshape(n, n), w), _tables(cr, g.reshape(n, n).T, w))
-        for g in gens
-    ]
-    mask = np.zeros(N, bool)
-    chunk = 1 << 14
-    for lo in range(0, N, chunk):
-        part = elems[lo : lo + chunk]
-        alive = np.arange(lo, lo + part.shape[0])
-        col_keys = _batch_keys(cr, part.reshape(-1, n, n), w)
-        row_keys = _batch_keys(cr, _rows(part, n), w)
-        for left, right in sides:
-            m = alive.shape[0]
-            gx = _gather(cr, left, col_keys, np.empty((m, n, n), np.int64))
-            xg = np.empty((m, n, n), np.int64)
-            _gather(cr, right, row_keys, xg.transpose(0, 2, 1))
-            keep = (gx == xg).all(axis=(1, 2))
-            alive = alive[keep]
-            col_keys = [k[keep] for k in col_keys]
-            row_keys = [k[keep] for k in row_keys]
+    for lo in range(0, elems.shape[0], _CENTER_CHUNK):
+        X = elems[lo : lo + _CENTER_CHUNK]
+        alive = np.arange(lo, lo + X.shape[0])
+        for g in gens:
+            ((left, right),) = product_keys(cr, X, [g], n)
+            keep = left == right
+            X, alive = X[keep], alive[keep]
         mask[alive] = True
     return mask
 

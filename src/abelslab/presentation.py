@@ -1067,8 +1067,8 @@ def tits_criterion_check(group, family, budget=None):
     the natural map (closure of the union of family generators); simple
     connectivity is compared against the colimit presentation enumerating
     to exactly the group order.  Overflow on the colimit side downgrades a
-    verdict to inconclusive instead of failing.  The coset complex needs a
-    finite ring, so an infinite one is refused before any closure runs.
+    verdict to inconclusive instead of failing.  An infinite ring is
+    refused before any closure runs.
     """
     from . import complexes
 
@@ -1076,9 +1076,7 @@ def tits_criterion_check(group, family, budget=None):
     group_gens = generator_list(group)
     ring = group_gens[0].ring
     if not ring.finite:
-        raise PresentationError(
-            f"the Tits criterion needs a finite ring, got {ring.descriptor}"
-        )
+        raise PresentationError(f"{ring.descriptor} is not finite")
     rep = Report(
         suite="tits",
         config={"family_size": len(family), "ring": ring.descriptor},

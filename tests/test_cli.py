@@ -231,7 +231,7 @@ def test_abels_over_an_infinite_ring_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("ring, message", [
-    ("z", "the Tits criterion needs a finite ring, got z"),
+    ("z", "z is not finite"),
     ("zloc:6", "no additive presentation for zloc:6"),
 ])
 def test_tits_over_an_infinite_ring_is_usage_error(capsys, monkeypatch, ring, message):

@@ -531,6 +531,12 @@ def test_center_routes_agree(case, data):
     elems = spec.elements_encoded()
     key, chunk = _on_both_routes(lambda: kernels.center_mask(cr, elems, gens, n))
     assert np.array_equal(key, chunk)
+    # element chunks smaller than the group, so that some chunk boundary
+    # falls inside it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CENTER_CHUNK", 7)
+        small = _on_both_routes(lambda: kernels.center_mask(cr, elems, gens, n))
+    assert np.array_equal(small[0], key) and np.array_equal(small[1], key)
 
 
 # every (ring, n) of PRODUCT_RINGS whose products run on key tables
@@ -570,8 +576,8 @@ def test_keyed_inputs_take_the_key_route(monkeypatch):
         raise AssertionError("a chunk route ran on a keyed input")
 
     monkeypatch.setattr(kernels, "_chunk_steps", chunk_route)
-    monkeypatch.setattr(kernels, "_center_chunks", chunk_route)
-    # in these suites only finite normality would multiply on the right
+    # in these suites only the center scan and finite normality, through
+    # product_keys, would multiply on the right
     monkeypatch.setattr(kernels, "mul_batch_right", chunk_route)
     Z2 = make_ring("zmod:2")
     for rep in (
