@@ -411,8 +411,11 @@ def check_abels_retraction(n, ring, budget=None):
     scanned coded: the image of the ambient group lies in the block, the
     block and the torus map as they must, and r(g*x) = r(g)*r(x) for every
     generator g and member x; an ambient group over the budget makes the
-    check inconclusive.  Over an infinite ring the homomorphism test runs on
-    generator pairs, and the block and corner on their generators.
+    check inconclusive.  The product test compares only the window entries
+    of g*x and r(g)*r(x), through ``kernels.entry_keys``: the members x and
+    r(x) are keyed once by their columns 2-3, and each generator builds
+    one table of its rows 2-3.  Over an infinite ring the homomorphism test
+    runs on generator pairs, and the block and corner on their generators.
     """
     if n < 4:
         raise AbelsError(f"retraction window needs ambient size >= 4, got {n}")
@@ -453,15 +456,11 @@ def check_abels_retraction(n, ring, budget=None):
         return False
     # r(g*x) and r(g)*r(x) are both the identity off the block of rows and
     # columns 2-3, and zero at its entry (3,2): compare the window entries
-    # of that block, laid out row-major
-    block = [2 * (i - 2) + (j - 2) for i, j in _WINDOW]
-    for gv in kernels.encode_matrices(cr, list(amb.generators)):
-        lhs = kernels.mul_batch_left(cr, gv, V, n, rows=(1, 2), cols=(1, 2))
-        rg = _retract_codes(cr, gv[None], n)[0]
-        rhs = kernels.mul_batch_left(cr, rg, RV, n, rows=(1, 2), cols=(1, 2))
-        if not (lhs[:, block] == rhs[:, block]).all():
-            return False
-    return True
+    gens = kernels.encode_matrices(cr, list(amb.generators))
+    entries = [(i - 1, j - 1) for i, j in _WINDOW]
+    lhs = kernels.entry_keys(cr, V, gens, n, entries)
+    rhs = kernels.entry_keys(cr, RV, _retract_codes(cr, gens, n), n, entries)
+    return all((left == right).all() for left, right in zip(lhs, rhs))
 
 
 def _h4_split(cr, vecs):
@@ -582,9 +581,7 @@ def check_semidirect(spec, budget=None):
     invd = cr.inv[diag]
     if (invd < 0).any():
         return False
-    upart = np.empty_like(V)
-    for j in range(n):
-        upart[:, j::n] = cr.mul[V[:, j::n], invd[:, j][:, None]]
+    upart = cr.mul[V.reshape(-1, n, n), invd[:, None, :]].reshape(-1, n * n)
     tpart = np.full_like(V, cr.zero)
     tpart[:, :: n + 1] = diag
     if not _pattern_mask(usub, cr, upart).all():

@@ -24,12 +24,13 @@ than the batch it serves, and at w = 1 the gather is the plain per-k loop.
 Where both factors vary per case, ``mul_rows`` multiplies two equally long
 batches row by row, folding ``mul`` over k with ``add``.
 
-The closure, the center scan and ``product_keys`` need only the keys of
-their products, and on the key route they never write out the products'
-codes.  A line of a matrix, one row or one column of n codes, has a base-q
-key below q**n.  Row i of x*g depends on row i of x alone, and column j of
-g*x on column j of x alone, so for a fixed g one key table of q**n entries
-gives each line's share of the product's int64 key:
+The closure, the center scan, ``product_keys`` and ``entry_keys`` need
+only the keys of their products, and on the key route they never write
+out the products' codes.  A line of a matrix, one row or one column of n
+codes, has a base-q key below q**n.  Row i of x*g depends on row i of x
+alone, and column j of g*x on column j of x alone, so for a fixed g one
+key table of q**n entries gives each line's share of the product's int64
+key:
 
     key(x*g) = sum_i q**(n*(n-1-i)) * P[rowkey_i(x)]
     key(g*x) = sum_j q**(n-1-j) * S[colkey_j(x)]
@@ -38,13 +39,25 @@ where, for v the line with key r or c, P[r] is the base-q key of the row
 v*g and S[c] = sum_i q**(n*(n-1-i)) * (g*v)[i].  Every partial sum is at
 most the product's key, so both are exact wherever the keys are int64.
 
-The route rule is one predicate, read only by ``product_keys`` and
-``group_closure``: the key route runs exactly when the keys are int64
-(``fits_packing``) and q**n <= TABLE_CAP.  Every other input (byte keys,
-or longer lines) takes the chunked gather, which is also the only route
-of ``mul_batch_left``, ``mul_batch_right``, ``mul_rows`` and
-``coset_labels``.  On either route the closure builds each generator's
-tables once and reuses them at every level.
+``_key_tables`` builds one side's tables, S or P, of every generator at
+once: one ``_tables`` call over the stacked lines of a block of
+generators.  Each caller builds its tables once: the closure (P alone)
+reuses them at every level, and ``center_mask`` over every chunk of
+elements.
+
+``entry_keys`` needs only a few entries of g*X, as the retraction check
+of ``abels`` does: X is keyed once by the columns those entries read,
+and each generator builds a table of the rows they read.  On the key route
+the rows one column needs fold into a single table; otherwise X's chunk
+keys are computed once and gathered per generator.
+
+The route rule is one predicate, ``_keyed``, read only by
+``_product_steps`` (behind ``product_keys`` and ``center_mask``),
+``entry_keys`` and ``group_closure``: the key route runs exactly when the
+keys are int64 (``fits_packing``) and q**n <= TABLE_CAP.  Every other
+input (byte keys, or longer lines) takes the chunked gather, which is
+also the only route of ``mul_batch_left``, ``mul_batch_right``,
+``mul_rows`` and ``coset_labels``.
 
 Two closures serve different callers.  ``group_closure`` is the coded
 BFS: it gives the coded element set sorted by key, and ``closure_order``
@@ -227,19 +240,14 @@ def _rows(vecs, n):
     return vecs.reshape(-1, n, n).transpose(0, 2, 1)
 
 
-def mul_batch_left(cr, a, Bs, n, rows=None, cols=None):
-    """a*B for every coded matrix B in ``Bs``, as (m, n*n) codes.
-
-    ``rows`` and ``cols`` restrict each product to that block of entries,
-    returned row-major as (m, len(rows) * len(cols)).
-    """
-    A = a.reshape(n, n)[slice(None) if rows is None else list(rows)]
-    B = Bs.reshape(-1, n, n)[:, :, slice(None) if cols is None else list(cols)]
-    m = B.shape[0]
+def mul_batch_left(cr, a, Bs, n):
+    """a*B for every coded matrix B in ``Bs``, as (m, n*n) codes."""
+    m = Bs.shape[0]
     w = _width(cr.q, n, m)
-    out = np.empty((m, A.shape[0], B.shape[2]), np.int64)
-    _gather(cr, _tables(cr, A, w), _batch_keys(cr, B, w), out)
-    return out.reshape(m, A.shape[0] * B.shape[2])
+    out = np.empty((m, n, n), np.int64)
+    tables = _tables(cr, a.reshape(n, n), w)
+    _gather(cr, tables, _batch_keys(cr, Bs.reshape(-1, n, n), w), out)
+    return out.reshape(m, n * n)
 
 
 def mul_batch_right(cr, As, b, n):
@@ -285,35 +293,118 @@ def _line_keys(cr, vecs, n):
     return X @ pw, pw @ X
 
 
-def _right_table(cr, g, n):
-    """P with key(x*g) = sum_i q**(n*(n-1-i)) * P[rowkey_i(x)]."""
-    return _powers(cr.q, n) @ _tables(cr, g.reshape(n, n).T, n)[0]
+# build-table entries per block of generators: bounds the tables that
+# ``_key_tables`` builds at once and that ``center_mask`` holds
+_TABLE_BLOCK = 1 << 16
 
 
-def _left_table(cr, g, n):
-    """S with key(g*x) = sum_j q**(n-1-j) * S[colkey_j(x)]."""
-    return _powers(cr.q**n, n) @ _tables(cr, g.reshape(n, n), n)[0]
+def _table_block(q, n):
+    """Generators per block: at most _TABLE_BLOCK build entries, at least one."""
+    return max(1, _TABLE_BLOCK // (n * q**n))
+
+
+def _key_tables(cr, gens, n, right):
+    """One side's key tables of every coded generator, as (k, q**n).
+
+    Row t is the P (``right``) or the S of generator t:
+
+        key(x*g) = sum_i q**(n*(n-1-i)) * P[t, rowkey_i(x)]
+        key(g*x) = sum_j q**(n-1-j) * S[t, colkey_j(x)]
+
+    It is one ``_tables`` call over the stacked columns (P) or rows (S) of
+    a block of ``_table_block`` generators, so no build table has more
+    than max(_TABLE_BLOCK, n * q**n) entries.
+    """
+    Q = cr.q**n
+    G = np.reshape(gens, (-1, n, n))
+    if right:
+        G = G.transpose(0, 2, 1)
+    place = _powers(cr.q if right else Q, n)
+    out = np.empty((G.shape[0], Q), np.int64)
+    step = _table_block(cr.q, n)
+    for lo in range(0, G.shape[0], step):
+        table = _tables(cr, G[lo : lo + step].reshape(-1, n), n)[0]
+        out[lo : lo + step] = place @ table.reshape(-1, n, Q)
+    return out
+
+
+def _product_steps(cr, gens, n):
+    """(prepare, products): the keys of g*X and X*g, generator by generator.
+
+    ``prepare(X)`` gives a tuple of arrays with one row per member of X:
+    its row and column keys on the key route, its codes otherwise.
+    ``products(t, arrays)`` gives the keys of g*X and X*g for generator t,
+    on any selection of those rows.  The key route builds every
+    generator's tables here, once; the chunk route multiplies by
+    ``mul_batch_left`` and ``mul_batch_right``.
+    """
+    if _keyed(cr.q, n):
+        S = _key_tables(cr, gens, n, right=False)
+        P = _key_tables(cr, gens, n, right=True)
+        pw, place = _powers(cr.q, n), _powers(cr.q**n, n)
+
+        def products(t, lines):
+            rows, cols = lines
+            return S[t][cols] @ pw, P[t][rows] @ place
+
+        return (lambda X: _line_keys(cr, X, n)), products
+
+    def chunk_products(t, codes):
+        (X,) = codes
+        return (
+            pack_keys(cr, mul_batch_left(cr, gens[t], X, n), n),
+            pack_keys(cr, mul_batch_right(cr, X, gens[t], n), n),
+        )
+
+    return (lambda X: (X,)), chunk_products
 
 
 def product_keys(cr, X, gens, n):
     """Keys of g*X and of X*g, row for row, for each coded generator g.
 
-    On the key route X is keyed once, by its line keys; otherwise both
-    sides are batch products keyed by ``pack_keys``.
+    On the key route X is keyed once, by its line keys, and the tables of
+    all generators are built together; otherwise both sides are batch
+    products keyed by ``pack_keys``.
     """
+    prepare, products = _product_steps(cr, gens, n)
+    arrays = prepare(X)
+    for t in range(len(gens)):
+        yield products(t, arrays)
+
+
+def entry_keys(cr, X, gens, n, entries):
+    """Keys of some entries of g*X, row for row, for each coded generator g.
+
+    ``entries`` lists 0-based positions (i, j); the key of g*x is the
+    base-q integer of its entries there, in the order listed, and must be
+    below 2**63.  Entry (i, j) of g*x is row i of g times column j of x,
+    so X is keyed once, by the columns the entries read, and each
+    generator builds one table of the rows they read.  On the key route
+    the rows a column needs are folded into one table by their place
+    values, and one gather per column gives all its entries; otherwise
+    the columns' chunk keys are computed once and gathered per generator,
+    as in ``mul_batch_left``.
+    """
+    rows = sorted({i for i, _ in entries})
+    cols = sorted({j for _, j in entries})
+    # entry e is row at[0][e] of a generator's table, at column at[1][e]
+    at = ([rows.index(i) for i, _ in entries], [cols.index(j) for _, j in entries])
+    place = _powers(cr.q, len(entries))
+    B = X.reshape(-1, n, n)[:, :, cols]
     if _keyed(cr.q, n):
-        rows, cols = _line_keys(cr, X, n)
+        keys = _powers(cr.q, n) @ B
         for g in gens:
-            yield (
-                _left_table(cr, g, n)[cols] @ _powers(cr.q, n),
-                _right_table(cr, g, n)[rows] @ _powers(cr.q**n, n),
-            )
+            table = _tables(cr, g.reshape(n, n)[rows], n)[0]
+            fold = np.zeros((len(cols), table.shape[1]), np.int64)
+            np.add.at(fold, at[1], place[:, None] * table[at[0]])
+            yield sum(f[k] for f, k in zip(fold, keys.T))
     else:
+        w = _width(cr.q, n, B.shape[0])
+        keys = _batch_keys(cr, B, w)
+        out = np.empty((B.shape[0], len(rows), len(cols)), np.int64)
         for g in gens:
-            yield (
-                pack_keys(cr, mul_batch_left(cr, g, X, n), n),
-                pack_keys(cr, mul_batch_right(cr, X, g, n), n),
-            )
+            _gather(cr, _tables(cr, g.reshape(n, n)[rows], w), keys, out)
+            yield out[:, at[0], at[1]] @ place
 
 
 # -- closure and center ------------------------------------------------
@@ -332,7 +423,7 @@ def _key_steps(cr, gens, n):
     """Closure steps on key tables: a level is multiplied as row keys."""
     Q = cr.q**n
     place = _powers(Q, n)
-    tables = [_right_table(cr, g, n) for g in gens]
+    tables = _key_tables(cr, gens, n, right=True)
 
     def frontier(keys):
         return keys[:, None] // place % Q
@@ -415,20 +506,32 @@ _CENTER_CHUNK = 1 << 16
 def center_mask(cr, elems, gens, n):
     """True where an element commutes with every generator.
 
-    The elements are scanned in chunks of ``_CENTER_CHUNK`` and filtered
-    generator by generator: each generator tests only the elements of the
-    chunk that commute with all the generators before it, and x commutes
-    with g when the ``product_keys`` of g*x and x*g agree.
+    The generators are taken in blocks of ``_table_block``, whose tables
+    are built once, and for each block the elements are scanned in chunks
+    of ``_CENTER_CHUNK``.  A chunk is keyed once by ``_product_steps`` and
+    filtered generator by generator: each generator tests only the
+    elements that commute with all the generators before it, and x
+    commutes with g when the keys of g*x and x*g agree.
     """
-    mask = np.zeros(elems.shape[0], bool)
-    for lo in range(0, elems.shape[0], _CENTER_CHUNK):
-        X = elems[lo : lo + _CENTER_CHUNK]
-        alive = np.arange(lo, lo + X.shape[0])
-        for g in gens:
-            ((left, right),) = product_keys(cr, X, [g], n)
-            keep = left == right
-            X, alive = X[keep], alive[keep]
-        mask[alive] = True
+    mask = np.ones(elems.shape[0], bool)
+    step = _table_block(cr.q, n)
+    for g0 in range(0, len(gens), step):
+        block = gens[g0 : g0 + step]
+        prepare, products = _product_steps(cr, block, n)
+        for lo in range(0, elems.shape[0], _CENTER_CHUNK):
+            hi = lo + _CENTER_CHUNK
+            X, alive = elems[lo:hi], mask[lo:hi]
+            if not alive.all():
+                X = X[alive]
+            arrays = prepare(X)
+            alive = lo + np.flatnonzero(alive)
+            for t in range(len(block)):
+                left, right = products(t, arrays)
+                keep = left == right
+                alive = alive[keep]
+                arrays = tuple(a[keep] for a in arrays)
+            mask[lo:hi] = False
+            mask[alive] = True
     return mask
 
 

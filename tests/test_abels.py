@@ -263,13 +263,31 @@ def test_torus_invariance_fails_for_a_narrowed_pattern(monkeypatch):
     assert {c.id: c.status for c in rep.checks}["torus-invariance"] == "fail"
 
 
-def test_retraction():
-    assert check_abels_retraction(4, Z3)
-    assert check_abels_retraction(4, Z4)
-    assert check_abels_retraction(5, Z2)
+def _each_route(monkeypatch):
+    """Yield on the key route, then with every product on chunk gathers."""
+    yield
+    monkeypatch.setattr(kernels, "TABLE_CAP", 1)
+    yield
+
+
+def test_retraction(monkeypatch):
     assert check_abels_retraction(4, ZZ)
     with pytest.raises(AbelsError):
         check_abels_retraction(3, Z3)
+    for _ in _each_route(monkeypatch):
+        assert check_abels_retraction(4, Z3)
+        assert check_abels_retraction(4, Z4)
+        assert check_abels_retraction(5, Z2)
+
+
+def test_keyed_retraction_makes_no_batch_products(monkeypatch):
+    def batch_product(*args, **kwargs):
+        raise AssertionError("the retraction multiplied a batch")
+
+    monkeypatch.setattr(kernels, "mul_batch_left", batch_product)
+    monkeypatch.setattr(kernels, "_batch_keys", batch_product)
+    assert check_abels_retraction(4, Z4)
+    assert check_abels_retraction(5, Z2)
 
 
 def test_retraction_budget():
@@ -279,13 +297,31 @@ def test_retraction_budget():
         check_abels_retraction(4, Z3, budget=100)
 
 
-def test_retraction_fails_when_the_image_leaves_the_window(monkeypatch):
+def _window_pins_23(monkeypatch):
     # a window that pins (2,3) to zero: r keeps that entry of every member
     monkeypatch.setattr(abels, "_window_spec", lambda n, ring: abels._spec(
         ring, "B2window", "1uu" + "1" * (n - 3)
     ))
-    assert not check_abels_retraction(4, Z2)
-    assert not check_abels_retraction(4, Z3)
+
+
+def _ambient_frees_32(monkeypatch):
+    # an ambient pattern with a free (3,2): every image still lies in the
+    # window, but e32(1)*x adds entry (2,3) of x to its (3,3), which r keeps
+    real = abels.abels_group
+
+    def with_e32(n, ring):
+        pattern = [list(row) for row in real(n, ring).pattern]
+        pattern[2][1] = "f"
+        return SubgroupSpec(ring, n, "A", pattern)
+
+    monkeypatch.setattr(abels, "abels_group", with_e32)
+
+
+def test_retraction_fails_when_the_image_leaves_the_window(monkeypatch):
+    _window_pins_23(monkeypatch)
+    for _ in _each_route(monkeypatch):
+        assert not check_abels_retraction(4, Z2)
+        assert not check_abels_retraction(4, Z3)
 
 
 def test_retraction_fails_when_the_window_is_not_fixed(monkeypatch):
@@ -293,8 +329,9 @@ def test_retraction_fails_when_the_window_is_not_fixed(monkeypatch):
     monkeypatch.setattr(abels, "_window_spec", lambda n, ring: abels._spec(
         ring, "B2window", "1uu" + "1" * (n - 3), [(2, 3), (1, 2)]
     ))
-    assert not check_abels_retraction(4, Z2)
-    assert not check_abels_retraction(4, Z3)
+    for _ in _each_route(monkeypatch):
+        assert not check_abels_retraction(4, Z2)
+        assert not check_abels_retraction(4, Z3)
 
 
 def test_retraction_fails_when_the_corner_survives(monkeypatch):
@@ -302,8 +339,9 @@ def test_retraction_fails_when_the_corner_survives(monkeypatch):
     monkeypatch.setattr(abels, "center_subgroup", lambda n, ring: abels._spec(
         ring, "Z", "1" * n, [(2, 3)]
     ))
-    assert not check_abels_retraction(4, Z2)
-    assert not check_abels_retraction(4, Z3)
+    for _ in _each_route(monkeypatch):
+        assert not check_abels_retraction(4, Z2)
+        assert not check_abels_retraction(4, Z3)
 
 
 def test_retraction_fails_on_the_torus_image(monkeypatch):
@@ -315,23 +353,28 @@ def test_retraction_fails_on_the_torus_image(monkeypatch):
         return uni, abels._spec(ring, "T", abels._pinned(n), [(2, 3)])
 
     monkeypatch.setattr(abels, "unipotent_and_torus", widened)
-    assert not check_abels_retraction(4, Z2)
-    assert not check_abels_retraction(4, Z3)
+    for _ in _each_route(monkeypatch):
+        assert not check_abels_retraction(4, Z2)
+        assert not check_abels_retraction(4, Z3)
 
 
 def test_retraction_fails_when_it_is_not_multiplicative(monkeypatch):
-    # an ambient pattern with a free (3,2): every image still lies in the
-    # window, but e32(1)*x adds entry (2,3) of x to its (3,3), which r keeps
-    real = abels.abels_group
+    _ambient_frees_32(monkeypatch)
+    for _ in _each_route(monkeypatch):
+        assert not check_abels_retraction(4, Z2)
+        assert not check_abels_retraction(4, Z3)
 
-    def with_e32(n, ring):
-        pattern = [list(row) for row in real(n, ring).pattern]
-        pattern[2][1] = "f"
-        return SubgroupSpec(ring, n, "A", pattern)
 
-    monkeypatch.setattr(abels, "abels_group", with_e32)
-    assert not check_abels_retraction(4, Z2)
-    assert not check_abels_retraction(4, Z3)
+def test_infinite_retraction_fails_when_the_image_leaves_the_window(monkeypatch):
+    # over Z the generator e23(1) retracts outside the pinned window
+    _window_pins_23(monkeypatch)
+    assert not check_abels_retraction(4, ZZ)
+
+
+def test_infinite_retraction_fails_when_it_is_not_multiplicative(monkeypatch):
+    # over Z the generator pairs find e32(1)*e23(1), whose (3,3) r keeps
+    _ambient_frees_32(monkeypatch)
+    assert not check_abels_retraction(4, ZZ)
 
 
 def test_semidirect_factorizations():

@@ -144,15 +144,9 @@ def test_batch_muls():
     vf = encode_matrix(cr, fixed)
     right = mul_batch_right(cr, As, vf, n)
     left = mul_batch_left(cr, vf, As, n)
-    block = mul_batch_left(cr, vf, As, n, rows=(0, 2), cols=(1,))
     for idx, m in enumerate(mats):
         assert decode_matrix(cr, right[idx], n) == m.mul(fixed)
         assert decode_matrix(cr, left[idx], n) == fixed.mul(m)
-        prod = fixed.mul(m)
-        assert [R.decode(int(c)) for c in block[idx]] == [
-            prod.entry(1, 2),
-            prod.entry(3, 2),
-        ]
 
 
 def test_closure_unitriangular_order():
@@ -569,6 +563,60 @@ def test_key_tables_match_batch_products(case, size, gens, seed):
     for g, (left, right) in zip(G, got):
         assert np.array_equal(left, pack_keys(cr, mul_batch_left(cr, g, X, n), n))
         assert np.array_equal(right, pack_keys(cr, mul_batch_right(cr, X, g, n), n))
+
+
+@PROPERTY
+@given(
+    descriptor=st.sampled_from(PRODUCT_RINGS),
+    n=st.integers(2, 5),
+    size=st.integers(1, 300),
+    gens=st.integers(1, 3),
+    entries=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the retraction's window on A_4(Z/4): column 3 gives two entries
+@example(descriptor="zmod:4", n=4, size=300, gens=2,
+         entries=[(1, 1), (1, 2), (2, 2)], seed=0)
+def test_entry_keys_match_batch_products(descriptor, n, size, gens, entries, seed):
+    cr = coded_ring(make_ring(descriptor))
+    entries = [(i % n, j % n) for i, j in entries]
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, cr.q, (size, n * n))
+    G = rng.integers(0, cr.q, (gens, n * n))
+    flat = [i * n + j for i, j in entries]
+    place = cr.q ** np.arange(len(entries) - 1, -1, -1)
+    expected = [mul_batch_left(cr, g, X, n)[:, flat] @ place for g in G]
+    for got in _on_both_routes(
+        lambda: list(kernels.entry_keys(cr, X, G, n, entries))
+    ):
+        assert len(got) == gens
+        for want, keys in zip(expected, got):
+            assert np.array_equal(keys, want)
+
+
+def test_center_mask_builds_each_table_once(monkeypatch):
+    cr = coded_ring(make_ring("zmod:3"))
+    spec = abels_group(4, cr.ring)
+    elems = spec.elements_encoded()
+    gens = encode_matrices(cr, list(spec.generators))
+    expected = kernels.center_mask(cr, elems, gens, 4)
+    assert expected.sum() == 3  # the corner root subgroup
+    lines = []
+    tables = kernels._tables
+    monkeypatch.setattr(
+        kernels, "_tables", lambda *args: lines.append(len(args[1])) or tables(*args)
+    )
+    # 30 element chunks, and still one build per side over every generator
+    monkeypatch.setattr(kernels, "_CENTER_CHUNK", 100)
+    assert np.array_equal(kernels.center_mask(cr, elems, gens, 4), expected)
+    assert lines == [4 * len(gens)] * 2
+    # one generator per block: each generator's tables are built once
+    lines.clear()
+    monkeypatch.setattr(kernels, "_TABLE_BLOCK", 1)
+    assert np.array_equal(kernels.center_mask(cr, elems, gens, 4), expected)
+    assert lines == [4] * (2 * len(gens))
 
 
 def test_keyed_inputs_take_the_key_route(monkeypatch):
