@@ -18,12 +18,13 @@ torus conjugation, the window map onto an embedded 2 x 2 Borel block is a
 retraction, and the exceptional n = 4 family is the fiber product of its
 two displayed projections over the shared diagonal coordinate.
 
-Over a finite ring every check reads members only as coded rows from
-``elements_encoded``: membership is a ``_pattern_mask`` over the code
-columns, and products are batch products or product keys from
-``kernels``.  Matrix objects appear in two places only: the generators,
-which are encoded before any scan; and the infinite-ring routes of
-``check_abels_retraction`` and ``check_normality``.
+Every check reads members only as coded rows from ``elements_encoded``:
+membership is a ``_pattern_mask`` over the code columns, and products are
+batch products or product keys from ``kernels``.  Matrix objects appear
+only as the generators, which are encoded before any scan.  The checks
+are exhaustive scans, so they need a finite ring: over an infinite one,
+``order``, ``elements_encoded`` and ``kernels.coded_ring`` raise
+``RingError`` before any product is formed.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ from . import kernels
 from .config import BudgetExceeded, get_budget
 from .matrices import Matrix
 from .reports import Report
-from .rings import IntegerRing, RingError, additive_presentation
+from .rings import additive_presentation
 
 
 class AbelsError(ValueError):
@@ -41,11 +42,7 @@ class AbelsError(ValueError):
 
 def _unit_generators(ring):
     """A generating set for the unit group, identity omitted."""
-    if ring.finite:
-        return tuple(u for u in ring.units() if u != ring.one)
-    if isinstance(ring, IntegerRing):
-        return (-1,)
-    raise RingError(f"no unit generating set for {ring.descriptor}")
+    return tuple(u for u in ring.units() if u != ring.one)
 
 
 class SubgroupSpec:
@@ -105,27 +102,6 @@ class SubgroupSpec:
     @property
     def unit_positions(self):
         return tuple(i + 1 for i in range(self.n) if self.pattern[i][i] == "u")
-
-    def contains(self, mat):
-        if mat.ring != self.ring or mat.n != self.n:
-            return False
-        R = self.ring
-        for i in range(self.n):
-            row = mat.rows[i]
-            for j in range(self.n):
-                code = self.pattern[i][j]
-                if code == "f":
-                    continue
-                v = row[j]
-                if code == "0":
-                    if v != R.zero:
-                        return False
-                elif code == "1":
-                    if v != R.one:
-                        return False
-                elif not R.is_unit(v):
-                    return False
-        return True
 
     @property
     def generators(self):
@@ -343,7 +319,7 @@ def check_closure_matches_pattern(spec, budget=None):
         if gens
         else np.empty((0, n * n), np.int64)
     )
-    status, _, keys = kernels.group_closure(cr, coded, n, budget=budget)
+    status, keys = kernels.group_closure(cr, coded, n, budget=budget)
     if status != "complete":
         raise BudgetExceeded("inconclusive-budget: closure overflowed")
     return np.array_equal(keys, expected)
@@ -385,15 +361,6 @@ def _window_spec(n, ring):
     return _spec(ring, "B2window", "1uu" + "1" * (n - 3), [(2, 3)])
 
 
-def _retract(mat):
-    R = mat.ring
-    n = mat.n
-    rows = [list(r) for r in Matrix.identity(R, n).rows]
-    for i, j in _WINDOW:
-        rows[i - 1][j - 1] = mat.entry(i, j)
-    return Matrix(R, rows)
-
-
 def _retract_codes(cr, vecs, n, window=_WINDOW):
     """Coded retractions of coded matrices, one row each: the entries at the
     1-based positions `window` are kept, the others set to the identity's."""
@@ -407,36 +374,19 @@ def check_abels_retraction(n, ring, budget=None):
     """Keeping entries (2,2), (2,3), (3,3) retracts onto the embedded block.
 
     Verifies the map is a homomorphism, fixes the embedded block pointwise,
-    and kills the corner root subgroup.  Over a finite ring every member is
-    scanned coded: the image of the ambient group lies in the block, the
-    block and the torus map as they must, and r(g*x) = r(g)*r(x) for every
-    generator g and member x; an ambient group over the budget makes the
-    check inconclusive.  The product test compares only the window entries
-    of g*x and r(g)*r(x), through ``kernels.entry_keys``: the members x and
+    and kills the corner root subgroup.  Every member is scanned coded: the
+    image of the ambient group lies in the block, the block and the torus
+    map as they must, and r(g*x) = r(g)*r(x) for every generator g and
+    member x; an ambient group over the budget makes the check
+    inconclusive.  The product test compares only the window entries of
+    g*x and r(g)*r(x), through ``kernels.entry_keys``: the members x and
     r(x) are keyed once by their columns 2-3, and each generator builds
-    one table of its rows 2-3.  Over an infinite ring the homomorphism test
-    runs on generator pairs, and the block and corner on their generators.
+    one table of its rows 2-3.
     """
     if n < 4:
         raise AbelsError(f"retraction window needs ambient size >= 4, got {n}")
     amb = abels_group(n, ring)
     window = _window_spec(n, ring)
-    if not ring.finite:
-        gens = [Matrix.identity(ring, n)] + list(amb.generators)
-        for x in gens:
-            rx = _retract(x)
-            if not window.contains(rx):
-                return False
-            for y in gens:
-                if _retract(x.mul(y)) != rx.mul(_retract(y)):
-                    return False
-        corner = [
-            Matrix.elementary(ring, n, 1, n, t)
-            for t in additive_presentation(ring).generators
-        ]
-        return all(_retract(b) == b for b in window.generators) and all(
-            _retract(e).is_identity() for e in corner
-        )
     V = amb.elements_encoded(budget)
     cr = kernels.coded_ring(ring)
     RV = _retract_codes(cr, V, n)
@@ -528,32 +478,17 @@ def check_h4_fiber_product(ring, budget=None):
 def check_normality(sub, amb, budget=None):
     """Conjugation by every ambient generator preserves the subgroup.
 
-    Over a finite ring g X g^-1 = X exactly when g*X and X*g have the same
-    sorted keys; ``kernels.product_keys`` gives both sides for every
-    generator and keys the members once on its key route.  Over an infinite
-    ring every generator and its inverse must conjugate each subgroup
-    generator into the pattern.
+    g X g^-1 = X exactly when g*X and X*g have the same sorted keys;
+    ``kernels.product_keys`` gives both sides for every generator and keys
+    the members once on its key route.
     """
     if sub.n != amb.n or sub.ring.descriptor != amb.ring.descriptor:
         raise AbelsError("specs must share ambient size and ring")
-    R = sub.ring
     n = sub.n
-    if not R.finite:
-        # inverses included: containment under a monoid of conjugations
-        # does not bootstrap to the whole group in the infinite case
-        probes = []
-        for g in amb.generators:
-            probes.extend((g, g.inverse()))
-        for g in probes:
-            gi = g.inverse()
-            for x in sub.generators:
-                if not sub.contains(g.mul(x).mul(gi)):
-                    return False
-        return True
     # g X g^-1 lies in the finite set X exactly when it equals X, that is
     # when gX = Xg: compare the sorted keys of both sides
     X = sub.elements_encoded(budget)
-    cr = kernels.coded_ring(R)
+    cr = kernels.coded_ring(sub.ring)
     gens = [kernels.encode_matrix(cr, g) for g in amb.generators]
     for left, right in kernels.product_keys(cr, X, gens, n):
         if not (np.sort(left) == np.sort(right)).all():

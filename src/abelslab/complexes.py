@@ -23,6 +23,7 @@ from .kernels import (
     encode_matrices,
     group_closure,
     closure_order,
+    unpack_keys,
 )
 from .presentation import (
     Presentation,
@@ -141,14 +142,13 @@ def coset_complex(group, family, budget=None):
         raise ComplexError("coset complexes need a finite ring")
     n = gens[0].n
     cr = coded_ring(ring)
-    status, elems, keys = group_closure(
-        cr, encode_matrices(cr, gens), n, budget=budget
-    )
+    status, keys = group_closure(cr, encode_matrices(cr, gens), n, budget=budget)
     if status != "complete":
         raise BudgetExceeded("inconclusive-budget: group closure overflowed")
+    elems = unpack_keys(keys, cr, n)
     labels = []
     for member in family:
-        mstatus, melems, mkeys = group_closure(
+        mstatus, mkeys = group_closure(
             cr, encode_matrices(cr, generator_list(member)), n, budget=budget
         )
         if mstatus != "complete":
@@ -157,7 +157,7 @@ def coset_complex(group, family, budget=None):
             raise ComplexError(
                 "family member is not contained in the ambient group"
             )
-        labels.append(coset_labels(cr, elems, keys, melems, n))
+        labels.append(coset_labels(cr, elems, keys, unpack_keys(mkeys, cr, n), n))
 
     vertices = []
     colors = []

@@ -59,12 +59,14 @@ input (byte keys, or longer lines) takes the chunked gather, which is
 also the only route of ``mul_batch_left``, ``mul_batch_right``,
 ``mul_rows`` and ``coset_labels``.
 
-Two closures serve different callers.  ``group_closure`` is the coded
-BFS: it gives the coded element set sorted by key, and ``closure_order``
-runs it on Matrix generators for callers that need only the order.  Every
-finite ring takes this route.  ``closure_python`` builds the closure as a
-set of Matrix objects; ``closure_order`` runs it only on infinite rings,
-and the tests check the coded kernel against it.
+The closure is ``group_closure``, a coded BFS that gives the sorted keys
+of the generated group; ``unpack_keys`` turns keys back into codes where
+a caller needs them, and ``closure_order`` runs the closure on Matrix
+generators for callers that need only the order.  Every kernel needs a
+finite ring: ``coded_ring`` refuses an infinite one.  ``closure_python``
+builds the closure as a set of Matrix objects; no caller in the package
+uses it, and it stays here as the oracle the tests check the coded
+closure against.
 """
 
 from functools import lru_cache
@@ -175,7 +177,7 @@ def pack_keys(cr, vecs, n):
     return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize)))[:, 0]
 
 
-def _unpack(keys, cr, n):
+def unpack_keys(keys, cr, n):
     """Coded matrices of ``pack_keys`` keys, one row each."""
     if fits_packing(cr.q, n):
         return keys[:, None] // _powers(cr.q, n * n) % cr.q
@@ -276,14 +278,6 @@ def mul_rows(cr, As, Bs, n):
 def _keyed(q, n):
     """The route rule: int64 keys, and q**n <= TABLE_CAP."""
     return fits_packing(q, n) and q**n <= TABLE_CAP
-
-
-@lru_cache(maxsize=None)
-def _line_codes(q, n):
-    """The codes of the line with each key below q**n, as (q**n, n)."""
-    codes = np.arange(q**n)[:, None] // _powers(q, n) % q
-    codes.flags.writeable = False
-    return codes
 
 
 def _line_keys(cr, vecs, n):
@@ -431,10 +425,7 @@ def _key_steps(cr, gens, n):
     def products(rows):
         return (P[rows] @ place for P in tables)
 
-    def decode(keys):
-        return _line_codes(cr.q, n)[frontier(keys)].reshape(-1, n * n)
-
-    return frontier, products, decode
+    return frontier, products
 
 
 def _chunk_steps(cr, gens, n, w):
@@ -442,7 +433,7 @@ def _chunk_steps(cr, gens, n, w):
     tables = [_tables(cr, g.reshape(n, n).T, w) for g in gens]
 
     def frontier(keys):
-        return _unpack(keys, cr, n)
+        return unpack_keys(keys, cr, n)
 
     def products(codes):
         fkeys = _batch_keys(cr, _rows(codes, n), w)
@@ -451,36 +442,36 @@ def _chunk_steps(cr, gens, n, w):
             _gather(cr, gtables, fkeys, prod.transpose(0, 2, 1))
             yield pack_keys(cr, prod.reshape(-1, n * n), n)
 
-    return frontier, products, frontier
+    return frontier, products
 
 
 def group_closure(cr, gens, n, budget=None):
     """BFS closure of the generated subgroup, seeded with the identity.
 
-    Returns (status, elems, keys) with keys from ``pack_keys`` and elems
-    sorted by key; status is "complete" or "overflow" (partial set, still
-    sorted and deduplicated).  The search keeps only keys.  On the key route
-    a level is multiplied as its row keys, one key table lookup per row
-    and generator, and the result is decoded through the codes of each
-    line; otherwise each level is unpacked and multiplied by chunk gathers.
-    Each generator's tables are built once and serve every level.
+    Returns (status, keys): the ``pack_keys`` keys of the elements, sorted
+    and distinct; status is "complete" or "overflow" (a partial set, still
+    sorted and distinct).  The search keeps only keys, and a caller that
+    needs the elements' codes reads them with ``unpack_keys``.  On the key
+    route a level is multiplied as its row keys, one key table lookup per
+    row and generator; otherwise each level is unpacked and multiplied by
+    chunk gathers.  Each generator's tables are built once and serve every
+    level.
     """
     budget = get_budget(budget)
     if gens.ndim != 2 or gens.shape[1] != n * n:
         raise KernelError("generator array must have shape (m, n*n)")
     ident = identity_vec(cr, n)[None, :]
     if gens.shape[0] == 0:
-        return "complete", ident, pack_keys(cr, ident, n)
+        return "complete", pack_keys(cr, ident, n)
     if _keyed(cr.q, n):
-        frontier, products, decode = _key_steps(cr, gens, n)
+        frontier, products = _key_steps(cr, gens, n)
     else:
-        frontier, products, decode = _chunk_steps(
+        frontier, products = _chunk_steps(
             cr, gens, n, _width(cr.q, n, budget)
         )
     keys = _unique(pack_keys(cr, np.concatenate([ident, gens]), n))
     if keys.shape[0] > budget:
-        keys = keys[:budget]
-        return "overflow", decode(keys), keys
+        return "overflow", keys[:budget]
     level = frontier(keys)
     status = "complete"
     while level.shape[0]:
@@ -496,7 +487,7 @@ def group_closure(cr, gens, n, budget=None):
             break
         keys = np.sort(np.concatenate([keys, pk]))
         level = frontier(pk)
-    return status, decode(keys), keys
+    return status, keys
 
 
 # elements per center-scan chunk, which bounds the scan's product arrays
@@ -567,7 +558,9 @@ def closure_python(ring, gen_mats, budget=None):
 
     The budget is checked at every new element, so ``seen`` never holds
     more than ``budget`` matrices; the status is "overflow" exactly when the
-    closure is larger than the budget.
+    closure is larger than the budget.  No caller in the package runs it:
+    it is the oracle of ``tests/reference_kernels.py``, which checks the
+    coded closure against it, and the perfbench tracer wraps it by name.
     """
     budget = get_budget(budget)
     if not gen_mats:
@@ -594,22 +587,16 @@ def closure_python(ring, gen_mats, budget=None):
 def closure_order(ring, gen_mats, budget=None, what="group closure"):
     """Order of the group generated by the Matrix objects ``gen_mats``.
 
-    Over a finite ring the closure runs coded in ``group_closure``, with
-    either key format; only an infinite ring takes ``closure_python``.  Both
-    routes overflow exactly when the closure is larger than the budget and
-    then raise ``BudgetExceeded("inconclusive-budget: <what> overflowed")``.
+    The closure runs coded in ``group_closure``, with either key format, so
+    an infinite ring is refused by ``coded_ring``.  Over the budget it
+    raises ``BudgetExceeded("inconclusive-budget: <what> overflowed")``.
     """
     if not gen_mats:
         raise KernelError("empty generator list")
-    if ring.finite:
-        cr = coded_ring(ring)
-        status, elems, _ = group_closure(
-            cr, encode_matrices(cr, gen_mats), gen_mats[0].n, budget
-        )
-        order = elems.shape[0]
-    else:
-        status, seen = closure_python(ring, gen_mats, budget)
-        order = len(seen)
+    cr = coded_ring(ring)
+    status, keys = group_closure(
+        cr, encode_matrices(cr, gen_mats), gen_mats[0].n, budget
+    )
     if status != "complete":
         raise BudgetExceeded(f"inconclusive-budget: {what} overflowed")
-    return order
+    return keys.shape[0]

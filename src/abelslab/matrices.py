@@ -80,10 +80,6 @@ class Matrix:
         return cls(ring, rows)
 
     # -- basics ------------------------------------------------------
-    def entry(self, i, j):
-        """1-based entry access."""
-        return self.rows[i - 1][j - 1]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -649,12 +649,14 @@ def _word_trivial_in(pres, word, budget):
     return all(table.trace(a, word) == a for a in range(table.count))
 
 
-def colimit_presentation(diagram, validate=True, budget=None):
+def colimit_presentation(diagram, budget=None):
     """Glue node presentations along edge identifications.
 
     Generators are node generators prefixed with the node name; for each
     edge generator one relator equates its two endpoint images (first
-    endpoint's image written first).
+    endpoint's image written first).  Every edge relator must map to a
+    trivial word in both endpoint nodes, decided by enumerating each node
+    within the budget (4096 cosets when none is given).
     """
     names = []
     offsets = []
@@ -668,24 +670,22 @@ def colimit_presentation(diagram, validate=True, budget=None):
             relators.append(
                 tuple(x + off if x > 0 else x - off for x in w)
             )
+    vbudget = budget if budget is not None else 4096
     for a, b, epres, wa, wb in diagram.edges:
-        if validate:
-            vbudget = budget if budget is not None else 4096
-            for r in epres.relators:
-                for side, words in ((a, wa), (b, wb)):
-                    mapped = _map_word(r, words)
-                    verdict = _word_trivial_in(
-                        diagram.nodes[side][1], mapped, vbudget
+        for r in epres.relators:
+            for side, words in ((a, wa), (b, wb)):
+                verdict = _word_trivial_in(
+                    diagram.nodes[side][1], _map_word(r, words), vbudget
+                )
+                if verdict is False:
+                    raise PresentationError(
+                        f"edge relator maps to a nontrivial word in node {side}"
                     )
-                    if verdict is False:
-                        raise PresentationError(
-                            f"edge relator maps to a nontrivial word in node {side}"
-                        )
-                    if verdict is None:
-                        raise PresentationError(
-                            "edge relator validation overflowed; rerun with "
-                            "validate=False or a larger budget"
-                        )
+                if verdict is None:
+                    raise PresentationError(
+                        f"edge relator validation overflowed the budget of "
+                        f"{vbudget} cosets"
+                    )
         for k in range(len(epres.generators)):
             left = tuple(
                 x + offsets[a] if x > 0 else x - offsets[a] for x in wa[k]
@@ -1105,7 +1105,7 @@ def tits_criterion_check(group, family, budget=None):
     )
 
     diagram = family_diagram(family, budget)
-    colim = colimit_presentation(diagram, validate=True, budget=budget)
+    colim = colimit_presentation(diagram, budget=budget)
     table = todd_coxeter(colim, (), budget)
     rep.check(
         "colimit-index",

@@ -129,7 +129,7 @@ class Ring:
         raise RingError(f"{self.descriptor} is not finite")
 
     def elements(self):
-        raise RingError(f"{self.descriptor} is not enumerable")
+        raise RingError(f"{self.descriptor} is not finite")
 
     def units(self):
         return [a for a in self.elements() if self.is_unit(a)]

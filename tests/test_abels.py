@@ -22,6 +22,7 @@ from abelslab.abels import (
     verify_abels,
 )
 from abelslab.config import BudgetExceeded
+from abelslab.kernels import closure_order
 from abelslab.matrices import Matrix
 from abelslab.rings import RingError, make_ring
 from reference_abels import spec_elements, subgroup_by_name
@@ -31,7 +32,6 @@ Z3 = make_ring("zmod:3")
 Z4 = make_ring("zmod:4")
 Z5 = make_ring("zmod:5")
 F4 = make_ring("polyq:2:1,1,1")
-ZZ = make_ring("z")
 
 
 # -- patterns and orders ---------------------------------------------------
@@ -49,14 +49,20 @@ def test_ambient_size_guard():
         abels_group(1, Z3)
 
 
+def _in_pattern(spec, mats):
+    cr = kernels.coded_ring(spec.ring)
+    return abels._pattern_mask(spec, cr, kernels.encode_matrices(cr, mats)).tolist()
+
+
 def test_ambient_membership():
-    amb = abels_group(4, Z4)
-    assert amb.contains(Matrix.identity(Z4, 4))
-    assert amb.contains(Matrix.elementary(Z4, 4, 1, 4, 3))
-    assert not amb.contains(Matrix.elementary(Z4, 4, 3, 2, 1))
     rows = [list(r) for r in Matrix.identity(Z4, 4).rows]
     rows[1][1] = 2  # not a unit mod 4
-    assert not amb.contains(Matrix(Z4, rows))
+    assert _in_pattern(abels_group(4, Z4), [
+        Matrix.identity(Z4, 4),
+        Matrix.elementary(Z4, 4, 1, 4, 3),
+        Matrix.elementary(Z4, 4, 3, 2, 1),
+        Matrix(Z4, rows),
+    ]) == [True, True, False, False]
 
 
 def test_generator_families():
@@ -64,8 +70,7 @@ def test_generator_families():
     assert len(abels_group(4, Z3).generators) == 8
     assert len(abels_group(5, Z3).generators) == 13
     amb = abels_group(4, Z3)
-    for g in amb.generators:
-        assert amb.contains(g)
+    assert all(_in_pattern(amb, list(amb.generators)))
 
 
 def test_unipotent_and_torus_orders():
@@ -202,6 +207,26 @@ def test_closure_budget_guard():
         check_closure_matches_pattern(abels_group(4, Z3), budget=100)
 
 
+def test_closure_overflow_is_inconclusive(monkeypatch):
+    # the extra generator e32(1) leaves the pattern, so the closure outgrows
+    # a budget that the members fit exactly
+    real = abels.abels_group
+
+    def with_e32(n, ring):
+        spec = real(n, ring)
+        spec._gens = spec.generators + (Matrix.elementary(ring, n, 3, 2, ring.one),)
+        return spec
+
+    monkeypatch.setattr(abels, "abels_group", with_e32)
+    budget = real(4, Z3).order()
+    assert check_closure_matches_pattern(real(4, Z3), budget)
+    with pytest.raises(BudgetExceeded, match="^inconclusive-budget: closure overflowed$"):
+        check_closure_matches_pattern(abels.abels_group(4, Z3), budget)
+    record = {c.id: c for c in verify_abels(4, Z3, budget).checks}["closure:A"]
+    assert record.status == "inconclusive"
+    assert record.counterexample == "inconclusive-budget: closure overflowed"
+
+
 # -- center ------------------------------------------------------------------
 
 
@@ -271,7 +296,6 @@ def _each_route(monkeypatch):
 
 
 def test_retraction(monkeypatch):
-    assert check_abels_retraction(4, ZZ)
     with pytest.raises(AbelsError):
         check_abels_retraction(3, Z3)
     for _ in _each_route(monkeypatch):
@@ -365,18 +389,6 @@ def test_retraction_fails_when_it_is_not_multiplicative(monkeypatch):
         assert not check_abels_retraction(4, Z3)
 
 
-def test_infinite_retraction_fails_when_the_image_leaves_the_window(monkeypatch):
-    # over Z the generator e23(1) retracts outside the pinned window
-    _window_pins_23(monkeypatch)
-    assert not check_abels_retraction(4, ZZ)
-
-
-def test_infinite_retraction_fails_when_it_is_not_multiplicative(monkeypatch):
-    # over Z the generator pairs find e32(1)*e23(1), whose (3,3) r keeps
-    _ambient_frees_32(monkeypatch)
-    assert not check_abels_retraction(4, ZZ)
-
-
 def test_semidirect_factorizations():
     assert check_semidirect(abels_group(4, Z3))
     assert check_semidirect(abels_group(4, Z4))
@@ -433,7 +445,6 @@ def test_normality():
     u4, t4 = unipotent_and_torus(4, Z3)
     assert check_normality(u4, abels_group(4, Z3))
     assert not check_normality(t4, abels_group(4, Z3))
-    assert check_normality(unipotent_and_torus(4, ZZ)[0], abels_group(4, ZZ))
 
 
 def test_torus_is_not_normal_on_either_route(monkeypatch):
@@ -454,20 +465,34 @@ def test_finite_normality_inverts_no_matrix(monkeypatch):
     assert calls == []
 
 
-def test_infinite_normality_fails_for_the_torus(monkeypatch):
-    # negative control for the infinite-ring route, which conjugates the
-    # subgroup generators by Matrix inverses of the ambient generators
-    calls = []
-    inverse = Matrix.inverse
-    monkeypatch.setattr(Matrix, "inverse", lambda self: calls.append(None) or inverse(self))
-    assert not check_normality(unipotent_and_torus(4, ZZ)[1], abels_group(4, ZZ))
-    assert calls
+@pytest.mark.parametrize("descriptor", ["z", "zloc:6"])
+def test_every_check_refuses_an_infinite_ring(monkeypatch, descriptor):
+    # the checks are exhaustive scans: an infinite ring is refused at
+    # the order, the member scan or the coded ring, before any product
+    ring = make_ring(descriptor)
+    gens = [Matrix.elementary(ring, 3, 1, 2, ring.one)]
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was formed over an infinite ring")
 
-def test_localized_integers_have_no_generators():
-    zloc = make_ring("zloc:6")
-    with pytest.raises(RingError, match="no additive presentation for zloc:6"):
-        check_normality(unipotent_and_torus(4, zloc)[1], abels_group(4, zloc))
+    monkeypatch.setattr(Matrix, "mul", refuse)
+    monkeypatch.setattr(kernels, "group_closure", refuse)
+    amb = abels_group(4, ring)
+    uni = unipotent_and_torus(4, ring)[0]
+    for check in (
+        lambda: check_closure_matches_pattern(amb),
+        lambda: center_check(4, ring),
+        lambda: check_torus_invariance(4, ring),
+        lambda: check_abels_retraction(4, ring),
+        lambda: check_h4_fiber_product(ring),
+        lambda: check_normality(uni, amb),
+        lambda: check_semidirect(amb),
+        lambda: check_abelian(contracting(4, ring, 3)),
+        lambda: verify_abels(4, ring),
+        lambda: closure_order(ring, gens),
+    ):
+        with pytest.raises(RingError, match=f"^{descriptor} is not finite$"):
+            check()
 
 
 def test_abelian_contracting():

@@ -164,7 +164,7 @@ def test_c06_presentation_equivalence():
 def _closure_keys(group):
     gens = generator_list(group)
     cr = coded_ring(gens[0].ring)
-    status, _, keys = group_closure(cr, encode_matrices(cr, gens), gens[0].n)
+    status, keys = group_closure(cr, encode_matrices(cr, gens), gens[0].n)
     assert status == "complete"
     return keys
 

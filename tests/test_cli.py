@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import abelslab
-from abelslab import cli, kernels
+from abelslab import cli, complexes, kernels
 from abelslab.cli import run
 from abelslab.config import BudgetError, get_budget
 
@@ -235,14 +235,35 @@ def test_abels_over_an_infinite_ring_is_usage_error(capsys):
     ("zloc:6", "no additive presentation for zloc:6"),
 ])
 def test_tits_over_an_infinite_ring_is_usage_error(capsys, monkeypatch, ring, message):
-    # refused before any closure: over z one would run to the budget
-    def no_closure(*args, **kwargs):
-        raise AssertionError("a closure ran over an infinite ring")
-
-    monkeypatch.setattr(kernels, "closure_python", no_closure)
+    # refused before any closure runs
+    _refuse_closures(monkeypatch)
     code, out, err = invoke(capsys, "verify", "tits", "--n", "4", "--ring", ring)
     assert code == 2
     assert f"usage error: {message}" in err
+    assert out == ""
+
+
+def _refuse_closures(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a closure ran over an infinite ring")
+
+    # complexes imported group_closure by name; closure_order reads it from
+    # kernels
+    monkeypatch.setattr(kernels, "group_closure", no_closure)
+    monkeypatch.setattr(complexes, "group_closure", no_closure)
+
+
+@pytest.mark.parametrize("command", [
+    ("complex",),
+    ("tits", "--family", "horospherical"),
+])
+def test_complex_and_tits_over_z_are_usage_errors(capsys, monkeypatch, command):
+    # the horospherical family has unit positions, whose generators cannot
+    # be listed over z
+    _refuse_closures(monkeypatch)
+    code, out, err = invoke(capsys, "verify", *command, "--ring", "z")
+    assert code == 2
+    assert "usage error: z is not finite" in err
     assert out == ""
 
 

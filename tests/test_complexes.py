@@ -339,6 +339,16 @@ def only_check(rep, check_id, status="fail"):
     return check.counterexample
 
 
+def test_homogeneous_colorable_needs_the_expected_dimension():
+    # the S3 hexagon is a colorable graph; asked for one dimension more, the
+    # check answers False before it reads a missing level of simplices
+    cx = s3_complex()
+    assert cx.dim == 1
+    assert check_homogeneous_colorable(cx, 1)
+    assert not check_homogeneous_colorable(cx, 0)
+    assert not check_homogeneous_colorable(cx, 2)
+
+
 def test_verify_complex_homogeneity_can_fail(monkeypatch):
     monkeypatch.setattr(complexes, "check_homogeneous_colorable", lambda cx, dim: False)
     rep = verify_complex(4, Z2, family="contracting")

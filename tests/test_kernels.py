@@ -30,6 +30,7 @@ from abelslab.kernels import (
     mul_batch_right,
     mul_rows,
     pack_keys,
+    unpack_keys,
 )
 from abelslab.matrices import Matrix
 from abelslab.presentation import tits_criterion_check, verify_presentations
@@ -114,7 +115,7 @@ def test_keys_sort_like_base_q(descriptor, n):
         range(300), key=base_q.__getitem__
     )
     assert np.unique(keys).shape[0] == len(set(base_q))
-    assert np.array_equal(kernels._unpack(keys, cr, n), vecs)
+    assert np.array_equal(unpack_keys(keys, cr, n), vecs)
 
 
 def test_mul_matches_exact():
@@ -154,11 +155,11 @@ def test_closure_unitriangular_order():
     cr = coded_ring(R)
     n = 4
     gens = encode_matrices(cr, unitriangular_generators(R, n))
-    status, elems, keys = group_closure(cr, gens, n)
+    status, keys = group_closure(cr, gens, n)
     assert status == "complete"
-    assert elems.shape[0] == 3**6
+    assert keys.shape[0] == 3**6
     assert strictly_sorted(keys)
-    recomputed = pack_keys(cr, elems, n)
+    recomputed = pack_keys(cr, unpack_keys(keys, cr, n), n)
     assert (recomputed == keys).all()
 
 
@@ -167,13 +168,13 @@ def test_closure_overflow():
     cr = coded_ring(R)
     n = 4
     gens = encode_matrices(cr, unitriangular_generators(R, n))
-    status, elems, keys = group_closure(cr, gens, n, budget=50)
+    status, keys = group_closure(cr, gens, n, budget=50)
     assert status == "overflow"
     assert strictly_sorted(keys)
     # no budget-sized table is allocated, so a large budget is no error
-    status, elems, _ = group_closure(cr, gens, n, budget=2**26 + 1)
+    status, keys = group_closure(cr, gens, n, budget=2**26 + 1)
     assert status == "complete"
-    assert elems.shape[0] == 3**6
+    assert keys.shape[0] == 3**6
 
 
 def test_center_mask():
@@ -182,8 +183,9 @@ def test_center_mask():
     n = 3
     gen_mats = unitriangular_generators(R, n)
     gens = encode_matrices(cr, gen_mats)
-    status, elems, keys = group_closure(cr, gens, n)
+    status, keys = group_closure(cr, gens, n)
     assert status == "complete"
+    elems = unpack_keys(keys, cr, n)
     mask = kernels.center_mask(cr, elems, gens, n)
     # center of the Heisenberg group over zmod(3) is the corner subgroup
     center = {Matrix.elementary(R, n, 1, 3, r) for r in range(3)}
@@ -196,7 +198,8 @@ def test_coset_labels():
     cr = coded_ring(R)
     n = 3
     gens = encode_matrices(cr, unitriangular_generators(R, n))
-    status, elems, keys = group_closure(cr, gens, n)
+    status, keys = group_closure(cr, gens, n)
+    elems = unpack_keys(keys, cr, n)
     sub_mats = [Matrix.identity(R, n), Matrix.elementary(R, n, 1, 2, 1)]
     sub = encode_matrices(cr, sub_mats)
     labels, reps = coset_labels(cr, elems, keys, sub, n)
@@ -229,9 +232,9 @@ def test_trivial_generator_closure():
     R = ZModRing(3)
     cr = coded_ring(R)
     empty = np.empty((0, 9), np.int64)
-    status, elems, keys = group_closure(cr, empty, 3)
+    status, keys = group_closure(cr, empty, 3)
     assert status == "complete"
-    assert elems.shape[0] == 1
+    assert np.array_equal(unpack_keys(keys, cr, 3), identity_vec(cr, 3)[None])
 
 
 def test_closure_python_agrees():
@@ -242,7 +245,7 @@ def test_closure_python_agrees():
     assert status == "complete"
     cr = coded_ring(R)
     gens = encode_matrices(cr, gen_mats)
-    _, elems, _ = group_closure(cr, gens, n)
+    elems = unpack_keys(group_closure(cr, gens, n)[1], cr, n)
     coded = {decode_matrix(cr, elems[i], n) for i in range(elems.shape[0])}
     assert coded == pyset
 
@@ -382,21 +385,20 @@ def test_group_closure_matches_closure_python(case, data):
         st.lists(st.sampled_from(spec.generators), min_size=1, max_size=4)
     )
     budget = data.draw(st.integers(1, spec.order() + 1))
-    status, elems, keys = group_closure(
-        cr, encode_matrices(cr, gens), n, budget=budget
-    )
+    status, keys = group_closure(cr, encode_matrices(cr, gens), n, budget=budget)
     py_status, seen = kernels.closure_python(R, gens, budget=budget)
     assert status == py_status
     assert len(seen) <= budget
-    assert elems.shape[0] <= budget
+    assert keys.shape[0] <= budget
     assert strictly_sorted(keys)
+    elems = unpack_keys(keys, cr, n)
     assert np.array_equal(pack_keys(cr, elems, n), keys)
     if status == "complete":
         coded = {decode_matrix(cr, elems[i], n) for i in range(elems.shape[0])}
         assert coded == seen
 
 
-# -- closure_order on both routes ---------------------------------------
+# -- closure_order against the Matrix closure ----------------------------
 
 
 def _order_or_overflow(ring, gens, budget, what="group closure"):
@@ -428,24 +430,6 @@ def test_closure_order_matches_closure_python(case, data):
         assert _order_or_overflow(R, gens, budget) == (
             _reference_order_or_overflow(R, gens, budget)
         )
-
-
-def test_closure_order_uncoded_route(monkeypatch):
-    def coded_route(*args, **kwargs):
-        raise AssertionError("coded closure ran on an infinite ring")
-
-    monkeypatch.setattr(kernels, "coded_ring", coded_route)
-    # S3 on 3 x 3 permutation matrices over Z
-    Z = make_ring("z")
-    gens = [
-        Matrix.from_rows(Z, [[int(v) for v in row] for row in m.rows])
-        for m in (perm_matrix((1, 0)), perm_matrix((0, 2, 1)))
-    ]
-    for budget in (5, 6, 7):
-        for what in ("group closure", "generation check"):
-            got = _order_or_overflow(Z, gens, budget, what)
-            assert got == _reference_order_or_overflow(Z, gens, budget, what)
-    assert closure_order(Z, gens) == 6
 
 
 def test_closure_order_needs_generators():
@@ -510,7 +494,6 @@ def test_closure_routes_agree(case, data):
         key, chunk = _on_both_routes(lambda: group_closure(cr, gens, n, budget))
         assert key[0] == chunk[0]
         assert np.array_equal(key[1], chunk[1])
-        assert np.array_equal(key[2], chunk[2])
 
 
 @PROPERTY

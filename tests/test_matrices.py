@@ -20,8 +20,8 @@ def test_constructors_and_errors():
     I = Matrix.identity(Z5, 3)
     assert I.is_identity()
     e = Matrix.elementary(Z5, 3, 1, 3, 2)
-    assert e.entry(1, 3) == 2
-    assert e.entry(1, 1) == 1
+    assert e.rows[0][2] == 2
+    assert e.rows[0][0] == 1
     with pytest.raises(MatrixError):
         Matrix.elementary(Z5, 3, 2, 2, 1)
     with pytest.raises(MatrixError):
@@ -31,7 +31,7 @@ def test_constructors_and_errors():
     with pytest.raises(MatrixError):
         Matrix.diagonal(Z4, (2, 1))
     d = Matrix.diagonal(Z4, (3, 1))
-    assert d.entry(1, 1) == 3
+    assert d.rows[0][0] == 3
 
 
 def test_elementary_product_rule():

@@ -598,8 +598,23 @@ def test_colimit_rejects_non_homomorphic_edge():
     c3 = Presentation(("y",), ((1, 1, 1),))
     edge = (0, 1, c2, ((1,),), ((1,),))
     diagram = ColimitDiagram((("u", c2), ("v", c3)), (edge,))
-    with pytest.raises(PresentationError):
-        colimit_presentation(diagram, validate=True)
+    with pytest.raises(PresentationError, match="nontrivial word in node 1"):
+        colimit_presentation(diagram)
+
+
+def test_colimit_validation_overflow_names_the_budget():
+    # y^4 maps to x^4, trivial in C2 but not a listed relator, so deciding
+    # it enumerates C2, which needs two cosets
+    c2 = Presentation(("x",), ((1, 1),))
+    c4 = Presentation(("y",), ((1, 1, 1, 1),))
+    edge = (0, 1, c4, ((1,),), ((1,),))
+    diagram = ColimitDiagram((("u", c2), ("v", c2)), (edge,))
+    assert todd_coxeter(colimit_presentation(diagram)).count == 2
+    with pytest.raises(
+        PresentationError,
+        match=r"^edge relator validation overflowed the budget of 1 cosets$",
+    ):
+        colimit_presentation(diagram, budget=1)
 
 
 @pytest.mark.parametrize(

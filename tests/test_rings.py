@@ -249,4 +249,4 @@ def test_laurent_matmul_checks_term_budget():
             with pytest.raises(RingError, match="exceeds budget"):
                 a.mul(b)
         else:
-            assert len(a.mul(b).entry(1, 1)) == 3
+            assert len(a.mul(b).rows[0][0]) == 3
