@@ -348,6 +348,13 @@ def test_retraction_fails_when_the_image_leaves_the_window(monkeypatch):
         assert not check_abels_retraction(4, Z3)
 
 
+def test_infinite_retraction_fails_when_the_image_leaves_the_window(monkeypatch):
+    # the same broken window over Z is refused, never passed on generators
+    _window_pins_23(monkeypatch)
+    with pytest.raises(RingError, match="^z is not finite$"):
+        check_abels_retraction(4, make_ring("z"))
+
+
 def test_retraction_fails_when_the_window_is_not_fixed(monkeypatch):
     # a window with a free (1,2) still holds every image, but r clears (1,2)
     monkeypatch.setattr(abels, "_window_spec", lambda n, ring: abels._spec(
@@ -387,6 +394,13 @@ def test_retraction_fails_when_it_is_not_multiplicative(monkeypatch):
     for _ in _each_route(monkeypatch):
         assert not check_abels_retraction(4, Z2)
         assert not check_abels_retraction(4, Z3)
+
+
+def test_infinite_retraction_fails_when_it_is_not_multiplicative(monkeypatch):
+    # over Z no generator pair stands in for the full product scan
+    _ambient_frees_32(monkeypatch)
+    with pytest.raises(RingError, match="^z is not finite$"):
+        check_abels_retraction(4, make_ring("z"))
 
 
 def test_semidirect_factorizations():
@@ -462,6 +476,17 @@ def test_finite_normality_inverts_no_matrix(monkeypatch):
     u4, t4 = unipotent_and_torus(4, Z4)
     assert check_normality(u4, abels_group(4, Z4))
     assert not check_normality(t4, abels_group(4, Z4))
+    assert calls == []
+
+
+def test_infinite_normality_fails_for_the_torus(monkeypatch):
+    # over Z the torus is refused before any conjugation by Matrix inverses
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda self: calls.append(None) or inverse(self))
+    ZZ = make_ring("z")
+    with pytest.raises(RingError, match="^z is not finite$"):
+        check_normality(unipotent_and_torus(4, ZZ)[1], abels_group(4, ZZ))
     assert calls == []
 
 

@@ -34,7 +34,7 @@ from abelslab.kernels import (
 )
 from abelslab.matrices import Matrix
 from abelslab.presentation import tits_criterion_check, verify_presentations
-from abelslab.rings import ZModRing, make_ring
+from abelslab.rings import RingError, ZModRing, make_ring
 from reference_abels import spec_elements, subgroup_by_name
 from reference_complexes import nerve_oracle
 from reference_kernels import closure_set, decode_matrix
@@ -430,6 +430,24 @@ def test_closure_order_matches_closure_python(case, data):
         assert _order_or_overflow(R, gens, budget) == (
             _reference_order_or_overflow(R, gens, budget)
         )
+
+
+def test_closure_order_uncoded_route(monkeypatch):
+    # S3 on 3 x 3 permutation matrices over Z: the Matrix closure finds all
+    # six, but closure_order has no uncoded route and refuses the ring
+    def matrix_route(*args, **kwargs):
+        raise AssertionError("closure_python ran inside closure_order")
+
+    Z = make_ring("z")
+    gens = [
+        Matrix.from_rows(Z, [[int(v) for v in row] for row in m.rows])
+        for m in (perm_matrix((1, 0)), perm_matrix((0, 2, 1)))
+    ]
+    assert _reference_order_or_overflow(Z, gens, None) == 6
+    monkeypatch.setattr(kernels, "closure_python", matrix_route)
+    for budget in (5, 6, 7, None):
+        with pytest.raises(RingError, match="^z is not finite$"):
+            closure_order(Z, gens, budget)
 
 
 def test_closure_order_needs_generators():
