@@ -18,13 +18,14 @@ torus conjugation, the window map onto an embedded 2 x 2 Borel block is a
 retraction, and the exceptional n = 4 family is the fiber product of its
 two displayed projections over the shared diagonal coordinate.
 
-Every check reads members only as coded rows from ``elements_encoded``:
-membership is a ``_pattern_mask`` over the code columns, and products are
-batch products or product keys from ``kernels``.  Matrix objects appear
-only as the generators, which are encoded before any scan.  The checks
-are exhaustive scans, so they need a finite ring: over an infinite one,
-``order``, ``elements_encoded`` and ``kernels.coded_ring`` raise
-``RingError`` before any product is formed.
+Every check reads members as coded rows from ``elements_encoded``, or
+as keys alone from ``member_keys``, and reads only the entries it tests:
+membership is a mask over the code columns of those entries, and products
+are batch products, product keys or entry keys from ``kernels``.  Matrix
+objects appear only as the generators, which are encoded before any scan.
+The checks are exhaustive scans, so they need a finite ring: over an
+infinite one, ``order``, ``elements_encoded`` and ``kernels.coded_ring``
+raise ``RingError`` before any product is formed.
 """
 
 import numpy as np
@@ -41,8 +42,24 @@ class AbelsError(ValueError):
 
 
 def _unit_generators(ring):
-    """A generating set for the unit group, identity omitted."""
-    return tuple(u for u in ring.units() if u != ring.one)
+    """A generating set for the unit group, identity omitted.
+
+    The units are scanned in ``ring.units()`` order, and a unit is kept
+    only when the subgroup generated by the units kept before it misses
+    it.  The unit group is abelian, so keeping u turns that subgroup S
+    into the union of the cosets S*u**k.
+    """
+    gens, span = [], {ring.one}
+    for u in ring.units():
+        if u in span:
+            continue
+        gens.append(u)
+        grown, power = set(span), u
+        while power not in span:
+            grown.update(ring.mul(s, power) for s in span)
+            power = ring.mul(power, u)
+        span = grown
+    return tuple(gens)
 
 
 class SubgroupSpec:
@@ -126,43 +143,77 @@ class SubgroupSpec:
         nu = len(self.ring.units())
         return q ** len(self.free_positions) * nu ** len(self.unit_positions)
 
-    def _variable_slots(self):
-        slots = []
-        for i in range(self.n):
-            for j in range(self.n):
-                code = self.pattern[i][j]
-                if code in ("f", "u"):
-                    slots.append((i, j, code))
-        return slots
-
-    def elements_encoded(self, budget=None):
-        """All members as coded row vectors, ascending in packed-key order.
-
-        The one budget gate of a member scan: over the budget it raises
-        ``BudgetExceeded`` before building anything.
-        """
+    def _gate(self, budget):
+        """The member count, after the one budget gate of a member scan:
+        over the budget it raises ``BudgetExceeded``."""
         budget = get_budget(budget)
         total = self.order()
         if total > budget:
             raise BudgetExceeded(
                 f"inconclusive-budget: {total} elements exceed budget {budget}"
             )
-        cr = kernels.coded_ring(self.ring)
+        return total
+
+    def _slot_codes(self, cr):
+        """(flat position, codes) of each 'f' or 'u' slot, in row-major
+        order; the codes ascend."""
+        choices = {"f": np.arange(cr.q, dtype=np.int64), "u": cr.unit_codes}
+        return [
+            (flat, choices[code])
+            for flat, code in enumerate(c for row in self.pattern for c in row)
+            if code in choices
+        ]
+
+    def _fixed_codes(self, cr):
+        """The codes of the fixed entries: one on the '1' diagonal, zero
+        elsewhere (the variable slots are overwritten)."""
         n = self.n
-        slots = self._variable_slots()
-        out = np.full((total, n * n), cr.zero, np.int64)
+        out = np.full(n * n, cr.zero, np.int64)
         for i in range(n):
             if self.pattern[i][i] == "1":
-                out[:, i * n + i] = cr.one
+                out[i * n + i] = cr.one
+        return out
+
+    def elements_encoded(self, budget=None):
+        """All members as coded row vectors, ascending in packed-key order.
+
+        Over the budget it raises ``BudgetExceeded`` before building
+        anything.
+        """
+        total = self._gate(budget)
+        cr = kernels.coded_ring(self.ring)
+        out = np.tile(self._fixed_codes(cr), (total, 1))
         rep_after = total
-        for i, j, code in slots:
-            codes = np.arange(cr.q, dtype=np.int64) if code == "f" else cr.unit_codes
+        for flat, codes in self._slot_codes(cr):
             m = len(codes)
             rep_after //= m
-            out[:, i * n + j] = np.tile(
+            out[:, flat] = np.tile(
                 np.repeat(codes, rep_after), total // (m * rep_after)
             )
         return out
+
+    def member_keys(self, budget=None):
+        """``kernels.pack_keys`` of ``elements_encoded``, ascending.
+
+        Where the keys are int64 no codes are built: a member's key is the
+        fixed entries' key plus, for each variable slot, its code times
+        the slot's place value, so the keys are outer sums over the slots,
+        first slot slowest.  Byte keys are packed from the members' codes.
+        Over the budget it raises as ``elements_encoded`` does.
+        """
+        cr = kernels.coded_ring(self.ring)
+        n = self.n
+        if not kernels.fits_packing(cr.q, n):
+            return kernels.pack_keys(cr, self.elements_encoded(budget), n)
+        self._gate(budget)
+        place = cr.q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+        fixed = self._fixed_codes(cr)
+        keys = np.zeros(1, np.int64)
+        for flat, codes in self._slot_codes(cr):
+            fixed[flat] = 0  # the slot's codes take the place of this zero
+            keys = (keys[:, None] + codes * place[flat]).reshape(-1)
+        keys += fixed @ place
+        return keys
 
 
 # -- pattern builders ----------------------------------------------------
@@ -286,33 +337,36 @@ def subgroup_family(family, n, ring):
 # -- brute-force verification ---------------------------------------------
 
 
-def _pattern_mask(spec, cr, vecs):
-    n = spec.n
-    ok = np.ones(vecs.shape[0], bool)
-    for i in range(n):
-        for j in range(n):
-            code = spec.pattern[i][j]
-            if code == "f":
-                continue
-            col = vecs[:, i * n + j]
-            if code == "0":
-                ok &= col == cr.zero
-            elif code == "1":
-                ok &= col == cr.one
-            else:
-                ok &= cr.inv[col] >= 0
+def _entry_mask(spec, cr, cols, at):
+    """True where the codes ``cols[:, k]`` of the 0-based entries ``at[k]``
+    meet the spec's pattern there."""
+    ok = np.ones(cols.shape[0], bool)
+    for col, (i, j) in zip(cols.T, at):
+        code = spec.pattern[i][j]
+        if code == "0":
+            ok &= col == cr.zero
+        elif code == "1":
+            ok &= col == cr.one
+        elif code == "u":
+            ok &= cr.inv[col] >= 0
     return ok
 
 
+def _pattern_mask(spec, cr, vecs):
+    n = spec.n
+    return _entry_mask(spec, cr, vecs, [(i, j) for i in range(n) for j in range(n)])
+
+
 def check_closure_matches_pattern(spec, budget=None):
-    """Closure of the induced generators equals the pattern set exactly."""
-    members = spec.elements_encoded(budget)
+    """Closure of the induced generators equals the pattern set exactly.
+
+    Both sides are sorted keys, and a key determines its member: the
+    expected side is ``member_keys``, so no member's codes are held while
+    the closure runs.
+    """
     cr = kernels.coded_ring(spec.ring)
     n = spec.n
-    # both sides are sorted by key, and a key determines its member; only
-    # the keys are kept, so the codes are not held while the closure runs
-    expected = kernels.pack_keys(cr, members, n)
-    del members
+    expected = spec.member_keys(budget)
     gens = spec.generators
     coded = (
         kernels.encode_matrices(cr, list(gens))
@@ -355,6 +409,8 @@ def check_torus_invariance(n, ring, budget=None):
 
 
 _WINDOW = ((2, 2), (2, 3), (3, 3))
+# the window's entries, 0-based
+_AT = tuple((i - 1, j - 1) for i, j in _WINDOW)
 
 
 def _window_spec(n, ring):
@@ -378,10 +434,13 @@ def check_abels_retraction(n, ring, budget=None):
     image of the ambient group lies in the block, the block and the torus
     map as they must, and r(g*x) = r(g)*r(x) for every generator g and
     member x; an ambient group over the budget makes the check
-    inconclusive.  The product test compares only the window entries of
-    g*x and r(g)*r(x), through ``kernels.entry_keys``: the members x and
-    r(x) are keyed once by their columns 2-3, and each generator builds
-    one table of its rows 2-3.
+    inconclusive.  r(x) is the identity off the window, so no member's
+    retraction is built: the window pattern is tested once on the
+    identity and per member only on its window entries.  The product test
+    compares only the window entries: those of g*x come from one
+    ``kernels.entry_keys`` call, which keys the members once by their
+    columns 2-3, and those of r(g)*r(x) are the 2 x 2 block product of
+    the window entries of g and x.
     """
     if n < 4:
         raise AbelsError(f"retraction window needs ambient size >= 4, got {n}")
@@ -389,28 +448,41 @@ def check_abels_retraction(n, ring, budget=None):
     window = _window_spec(n, ring)
     V = amb.elements_encoded(budget)
     cr = kernels.coded_ring(ring)
-    RV = _retract_codes(cr, V, n)
-    if not _pattern_mask(window, cr, RV).all():
+    ident = kernels.identity_vec(cr, n)
+    flat = [i * n + j for i, j in _AT]
+    win = V[:, flat]
+    # r(x) is the identity off the window, and the identity is a member
+    if not (
+        _pattern_mask(window, cr, ident[None]).all()
+        and _entry_mask(window, cr, win, _AT).all()
+    ):
         return False
     W = window.elements_encoded(budget)
     if not (_retract_codes(cr, W, n) == W).all():
         return False
     Z = center_subgroup(n, ring).elements_encoded(budget)
-    if not (_retract_codes(cr, Z, n) == kernels.identity_vec(cr, n)).all():
+    if not (_retract_codes(cr, Z, n) == ident).all():
         return False
     T = unipotent_and_torus(n, ring)[1].elements_encoded(budget)
     # r(t) keeps the diagonal entries 2 and 3 of t and sets the others to one
-    expected = np.tile(kernels.identity_vec(cr, n), (T.shape[0], 1))
+    expected = np.tile(ident, (T.shape[0], 1))
     expected[:, [n + 1, 2 * n + 2]] = T[:, [n + 1, 2 * n + 2]]
     if not (_retract_codes(cr, T, n) == expected).all():
         return False
     # r(g*x) and r(g)*r(x) are both the identity off the block of rows and
-    # columns 2-3, and zero at its entry (3,2): compare the window entries
+    # columns 2-3, and zero at its entry (3,2): compare the window entries,
+    # keyed as base-q integers in _WINDOW order
     gens = kernels.encode_matrices(cr, list(amb.generators))
-    entries = [(i - 1, j - 1) for i, j in _WINDOW]
-    lhs = kernels.entry_keys(cr, V, gens, n, entries)
-    rhs = kernels.entry_keys(cr, RV, _retract_codes(cr, gens, n), n, entries)
-    return all((left == right).all() for left, right in zip(lhs, rhs))
+    x22, x23, x33 = win.T
+    lhs = kernels.entry_keys(cr, V, gens, n, _AT)
+    for (a, b, d), left in zip(gens[:, flat], lhs):
+        # [[a, b], [0, d]] * [[x22, x23], [0, x33]]
+        right = (
+            cr.mul[a][x22] * cr.q + cr.add[cr.mul[a][x23], cr.mul[b][x33]]
+        ) * cr.q + cr.mul[d][x33]
+        if not (left == right).all():
+            return False
+    return True
 
 
 def _h4_split(cr, vecs):
@@ -501,8 +573,9 @@ def check_semidirect(spec, budget=None):
 
     Both parts must land inside the respective intersection patterns, the
     order must split multiplicatively, and the unitriangular part must be
-    normal in the subgroup.
-"""
+    normal in the subgroup.  The diagonal part is tested on the members'
+    diagonal codes alone, with no copy of it built.
+    """
     R = spec.ring
     n = spec.n
     uamb, tamb = unipotent_and_torus(n, R)
@@ -517,11 +590,11 @@ def check_semidirect(spec, budget=None):
     if (invd < 0).any():
         return False
     upart = cr.mul[V.reshape(-1, n, n), invd[:, None, :]].reshape(-1, n * n)
-    tpart = np.full_like(V, cr.zero)
-    tpart[:, :: n + 1] = diag
     if not _pattern_mask(usub, cr, upart).all():
         return False
-    if not _pattern_mask(tsub, cr, tpart).all():
+    # the torus part is zero off the diagonal, which meets every
+    # off-diagonal code: test its diagonal codes alone
+    if not _entry_mask(tsub, cr, diag, [(k, k) for k in range(n)]).all():
         return False
     return check_normality(usub, spec, budget)
 

@@ -60,8 +60,12 @@ also the only route of ``mul_batch_left``, ``mul_batch_right``,
 ``mul_rows`` and ``coset_labels``.
 
 The closure is ``group_closure``, a coded BFS that gives the sorted keys
-of the generated group; ``unpack_keys`` turns keys back into codes where
-a caller needs them, and ``closure_order`` runs the closure on Matrix
+of the generated group.  On the key route each level's products by a
+block of generators, at most ``_CLOSURE_BLOCK`` keys, are deduplicated
+across the generators before the known keys are probed, so the probe is
+one sorted ``searchsorted`` per block; the chunk route probes once per
+generator.  ``unpack_keys`` turns keys back into codes where a caller
+needs them, and ``closure_order`` runs the closure on Matrix
 generators for callers that need only the order.  Every kernel needs a
 finite ring: ``coded_ring`` refuses an infinite one.  ``closure_python``
 builds the closure as a set of Matrix objects; no caller in the package
@@ -405,16 +409,26 @@ def entry_keys(cr, X, gens, n, entries):
 
 
 def _unique(keys):
-    """Sorted distinct keys; faster than np.unique, which hashes int64."""
-    keys = np.sort(keys)
+    """Sorted distinct keys, sorting ``keys`` in place; faster than
+    np.unique, which hashes int64."""
+    keys.sort()
     keep = np.empty(keys.shape[0], bool)
     keep[:1] = True
     keep[1:] = keys[1:] != keys[:-1]
     return keys[keep]
 
 
+# product keys per closure block, which bounds a BFS level's product array
+_CLOSURE_BLOCK = 1 << 20
+
+
 def _key_steps(cr, gens, n):
-    """Closure steps on key tables: a level is multiplied as row keys."""
+    """Closure steps on key tables: a level is multiplied as row keys.
+
+    ``products`` yields the level's products by a block of generators at
+    a time, as sorted distinct keys: a block holds at most
+    ``_CLOSURE_BLOCK`` keys, and at least one generator.
+    """
     Q = cr.q**n
     place = _powers(Q, n)
     tables = _key_tables(cr, gens, n, right=True)
@@ -423,7 +437,14 @@ def _key_steps(cr, gens, n):
         return keys[:, None] // place % Q
 
     def products(rows):
-        return (P[rows] @ place for P in tables)
+        m = rows.shape[0]
+        step = max(1, _CLOSURE_BLOCK // m)
+        for lo in range(0, len(tables), step):
+            block = tables[lo : lo + step]
+            out = np.empty((len(block), m), np.int64)
+            for P, dst in zip(block, out):
+                np.matmul(P[rows], place, out=dst)
+            yield _unique(out.reshape(-1))
 
     return frontier, products
 
@@ -453,9 +474,11 @@ def group_closure(cr, gens, n, budget=None):
     sorted and distinct).  The search keeps only keys, and a caller that
     needs the elements' codes reads them with ``unpack_keys``.  On the key
     route a level is multiplied as its row keys, one key table lookup per
-    row and generator; otherwise each level is unpacked and multiplied by
-    chunk gathers.  Each generator's tables are built once and serve every
-    level.
+    row and generator, and the products of a block of generators are
+    deduplicated together, so the known keys are probed once per block
+    with sorted needles; otherwise each level is unpacked and multiplied
+    by chunk gathers, and probed once per generator.  Each generator's
+    tables are built once and serve every level.
     """
     budget = get_budget(budget)
     if gens.ndim != 2 or gens.shape[1] != n * n:
@@ -485,7 +508,8 @@ def group_closure(cr, gens, n, budget=None):
         if keys.shape[0] + pk.shape[0] > budget:
             status = "overflow"
             break
-        keys = np.sort(np.concatenate([keys, pk]))
+        # a stable sort merges the two sorted runs
+        keys = np.sort(np.concatenate([keys, pk]), kind="stable")
         level = frontier(pk)
     return status, keys
 

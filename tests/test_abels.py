@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abelslab import abels, kernels
 from abelslab.abels import (
@@ -16,7 +18,9 @@ from abelslab.abels import (
     check_semidirect,
     check_torus_invariance,
     contracting,
+    contracting_family,
     horospherical,
+    horospherical_family,
     intersections,
     unipotent_and_torus,
     verify_abels,
@@ -92,6 +96,71 @@ def test_elements_sorted_by_packed_key():
         [kernels.encode_matrix(cr, m) for m in spec_elements(spec)]
     )
     assert (listed == coded).all()
+
+
+def _generated(R, gens):
+    """The subgroup of the unit group that the units ``gens`` generate."""
+    span, frontier = {R.one}, [R.one]
+    while frontier:
+        fresh = {R.mul(x, g) for x in frontier for g in gens} - span
+        span |= fresh
+        frontier = list(fresh)
+    return span
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(descriptor=st.integers(2, 64).map("zmod:{}".format))
+# unit groups that need two or three generators
+@example(descriptor="zmod:8")
+@example(descriptor="zmod:15")
+@example(descriptor="zmod:16")
+@example(descriptor="polyq:3:0,0,0,1")
+def test_unit_generators_generate_the_unit_group(descriptor):
+    R = make_ring(descriptor)
+    gens = abels._unit_generators(R)
+    assert _generated(R, gens) == set(R.units())
+    # each kept unit lies outside the subgroup of the ones kept before it
+    for k, u in enumerate(gens):
+        assert u not in _generated(R, gens[:k])
+
+
+def test_unit_generators_of_noncyclic_unit_groups():
+    assert len(abels._unit_generators(make_ring("zmod:16"))) == 2
+    assert len(abels._unit_generators(make_ring("polyq:3:0,0,0,1"))) == 3
+    assert abels._unit_generators(Z2) == ()
+
+
+def _verified_specs(n, ring):
+    """Every spec whose members ``verify_abels`` and the retraction scan."""
+    return (
+        abels_group(n, ring),
+        *unipotent_and_torus(n, ring),
+        center_subgroup(n, ring),
+        *horospherical_family(n, ring),
+        *contracting_family(n, ring),
+        abels._window_spec(n, ring),
+    )
+
+
+@pytest.mark.parametrize("n, descriptor, budget", [
+    (4, "zmod:3", None),
+    (4, "zmod:4", None),
+    (5, "zmod:2", None),
+    # byte keys; A and U are over the budget, H1, H2 and H4 just fit
+    (4, "zmod:16", 1 << 18),
+])
+def test_member_keys_pack_the_members(n, descriptor, budget):
+    R = make_ring(descriptor)
+    cr = kernels.coded_ring(R)
+    for spec in _verified_specs(n, R):
+        for cap in (budget, spec.order() - 1):
+            try:
+                expected = kernels.pack_keys(cr, spec.elements_encoded(cap), n)
+            except BudgetExceeded as exc:
+                with pytest.raises(BudgetExceeded, match=f"^{exc}$"):
+                    spec.member_keys(cap)
+            else:
+                assert np.array_equal(spec.member_keys(cap), expected), spec
 
 
 def test_center_subgroup_pattern():
@@ -312,6 +381,26 @@ def test_keyed_retraction_makes_no_batch_products(monkeypatch):
     monkeypatch.setattr(kernels, "_batch_keys", batch_product)
     assert check_abels_retraction(4, Z4)
     assert check_abels_retraction(5, Z2)
+
+
+def test_retraction_retracts_no_member(monkeypatch):
+    # the window entries of g*x come from one entry_keys call, and no
+    # (|A|, n*n) retracted copy of the members is built
+    rows, calls = [], []
+    retract, entry_keys = abels._retract_codes, kernels.entry_keys
+    monkeypatch.setattr(
+        abels, "_retract_codes",
+        lambda cr, vecs, *args: rows.append(len(vecs)) or retract(cr, vecs, *args),
+    )
+    monkeypatch.setattr(
+        kernels, "entry_keys", lambda *args: calls.append(None) or entry_keys(*args)
+    )
+    for n, ring in ((4, Z4), (5, Z2)):
+        rows.clear()
+        calls.clear()
+        assert check_abels_retraction(n, ring)
+        assert len(calls) == 1
+        assert max(rows) < abels_group(n, ring).order()
 
 
 def test_retraction_budget():

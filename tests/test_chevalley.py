@@ -224,6 +224,18 @@ def test_weyl_conjugation_suites():
             assert any(c.id == "weyl-nonsimple-membership" for c in rep.checks)
 
 
+def test_weyl_spot_check_fails_on_a_non_unipotent_image(monkeypatch):
+    # squaring returns its argument, so every (y - 1) looks idempotent,
+    # not nilpotent: only the image of s = 0 is still unipotent
+    real = chevalley.mul_rows
+    monkeypatch.setattr(
+        chevalley, "mul_rows", lambda cr, A, B, n: A if A is B else real(cr, A, B, n)
+    )
+    rep = check_weyl_conjugation("C2", Z5)
+    failed = [(c.id, c.counterexample) for c in rep.checks if c.status == "fail"]
+    assert failed == [("weyl-nonsimple-membership", "s=1: image is not unipotent")]
+
+
 def test_weyl_signs_cached():
     m = matrix_model("A2", Z5)
     rep = check_weyl_conjugation(m)
@@ -396,6 +408,31 @@ def test_elementary_relation_counts():
     diag = next(c for c in rep.checks if c.id == "diagonal-conjugation")
     # 8 unit triples, 6 positions, 3 ring elements
     assert diag.counts["cases"] == 144
+
+
+def test_elementary_additivity_names_the_failing_pair(monkeypatch):
+    # the additive law fails at the last pair (r, s) = (2, 2) of every
+    # position; the first position is e(1, 2)
+    real = chevalley._additive
+
+    def last_pair_fails(cr, X, n):
+        ok = real(cr, X, n)
+        ok[-1] = False
+        return ok
+
+    monkeypatch.setattr(chevalley, "_additive", last_pair_fails)
+    rep = check_elementary_relations(3, Z3)
+    failed = [(c.id, c.counterexample) for c in rep.checks if c.status == "fail"]
+    assert failed == [("elementary-additivity", "e(1, 2)(2) * e(1, 2)(2)")]
+
+
+def test_diagonal_conjugation_names_the_failing_case(monkeypatch):
+    # conjugation by a diagonal acts trivially: the first unit triple with
+    # t_i != t_j is (1, 1, 2), on e(1,3)(1)
+    monkeypatch.setattr(chevalley, "_conj_diag", lambda cr, D, X, n: X)
+    rep = check_elementary_relations(3, Z3)
+    failed = [(c.id, c.counterexample) for c in rep.checks if c.status == "fail"]
+    assert failed == [("diagonal-conjugation", "Diag('1', '1', '2') on e(1,3)(1)")]
 
 
 def _target_card(rep):

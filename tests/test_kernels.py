@@ -510,8 +510,13 @@ def test_closure_routes_agree(case, data):
     drawn = data.draw(st.integers(1, order + 1))
     for budget in sorted({max(order - 1, 1), order, order + 1, drawn}):
         key, chunk = _on_both_routes(lambda: group_closure(cr, gens, n, budget))
-        assert key[0] == chunk[0]
-        assert np.array_equal(key[1], chunk[1])
+        # one generator per closure block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_CLOSURE_BLOCK", 1)
+            single = group_closure(cr, gens, n, budget)
+        for other in (chunk, single):
+            assert key[0] == other[0]
+            assert np.array_equal(key[1], other[1])
 
 
 @PROPERTY
