@@ -6,10 +6,13 @@ common element.  Every simplex extends to a chamber (the cosets of a
 single group element through all colors), so the complex is homogeneous
 of dimension one less than the family size.  Connectivity, fundamental
 group, and low homology are computed combinatorially: union-find for
-components, a spanning-tree presentation for pi_1 (enumerated after
-Tietze reduction), integer Smith form of the coreduced 2-skeleton's Morse
-boundary for H_1, and rational ranks of the unreduced boundary maps for
-Betti numbers.
+components; integer Smith form of the coreduced 2-skeleton's Morse
+boundary for H_1; and rational ranks of the unreduced boundary maps, by
+column reduction in cell order, for Betti numbers.  pi_1 is trivial when
+the coreduction's matching, checked from the boundary maps alone, leaves
+one critical vertex and no critical edge (Forman, *Morse theory for cell
+complexes*, 1998); otherwise the second route enumerates a spanning-tree
+presentation of the edge-path group after Tietze reduction.
 """
 
 from itertools import combinations
@@ -34,7 +37,7 @@ from .presentation import (
     todd_coxeter,
 )
 from .reports import INCONCLUSIVE, Report
-from .snf import morse_complex, rational_rank, smith_invariant_factors
+from .snf import check_matching, morse_complex, rational_rank, smith_invariant_factors
 
 
 class ComplexError(ValueError):
@@ -263,17 +266,23 @@ def fundamental_group(cx, basepoint=0):
 def is_simply_connected(cx, budget=None, h1=None):
     """"yes", "no", or "inconclusive" (enumeration overflow).
 
-    Nonzero first homology (``homology_h1``, read off the Morse complex of
-    the coreduced 2-skeleton) settles "no" outright; otherwise the reduced
-    spanning-tree presentation is enumerated, and only a complete
-    enumeration with a single coset yields "yes".  ``h1`` is the
-    (rank, torsion) of ``homology_h1(cx)`` when the caller already has it.
+    The 2-skeleton is coreduced once (``_homology_h1``).  Nonzero first
+    homology, read off its Morse complex, settles "no" outright.  A checked
+    matching that leaves one critical vertex and no critical edge settles
+    "yes": the 2-skeleton is then homotopy equivalent to a CW complex with
+    no 1-cell (Forman 1998).  Otherwise the second route runs: the reduced
+    spanning-tree presentation of the edge-path group is enumerated, and
+    only a complete enumeration with a single coset yields "yes".  ``h1``
+    is the H1 and critical cell counts of ``_homology_h1(cx)`` when the
+    caller already has them.
     """
     if connected_components(cx) != 1:
         raise ComplexError("simple connectivity needs a connected complex")
-    rank, torsion = homology_h1(cx) if h1 is None else h1
+    (rank, torsion), critical = _homology_h1(cx)[:2] if h1 is None else h1
     if rank or torsion:
         return "no"
+    if critical[:2] == (1, 0):
+        return "yes"
     pres = tietze_reduce(fundamental_group(cx))
     if not pres.generators:
         return "yes"
@@ -307,24 +316,32 @@ def homology_h1(cx):
 
 
 def _homology_h1(cx):
-    """``homology_h1(cx)`` and the ∂1 and ∂2 it was computed from, as
+    """``homology_h1(cx)``, the critical cells per degree of the 2-skeleton's
+    checked matching, and the ∂1 and ∂2 they were computed from, as
     ``_boundary_matrix`` gives them (None where the complex has no such map).
 
     The 2-skeleton is coreduced (``morse_complex``), and only its Morse
     boundaries are read.  Each component opens with a critical vertex and
     reduces onto it before any other cell becomes critical, so the Morse
-    ∂1 is zero, and H1 is the cokernel of the Morse ∂2.
+    ∂1 is zero, and H1 is the cokernel of the Morse ∂2.  The matching is
+    checked from ∂1 and ∂2 alone (``check_matching``); a matching that fails
+    the check is a fault of the coreduction and raises AssertionError.
     """
     if cx.dim < 1:
-        return (0, ()), None, None
+        return (0, ()), (len(cx.vertices), 0, 0), None, None
     d1 = _boundary_matrix(cx, 1)
     d2 = _boundary_matrix(cx, 2) if cx.dim >= 2 else None
-    (m1, _), (m2, (edges, faces)) = morse_complex([d1, d2 or ([], (d1[1][1], 0))])
+    skeleton = [d1, d2 or ([], (d1[1][1], 0))]
+    ((m1, _), (m2, (edges, faces))), pairs = morse_complex(skeleton)
     if m1:
         raise AssertionError("coreduction left a nonzero Morse boundary ∂1")
+    try:
+        critical = check_matching(skeleton, pairs)
+    except ValueError as exc:
+        raise AssertionError(f"coreduction gave an invalid matching: {exc}") from exc
     factors = smith_invariant_factors(m2, edges, faces)
     torsion = tuple(int(d) for d in factors if d > 1)
-    return (edges - len(factors), torsion), d1, d2
+    return (edges - len(factors), torsion), critical, d1, d2
 
 
 def betti_numbers(cx):
@@ -449,7 +466,7 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
                 else f"components={components}, generated={generated} of {order}",
             )
 
-    (rank, torsion), d1, d2 = _homology_h1(cx)
+    (rank, torsion), critical, d1, d2 = _homology_h1(cx)
     rep.config["h1_rank"] = rank
     rep.config["h1_torsion"] = len(torsion)
     if "h1" in checks:
@@ -478,7 +495,9 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
                 counts={"components": components},
             )
         else:
-            verdict = is_simply_connected(cx, budget=budget, h1=(rank, torsion))
+            verdict = is_simply_connected(
+                cx, budget=budget, h1=((rank, torsion), critical)
+            )
             rep.config["pi1"] = verdict
             detail = None
             if verdict == "yes" and (rank or torsion):
@@ -487,7 +506,11 @@ def verify_complex(n, ring, family="horospherical", checks=("components", "h1", 
                 "simple-connectivity",
                 "trivial-pi1-forces-trivial-h1",
                 INCONCLUSIVE if verdict == "inconclusive" else None,
-                counts={"h1_rank": rank, "h1_torsion": len(torsion)},
+                counts={
+                    "h1_rank": rank,
+                    "h1_torsion": len(torsion),
+                    "critical_edges": critical[1],
+                },
                 counterexample=detail,
             )
     return rep

@@ -3,9 +3,13 @@
 Two deliberately independent code paths: `smith_invariant_factors` reduces an
 integer matrix by exact row/column operations (sparse dict rows, pivots taken
 in order of the key (|v|, i, j) from a heap, balanced remainders), while
-`rational_rank` runs Gaussian elimination over Q on primitive integer rows,
-without column operations.  Homology checks cross-validate one against the
-other, so neither may be rewritten in terms of the other.  They share only
+`rational_rank` runs Gaussian elimination over Q on primitive integer
+columns, without row operations: on a boundary map, one vector per k-cell,
+led by its highest-indexed face, the column reduction of persistent
+homology (Edelsbrunner, Letscher and Zomorodian, *Topological persistence
+and simplification*, 2002; Zomorodian and Carlsson, *Computing persistent
+homology*, 2005).  Homology checks cross-validate one against the other, so
+neither may be rewritten in terms of the other.  They share only
 `_sparse_rows`, which reads the triplets and refuses one outside the shape.
 
 The Smith route does not run on a chain complex's own boundary maps:
@@ -14,28 +18,37 @@ homology algorithm*, 2009).  Each pairing of a cell with its only live face
 is an elementary reduction with a unit pivot (Kaczynski, Mrozek and
 Ślusarek, 1998), so integral homology, torsion included, is that of the
 small Morse complex of critical cells that is left, and
-`smith_invariant_factors` runs on its boundaries only.
+`smith_invariant_factors` runs on its boundaries only.  The pairs made form
+an acyclic matching, and `check_matching` verifies that from the original
+boundaries alone, trusting nothing of the coreduction.  On a simplicial
+complex, a checked matching makes the complex homotopy equivalent to a CW
+complex with one cell per critical cell (Forman, 1998); `complexes` reads
+a trivial fundamental group off it.
 """
 
+from bisect import bisect_right
 from collections import defaultdict, deque
 from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def _sparse_rows(triplets, nrows, ncols):
-    """The rows {j: v} of the matrix, repeated triplets summed; a triplet
-    outside the nrows x ncols shape raises ValueError."""
-    rows = [dict() for _ in range(nrows)]
+def _sparse_rows(triplets, nrows, ncols, columns=False):
+    """The rows {j: v} of the matrix, or its columns {i: v} if ``columns``,
+    repeated triplets summed; a triplet outside the nrows x ncols shape
+    raises ValueError."""
+    lines = [dict() for _ in range(ncols if columns else nrows)]
     for i, j, v in triplets:
         if not (0 <= i < nrows and 0 <= j < ncols):
             raise ValueError(f"triplet ({i},{j}) outside {nrows}x{ncols} shape")
         if v:
-            w = rows[i].get(j, 0) + int(v)
+            if columns:
+                i, j = j, i
+            w = lines[i].get(j, 0) + int(v)
             if w:
-                rows[i][j] = w
+                lines[i][j] = w
             else:
-                rows[i].pop(j, None)
-    return rows
+                lines[i].pop(j, None)
+    return lines
 
 
 def _build_sparse(triplets, nrows, ncols):
@@ -182,26 +195,29 @@ def smith_invariant_factors(triplets, nrows, ncols):
 
 
 def _primitive(row):
-    """The integer row divided by the gcd of its entries (its content)."""
+    """The integer vector {index: v} divided by the gcd of its entries (its
+    content)."""
     g = gcd(*row.values())
     return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
 def _rational_echelon(triplets, nrows, ncols):
-    """Echelon basis of the row space over Q, keyed by leading column.
+    """Echelon basis of the column space over Q, keyed by leading row.
 
-    Every basis row is a primitive integer row.  A row whose leading column
-    has a basis row, with pivot p there and leading entry c, becomes
-    row - (c/p)*pivot when p divides c, and otherwise
-    (p/g)*row - (c/g)*pivot with g = gcd(p, c), divided by its content.
-    Scaling a row by a nonzero integer keeps the span over Q, so the
-    number of basis rows is the rank.
+    Columns are eliminated in order, each led by its highest nonzero row:
+    for a boundary map, one row per k-cell led by its highest-indexed face,
+    the column reduction of persistent homology.  Every basis column is a
+    primitive integer vector.  A column whose leading row has a basis
+    column, with pivot p there and leading entry c, becomes
+    column - (c/p)*pivot when p divides c, and otherwise
+    (p/g)*column - (c/g)*pivot with g = gcd(p, c), divided by its content.
+    Scaling by a nonzero integer keeps the span over Q, so the number of
+    basis columns is the rank.
     """
-    rows = _sparse_rows(triplets, nrows, ncols)
-    pivots = {}  # leading column -> primitive row
-    for work in rows:
+    pivots = {}  # leading row -> primitive column
+    for work in _sparse_rows(triplets, nrows, ncols, columns=True):
         while work:
-            lead = min(work)
+            lead = max(work)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = _primitive(work)
@@ -211,21 +227,40 @@ def _rational_echelon(triplets, nrows, ncols):
             if r:
                 g = gcd(p, c)
                 q = c // g
-                work = {j: p // g * v for j, v in work.items()}
-            for j, v in pivot.items():
-                w = work.get(j, 0) - q * v
+                work = {i: p // g * v for i, v in work.items()}
+            for i, v in pivot.items():
+                w = work.get(i, 0) - q * v
                 if w:
-                    work[j] = w
+                    work[i] = w
                 else:
-                    work.pop(j, None)
+                    work.pop(i, None)
             if r and work:
                 work = _primitive(work)
     return pivots
 
 
 def rational_rank(triplets, nrows, ncols):
-    """Rank over Q by integer row elimination (independent route)."""
+    """Rank over Q by integer column elimination in cell order (independent
+    route)."""
     return len(_rational_echelon(triplets, nrows, ncols))
+
+
+def _cell_faces(boundaries):
+    """The number of cells in each degree, and each cell's {face:
+    coefficient}, with cells numbered degree by degree: the rows of ∂1
+    first, then the columns of ∂1, ∂2, ...  Boundaries whose shapes do not
+    chain raise ValueError."""
+    sizes = [boundaries[0][1][0]] + [ncols for _, (_, ncols) in boundaries]
+    faces = [{} for _ in range(sizes[0])]
+    for d, (triplets, (nrows, ncols)) in enumerate(boundaries):
+        if nrows != sizes[d]:
+            raise ValueError(f"boundary {d + 1} has {nrows} rows, not {sizes[d]}")
+        base, columns = len(faces) - nrows, [{} for _ in range(ncols)]
+        for i, row in enumerate(_sparse_rows(triplets, nrows, ncols)):
+            for j, v in row.items():
+                columns[j][base + i] = v
+        faces += columns
+    return sizes, faces
 
 
 def morse_complex(boundaries):
@@ -237,20 +272,14 @@ def morse_complex(boundaries):
     paired with that face, again and again; when no such cell is left, the
     lowest-dimensional live cell becomes critical.  Critical cells stay in
     the complex, so the correction term of each pairing lands on them
-    alone.  The result has the form of ``boundaries``, with rows and
-    columns indexed by the critical cells in the order they became
-    critical, and the same integral homology.
+    alone.  Returns the Morse boundaries and the matching.  The boundaries
+    have the form of ``boundaries``, with rows and columns indexed by the
+    critical cells in the order they became critical, and the same
+    integral homology.  The matching lists the (face, cell) pairs made,
+    with cells numbered degree by degree: the rows of ∂1 first, then the
+    columns of ∂1, ∂2, ...
     """
-    sizes = [boundaries[0][1][0]] + [ncols for _, (_, ncols) in boundaries]
-    live = [{} for _ in range(sizes[0])]  # cell -> {live face: coefficient}
-    for d, (triplets, (nrows, ncols)) in enumerate(boundaries):
-        if nrows != sizes[d]:
-            raise ValueError(f"boundary {d + 1} has {nrows} rows, not {sizes[d]}")
-        base, columns = len(live) - nrows, [{} for _ in range(ncols)]
-        for i, row in enumerate(_sparse_rows(triplets, nrows, ncols)):
-            for j, v in row.items():
-                columns[j][base + i] = v
-        live += columns
+    sizes, live = _cell_faces(boundaries)  # cell -> {live face: coefficient}
     cofaces = [[] for _ in live]
     for c, faces in enumerate(live):
         for f in faces:
@@ -260,6 +289,7 @@ def morse_complex(boundaries):
     morse = [{} for _ in live]  # cell -> {critical face: coefficient}
     critical = [[] for _ in sizes]
     index = {}
+    pairs = []
     queue = deque(c for c, faces in enumerate(live) if len(faces) == 1)
 
     def drop_face(a, c):
@@ -281,6 +311,7 @@ def morse_complex(boundaries):
             # ∂c -= (<∂c, a> / s) ∂b for every live coface c of a; ∂b is
             # s·a plus its critical faces, so only those entries change
             alive[a] = alive[b] = 0
+            pairs.append((a, b))
             for c in cofaces[a]:
                 if alive[c]:
                     f = drop_face(a, c) * s
@@ -311,4 +342,51 @@ def morse_complex(boundaries):
             (len(critical[d - 1]), len(critical[d])),
         )
         for d in range(1, len(sizes))
-    ]
+    ], pairs
+
+
+def check_matching(boundaries, pairs):
+    """The number of critical cells in each degree of an acyclic matching.
+
+    ``boundaries`` is as for ``morse_complex``, and cells are numbered as
+    there, degree by degree.  Each pair (a, b) of ``pairs`` must be a face a
+    of the cell b with coefficient ±1, no cell may be in two pairs, and the
+    Hasse diagram with the matched face relations reversed must have a
+    topological order.  A simplicial complex is then homotopy equivalent to
+    a CW complex with one cell per unmatched (critical) cell (Forman,
+    *Morse theory for cell complexes*, 1998).  A matching that fails any of
+    the three raises ValueError.
+    """
+    sizes, faces = _cell_faces(boundaries)
+    starts = [sum(sizes[:d]) for d in range(len(sizes) + 1)]
+    critical = list(sizes)
+    partner = {}
+    for a, b in pairs:
+        if not 0 <= b < len(faces) or faces[b].get(a) not in (1, -1):
+            raise ValueError(f"pair ({a}, {b}) is not a face with coefficient ±1")
+        if a in partner or b in partner:
+            raise ValueError(f"pair ({a}, {b}) shares a cell with another pair")
+        partner[a], partner[b] = b, a
+        d = bisect_right(starts, b) - 1
+        critical[d - 1] -= 1
+        critical[d] -= 1
+    # Kahn's algorithm on the Hasse diagram: each face relation points from
+    # the cell down to its face, a matched one from the face up to its cell
+    successors = [[] for _ in faces]
+    indegree = [0] * len(faces)
+    for b, row in enumerate(faces):
+        for a in row:
+            tail, head = (a, b) if partner.get(a) == b else (b, a)
+            successors[tail].append(head)
+            indegree[head] += 1
+    ready = [c for c, k in enumerate(indegree) if not k]
+    ordered = 0
+    while ready:
+        ordered += 1
+        for c in successors[ready.pop()]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                ready.append(c)
+    if ordered < len(faces):
+        raise ValueError("the matching has a cycle in the Hasse diagram")
+    return tuple(critical)

@@ -3,9 +3,12 @@
 These are the `abelslab.snf` routes before their pivot searches were
 rewritten: `smith_invariant_factors` scans every live entry for the
 minimum key (|v|, i, j) at each step, and `rational_rank` runs Gaussian
-elimination over Fractions.  They are kept, unchanged, only so the tests
-can require the current functions to give the same invariant factors and
-ranks, and the Smith route the same sequence of row and column moves.
+elimination over Fractions.  `_rational_echelon` is the integer row
+elimination `abelslab.snf` ran before it reduced columns in cell order:
+one row per (k-1)-cell of a boundary map, led by its lowest column.
+They are kept, unchanged, only so the tests can require the current
+functions to give the same invariant factors and ranks, and the Smith
+route the same sequence of row and column moves.
 `homology_h1` is first homology from Smith normal form of the whole of
 ∂1 and ∂2, the route `abelslab.complexes` took before it coreduced the
 complex; the tests require the Morse route to give the same rank and
@@ -201,6 +204,48 @@ def rational_rank(triplets, nrows, ncols):
                 else:
                     work.pop(j, None)
     return rank
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries (its content)."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _rational_echelon(triplets, nrows, ncols):
+    """Echelon basis of the row space over Q, keyed by leading column.
+
+    Every basis row is a primitive integer row.  A row whose leading column
+    has a basis row, with pivot p there and leading entry c, becomes
+    row - (c/p)*pivot when p divides c, and otherwise
+    (p/g)*row - (c/g)*pivot with g = gcd(p, c), divided by its content.
+    Scaling a row by a nonzero integer keeps the span over Q, so the
+    number of basis rows is the rank.
+    """
+    rows, _ = _build_sparse(triplets, nrows, ncols)
+    pivots = {}  # leading column -> primitive row
+    for work in rows:
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = _primitive(work)
+                break
+            p, c = pivot[lead], work[lead]
+            q, r = divmod(c, p)
+            if r:
+                g = gcd(p, c)
+                q = c // g
+                work = {j: p // g * v for j, v in work.items()}
+            for j, v in pivot.items():
+                w = work.get(j, 0) - q * v
+                if w:
+                    work[j] = w
+                else:
+                    work.pop(j, None)
+            if r and work:
+                work = _primitive(work)
+    return pivots
 
 
 def homology_h1(d1, d2=None):

@@ -66,6 +66,12 @@ RP2 = (
 )
 # its suspension, with cone points 6 and 7
 SUSPENDED_RP2 = tuple(s + (c,) for s in RP2 for c in (6, 7))
+# a simply connected complex whose coreduction leaves one critical cell in
+# each degree 0, 1, 2, so that only the edge-path route decides its pi1
+NINE_TRIANGLES = (
+    (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 3), (1, 3, 4),
+    (1, 3, 5), (1, 4, 5), (2, 3, 4), (2, 4, 5),
+)
 
 
 def complex_of(top):
@@ -423,14 +429,87 @@ def test_pi1_enumeration_confirms_simple_connectivity():
 def test_simple_connectivity_reads_the_coset_enumeration(
     monkeypatch, relators, budget, verdict
 ):
-    """With trivial H1 given, the verdict comes from Todd-Coxeter on the
-    reduced presentation: one coset is "yes", two cosets "no", and the
-    infinite cyclic group overflows the budget."""
+    """Where H1 is trivial but the matching leaves a critical edge, the
+    verdict comes from Todd-Coxeter on the reduced presentation: one coset
+    is "yes", two cosets "no", and the infinite cyclic group overflows the
+    budget."""
     monkeypatch.setattr(
         complexes, "tietze_reduce", lambda pres: Presentation(("x",), relators)
     )
-    cx = complex_of([(0, 1, 2)])
-    assert is_simply_connected(cx, budget=budget, h1=(0, ())) == verdict
+    cx = complex_of(NINE_TRIANGLES)
+    assert complexes._homology_h1(cx)[:2] == ((0, ()), (1, 1, 1))
+    assert is_simply_connected(cx, budget=budget) == verdict
+
+
+EDGE_PATH_CASES = {
+    # name: (complex, certified by the matching, edge-path verdict)
+    "A4-zmod2": (
+        lambda: coset_complex(abels_group(4, Z2), horospherical_family(4, Z2)),
+        True,
+        "yes",
+    ),
+    "A4-zmod2-contracting": (
+        lambda: coset_complex(unipotent_and_torus(4, Z2)[0], contracting_family(4, Z2)),
+        True,
+        "yes",
+    ),
+    "A4-zmod3": (
+        lambda: coset_complex(abels_group(4, Z3), horospherical_family(4, Z3)),
+        True,
+        "yes",
+    ),
+    "A5-zmod2": (
+        lambda: coset_complex(unipotent_and_torus(5, Z2)[0], contracting_family(5, Z2)),
+        True,
+        "yes",
+    ),
+    "rp2": (lambda: complex_of(RP2), False, "no"),
+    "suspended-rp2": (lambda: complex_of(SUSPENDED_RP2), True, "yes"),
+    "s3-hexagon": (s3_complex, False, "inconclusive"),
+    "nine-triangles": (lambda: complex_of(NINE_TRIANGLES), False, "yes"),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_PATH_CASES)
+def test_edge_path_route_confirms_the_matching_certificate(name):
+    """The matching certifies pi1 = 1 only where the edge-path route,
+    Tietze reduction and Todd-Coxeter, also finds the trivial group.
+    Passing a trivial H1 with one critical edge makes is_simply_connected
+    run that route alone; the S3 hexagon's pi1 is Z, so it overflows."""
+    build, certified, verdict = EDGE_PATH_CASES[name]
+    cx = build()
+    critical = complexes._homology_h1(cx)[1]
+    assert (critical[:2] == (1, 0)) == certified
+    assert is_simply_connected(cx, budget=1000, h1=((0, ()), (1, 1))) == verdict
+    if certified:
+        assert verdict == "yes"
+
+
+def test_verify_complex_certificate_skips_the_edge_path_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the edge-path route ran")
+
+    for name in ("fundamental_group", "tietze_reduce", "todd_coxeter"):
+        monkeypatch.setattr(complexes, name, refuse)
+    for family in ("horospherical", "contracting"):
+        rep = verify_complex(4, Z2, family)
+        assert rep.ok and rep.config["pi1"] == "yes"
+        (check,) = [c for c in rep.checks if c.id == "simple-connectivity"]
+        assert check.counts["critical_edges"] == 0
+
+
+def test_invalid_matching_is_a_coreduction_fault(monkeypatch):
+    # a matching that runs round the triangle's boundary is cyclic: the
+    # certificate refuses it, and no route is taken in its place
+    def cyclic(boundaries):
+        morse, _ = coreduce(boundaries)
+        # vertices 0, 1, 2 and edges 3 = 01, 4 = 02, 5 = 12
+        return morse, [(0, 3), (1, 5), (2, 4)]
+
+    coreduce = complexes.morse_complex
+    monkeypatch.setattr(complexes, "morse_complex", cyclic)
+    with pytest.raises(AssertionError, match="invalid matching: the matching has a cycle"):
+        is_simply_connected(complex_of([(0, 1, 2)]))
 
 
 # -- oracle agreement -------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_presentation as reference
-from abelslab import presentation
+from abelslab import complexes, presentation
 from abelslab.abels import contracting_family, unipotent_and_torus
 from abelslab.complexes import coset_complex, fundamental_group
 from abelslab.config import BudgetExceeded
@@ -679,6 +679,51 @@ def test_tits_disconnected_instance():
     sc = by_id["simple-connectivity-vs-colimit"]
     assert sc.status == "pass"
     assert sc.counts == {"components": 2}
+
+
+def tits_verdict(group, family, budget=None):
+    rep = tits_criterion_check(group, family, budget=budget)
+    (check,) = [c for c in rep.checks if c.id == "simple-connectivity-vs-colimit"]
+    return check
+
+
+def test_tits_simply_connected_with_a_wrong_colimit_index_fails(monkeypatch):
+    # the colimit of U_4(Z/2)'s contracting family enumerates to 64 cosets;
+    # one coset more must contradict the simply connected complex
+    def one_more(pres, subgroup_words=(), budget=None):
+        table = enumerate_cosets(pres, subgroup_words, budget)
+        # the colimit's generators are named node.generator; no node's are
+        if any("." in g for g in pres.generators):
+            table.rows.append(list(table.rows[0]))
+        return table
+
+    enumerate_cosets = presentation.todd_coxeter
+    monkeypatch.setattr(presentation, "todd_coxeter", one_more)
+    check = tits_verdict(unipotent_and_torus(4, Z2)[0], contracting_family(4, Z2))
+    assert check.status == "fail"
+    assert check.counterexample == "simply connected but colimit index 65 != 64"
+
+
+def test_tits_not_simply_connected_with_the_group_index_fails(monkeypatch):
+    monkeypatch.setattr(complexes, "is_simply_connected", lambda *args, **kwargs: "no")
+    check = tits_verdict(unipotent_and_torus(4, Z2)[0], contracting_family(4, Z2))
+    assert check.status == "fail"
+    assert check.counterexample == "not simply connected but colimit index equals 64"
+
+
+def test_tits_simply_connected_with_an_overflowing_colimit_is_inconclusive(monkeypatch):
+    # the S3 hexagon's colimit is infinite, so the enumeration overflows
+    a, b = s3_matrices()
+    monkeypatch.setattr(complexes, "is_simply_connected", lambda *args, **kwargs: "yes")
+    check = tits_verdict([a, b], ([a], [b]), budget=2048)
+    assert (check.status, check.counterexample) == ("inconclusive", None)
+    assert check.counts == {"components": 1}
+
+
+def test_tits_inconclusive_simple_connectivity_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(complexes, "is_simply_connected", lambda *args, **kwargs: "inconclusive")
+    check = tits_verdict(unipotent_and_torus(4, Z2)[0], contracting_family(4, Z2))
+    assert (check.status, check.counterexample) == ("inconclusive", None)
 
 
 def test_tits_accepts_subgroup_spec_family():

@@ -120,17 +120,20 @@ def assert_routes_match_reference(triplets, nrows, ncols):
     """Both routes agree with the reference ones on this matrix.
 
     SNF must make the reference's row and column moves in the same order,
-    not only reach the same factors.  Every echelon row of the rational
-    route must be primitive and lead at the column it is filed under.
+    not only reach the same factors.  Every echelon column of the rational
+    route must be primitive and lead at the highest row, the row it is
+    filed under, and there must be as many as the reference's row echelon
+    has rows.
     """
     assert smith_moves(snf, triplets, nrows, ncols) == smith_moves(
         reference, triplets, nrows, ncols
     )
     echelon = snf._rational_echelon(triplets, nrows, ncols)
-    for lead, row in echelon.items():
-        assert min(row) == lead
-        assert gcd(*row.values()) == 1
+    for lead, column in echelon.items():
+        assert max(column) == lead
+        assert gcd(*column.values()) == 1
     assert len(echelon) == reference.rational_rank(triplets, nrows, ncols)
+    assert len(echelon) == len(reference._rational_echelon(triplets, nrows, ncols))
 
 
 def matrices(entry, max_side):
@@ -164,6 +167,21 @@ def test_sparse_unit_matrices_match_reference(rows):
 
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rows=matrices(st.one_of(st.just(0), st.integers(-30, 30)), 10))
+# dependent columns: the third is the sum of the first two
+@example(rows=[[1, 2, 3], [4, 5, 9], [7, 8, 15]])
+def test_rational_rank_in_cell_order_matches_row_echelon(rows):
+    """Column reduction in cell order and the row echelon it replaced
+    rank every integer matrix alike, as do the transpose's routes."""
+    t = dense_to_triplets(rows)
+    nrows, ncols = len(rows), len(rows[0])
+    rank = len(reference._rational_echelon(t, nrows, ncols))
+    assert rational_rank(t, nrows, ncols) == rank
+    transposed = [(j, i, v) for i, j, v in t]
+    assert rational_rank(transposed, ncols, nrows) == rank
+
+
 @pytest.mark.parametrize("triplets", ([(0, 5, 1)], [(3, 0, 1)]), ids=("column", "row"))
 def test_out_of_shape_triplet_refused_by_both_routes(triplets):
     messages = []
@@ -178,13 +196,46 @@ def test_out_of_shape_triplet_refused_by_both_routes(triplets):
 # -- coreduction ---------------------------------------------------------------
 
 
+SEGMENT = [([(0, 0, -1), (1, 0, 1)], (2, 1))]
+# RP² with one cell per degree: ∂1 = 0 and ∂2 = 2e
+RP2_CELLS = [([], (1, 1)), ([(0, 0, 2)], (1, 1))]
+# the boundary of a triangle: vertices 0, 1, 2 and edges 3 = 01, 4 = 02,
+# 5 = 12, numbered as check_matching reads them
+HOLLOW_TRIANGLE = [([(0, 0, -1), (1, 0, 1), (0, 1, -1), (2, 1, 1), (1, 2, -1), (2, 2, 1)], (3, 3))]
+
+
 def test_morse_complex_pairs_only_unit_faces():
-    # a segment: one vertex stays critical, the edge pairs with the other
-    assert snf.morse_complex([([(0, 0, -1), (1, 0, 1)], (2, 1))]) == [([], (1, 0))]
-    # RP² with one cell per degree: ∂1 = 0 and ∂2 = 2e.  The edge is the
-    # disk's only face, but with coefficient 2, so every cell stays critical
-    rp2 = [([], (1, 1)), ([(0, 0, 2)], (1, 1))]
-    assert snf.morse_complex(rp2) == rp2
+    # a segment: one vertex stays critical, the edge (cell 2) pairs with the
+    # other vertex
+    assert snf.morse_complex(SEGMENT) == ([([], (1, 0))], [(1, 2)])
+    # the edge is the disk's only face, but with coefficient 2, so every
+    # cell stays critical
+    assert snf.morse_complex(RP2_CELLS) == (RP2_CELLS, [])
+
+
+def test_check_matching_counts_critical_cells():
+    assert snf.check_matching(SEGMENT, [(1, 2)]) == (1, 0)
+    assert snf.check_matching(RP2_CELLS, []) == (1, 1, 1)
+    # a path around the triangle leaves one vertex and one edge critical
+    assert snf.check_matching(HOLLOW_TRIANGLE, [(1, 3), (2, 4)]) == (1, 1)
+    assert snf.check_matching(HOLLOW_TRIANGLE, snf.morse_complex(HOLLOW_TRIANGLE)[1]) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "boundaries, pairs, message",
+    [
+        (SEGMENT, [(0, 1)], r"pair \(0, 1\) is not a face with coefficient ±1"),
+        (RP2_CELLS, [(1, 2)], r"pair \(1, 2\) is not a face with coefficient ±1"),
+        (SEGMENT, [(0, 2), (1, 2)], r"pair \(1, 2\) shares a cell with another pair"),
+        # each vertex is matched up to the next edge round the triangle:
+        # 0 -> 01 -> 1 -> 12 -> 2 -> 02 -> 0
+        (HOLLOW_TRIANGLE, [(0, 3), (1, 5), (2, 4)], "the matching has a cycle"),
+    ],
+    ids=("not-a-face", "coefficient-2", "cell-in-two-pairs", "cyclic"),
+)
+def test_check_matching_refuses(boundaries, pairs, message):
+    with pytest.raises(ValueError, match=message):
+        snf.check_matching(boundaries, pairs)
 
 
 def test_morse_complex_refuses_inconsistent_shapes():
