@@ -34,7 +34,10 @@ body, `_factorization_checks`, which writes the six records and samples
 the source pairs past `_PAIR_BUDGET`.  There the generators x(r) and
 d(units) are the only Matrix objects: phi selects (or, for G2's short root
 and the affine map, combines) code columns of the coded source, and
-`_affine_target` lists the target as code rows.
+`_affine_target` lists the target as code rows.  `_pair_sweep` tests
+closure and the homomorphism law on the source pairs in blocks of left
+factors, each block one `mul_pairs` product against every right factor,
+so the first failing pair is still the first in left-major order.
 
 The invariant form F is the nullspace mod p of a linear system in its n*n
 entries.  Each symbolic generator G(t) is read into a stack of coefficient
@@ -58,6 +61,7 @@ from .kernels import (
     identity_vec,
     mul_batch_left,
     mul_batch_right,
+    mul_pairs,
     mul_rows,
     pack_keys,
 )
@@ -1013,10 +1017,11 @@ def check_elementary_relations(n, ring):
     show = R.element_repr
     elements = R.elements()
     positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    E = {}
-    for i, j in positions:
-        E[(i, j)] = np.tile(identity_vec(cr, n), (q, 1))
-        E[(i, j)][:, _at(n, i, j)] = np.arange(q)
+    # E[p] is the code table of e_ij for (i, j) = positions[p]
+    E = np.tile(identity_vec(cr, n), (len(positions), q, 1))
+    for p, (i, j) in enumerate(positions):
+        E[p, :, _at(n, i, j)] = np.arange(q)
+    slot = {pos: p for p, pos in enumerate(positions)}
 
     def describe(pairs, fmt):
         """fmt filled with the pair and the elements r, s of case k of a
@@ -1028,14 +1033,21 @@ def check_elementary_relations(n, ring):
 
     _record_rows(
         rep, "elementary-additivity", "elementary-matrix-additivity",
-        np.concatenate([_additive(cr, E[pos], n)[1:] for pos in positions]),
+        np.concatenate([_additive(cr, X, n)[1:] for X in E]),
         describe([(pos,) for pos in positions], "e{0}({1}) * e{0}({2})"),
     )
 
-    def comm(ij, kl, a, b):
-        """[e_ij(a), e_kl(b)] for every row of the code arrays a and b."""
-        x, xinv = E[ij][a], E[ij][cr.neg[a]]
-        y, yinv = E[kl][b], E[kl][cr.neg[b]]
+    def family(poss, c):
+        """Code rows e_pos(c) for every position of `poss` and every code
+        of the array c, position-major."""
+        return E[[slot[pos] for pos in poss]][:, c].reshape(-1, n * n)
+
+    def comm(pairs, a, b):
+        """[e_ij(a), e_kl(b)] for every pair (ij, kl) of `pairs` and every
+        row of the code arrays a and b, pair-major."""
+        ij, kl = [pos for pos, _ in pairs], [pos for _, pos in pairs]
+        x, xinv = family(ij, a), family(ij, cr.neg[a])
+        y, yinv = family(kl, b), family(kl, cr.neg[b])
         return mul_rows(cr, mul_rows(cr, mul_rows(cr, x, y, n), xinv, n), yinv, n)
 
     r, s = np.indices((q, q)).reshape(2, -1)
@@ -1051,12 +1063,11 @@ def check_elementary_relations(n, ring):
         ("elementary-disjoint-commutator", "disjoint-positions-commute", disjoint,
          s, None, ""),
     ):
-        expected = [
-            ident if product is None else E[(ij[0], kl[1])][product] for ij, kl in pairs
-        ]
-        ok = np.concatenate([np.empty(0, bool)] + [
-            (comm(ij, kl, r, b) == e).all(axis=1) for (ij, kl), e in zip(pairs, expected)
-        ])
+        expected = (
+            ident if product is None
+            else family([(ij[0], kl[1]) for ij, kl in pairs], product)
+        )
+        ok = (comm(pairs, r, b) == expected).all(axis=1)
         fmt = "[e({0[0]},{0[1]})({2}), e({1[0]},{1[1]})({3})" + suffix + "]"
         _record_rows(rep, check_id, anchor, ok, describe(pairs, fmt), cases=ok.size)
 
@@ -1065,7 +1076,7 @@ def check_elementary_relations(n, ring):
     ok = np.empty((len(tuples), len(positions), q), bool)
     for p, (i, j) in enumerate(positions):
         scale = cr.mul[tuples[:, i - 1], cr.inv[tuples[:, j - 1]]]
-        X = E[(i, j)]
+        X = E[p]
         same = _conj_diag(cr, tuples[ti], X[r], n) == X[cr.mul[scale[ti], r]]
         ok[:, p] = same.all(axis=1).reshape(len(tuples), q)
 
@@ -1205,6 +1216,50 @@ def _affine_target(cr, kind, tails):
     return np.column_stack([a, r, b, *(units[c] for c in t)])
 
 
+# product codes per block of left factors in `_pair_sweep`
+_PAIR_BLOCK = 1 << 15
+
+
+def _pair_sweep(cr, S, img, pool, source_keys, last, n):
+    """Source closure and the homomorphism law on every pair of `pool`.
+
+    Returns (cases, tested, closed, first): the number of pairs, the
+    number whose product lies in the source, whether every product does,
+    and the first tested pair (g, h), left-major, with phi(g h) !=
+    phi(g) phi(h), as row indices of S, or None.  A product is found in
+    the source by its key: at position k of `source_keys`, whose source
+    row `last[k]` has the image phi(g h).  The left factors go through
+    `mul_pairs` a block at a time: at most `_PAIR_BLOCK` product codes,
+    and at least one factor."""
+    m = len(pool)
+    right = S[pool]
+    (a2, r2, b2), t2 = img[pool, :3].T, img[pool, 3:]
+    step = max(1, _PAIR_BLOCK // (m * n * n))
+    tested = 0
+    closed = True
+    first = None
+    for lo in range(0, m, step):
+        left = pool[lo : lo + step]
+        prod = pack_keys(cr, mul_pairs(cr, S[left], right, n), n)
+        pos = np.searchsorted(source_keys, prod).clip(max=len(source_keys) - 1)
+        inside = source_keys[pos] == prod
+        tested += int(inside.sum())
+        closed = closed and bool(inside.all())
+        if first is None:
+            # (a r; 0 b)(a2 r2; 0 b2) = (a a2, a r2 + r b2; 0, b b2)
+            a, r, b = img[left, :3].T[:, :, None]
+            block = np.stack(
+                [cr.mul[a, a2], cr.add[cr.mul[a, r2], cr.mul[r, b2]], cr.mul[b, b2]],
+                axis=-1,
+            )
+            tail = cr.mul[img[left, None, 3:], t2]
+            composed = np.concatenate([block, tail], axis=-1).reshape(prod.shape[0], -1)
+            wrong = np.flatnonzero(inside & (img[last[pos]] != composed).any(axis=1))
+            if wrong.size:
+                first = (left[wrong[0] // m], pool[wrong[0] % m])
+    return m * m, tested, closed, first
+
+
 def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
     """The six records of one Borel factorization.
 
@@ -1216,9 +1271,9 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
     `_affine_target(cr, kind, tails)`.  The map records compare sets of
     code tuples.  Source pairs are all tested when there are at most
     _PAIR_BUDGET of them, else those of a pool: additive generators r, or
-    at most one non-one unit.  A product is found in the source by its
-    key, and phi(g) phi(h) is formed from the codes of the two images.
-    Pairs are multiplied one left factor at a time."""
+    at most one non-one unit.  `_pair_sweep` multiplies the pairs in
+    blocks of left factors, finds each product in the source by its key,
+    and forms phi(g) phi(h) from the codes of the two images."""
     units = R.units()
     cr = coded_ring(R)
     xs = [x(r) for r in R.elements()]
@@ -1277,29 +1332,9 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
     if len(S) ** 2 > _PAIR_BUDGET:
         tadd = set(additive_presentation(R).generators)
         pool = pool[[r in tadd or sum(u != R.one for u in tup) <= 1 for r, tup in owner]]
-    bad = None
-    closed_bad = None
-    cases = tested = 0
-    right = S[pool]
-    (a2, r2, b2), t2 = img[pool, :3].T, img[pool, 3:]
-    for g in pool:
-        prod = pack_keys(cr, mul_batch_left(cr, S[g], right, n), n)
-        pos = np.searchsorted(source_keys, prod).clip(max=len(source_keys) - 1)
-        inside = source_keys[pos] == prod
-        cases += len(pool)
-        tested += int(inside.sum())
-        if not inside.all():
-            closed_bad = closed_bad or "product left the source set"
-        if bad is None:
-            # (a r; 0 b)(a2 r2; 0 b2) = (a a2, a r2 + r b2; 0, b b2)
-            a, r, b = img[g, :3]
-            composed = np.column_stack(
-                [cr.mul[a, a2], cr.add[cr.mul[a, r2], cr.mul[r, b2]], cr.mul[b, b2],
-                 cr.mul[img[g, 3:], t2]]
-            )
-            wrong = np.flatnonzero(inside & (img[last[pos]] != composed).any(axis=1))
-            if wrong.size:
-                bad = f"pair ({owner[g]}, {owner[pool[wrong[0]]]})"
+    cases, tested, closed, first = _pair_sweep(cr, S, img, pool, source_keys, last, n)
+    closed_bad = None if closed else "product left the source set"
+    bad = None if first is None else f"pair ({owner[first[0]]}, {owner[first[1]]})"
     rep.check(
         "source-closed",
         "borel-source-closure",

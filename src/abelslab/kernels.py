@@ -22,7 +22,10 @@ add.  No table has more than TABLE_CAP columns: w is the largest width with
 q**w <= min(TABLE_CAP, batch rows), so a chunk table is also never larger
 than the batch it serves, and at w = 1 the gather is the plain per-k loop.
 Where both factors vary per case, ``mul_rows`` multiplies two equally long
-batches row by row, folding ``mul`` over k with ``add``.
+batches row by row, folding ``mul`` over k with ``add``.  ``mul_pairs``
+multiplies every A of one batch by every B of another: the rows of all
+the A are the lines of one set of chunk tables, and each chunk is one
+gather at B's chunk keys.
 
 The closure, the center scan, ``product_keys`` and ``entry_keys`` need
 only the keys of their products, and on the key route they never write
@@ -57,7 +60,7 @@ The route rule is one predicate, ``_keyed``, read only by
 keys are int64 (``fits_packing``) and q**n <= TABLE_CAP.  Every other
 input (byte keys, or longer lines) takes the chunked gather, which is
 also the only route of ``mul_batch_left``, ``mul_batch_right``,
-``mul_rows`` and ``coset_labels``.
+``mul_pairs``, ``mul_rows`` and ``coset_labels``.
 
 The closure is ``group_closure``, a coded BFS that gives the sorted keys
 of the generated group.  On the key route each level's products by a
@@ -264,6 +267,24 @@ def mul_batch_right(cr, As, b, n):
     tables = _tables(cr, b.reshape(n, n).T, w)
     _gather(cr, tables, _batch_keys(cr, _rows(As, n), w), out.transpose(0, 2, 1))
     return out.reshape(m, n * n)
+
+
+def mul_pairs(cr, As, Bs, n):
+    """A*B for every A in ``As`` and B in ``Bs``, as (p*m, n*n) codes with
+    A the major index: row a*m + b is As[a]*Bs[b].
+
+    The rows of every A are the lines of one ``_tables`` call, and each
+    chunk is one gather of all those tables at B's chunk keys.
+    """
+    p, m = As.shape[0], Bs.shape[0]
+    w = _width(cr.q, n, m)
+    tables = _tables(cr, As.reshape(-1, n), w)
+    out = None
+    for table, key in zip(tables, _batch_keys(cr, Bs.reshape(-1, n, n), w)):
+        # (p, n, m, n) indexed [a, i, b, j] to (p, m, n, n) indexed [a, b, i, j]
+        part = table.reshape(p, n, table.shape[1])[:, :, key].transpose(0, 2, 1, 3)
+        out = part if out is None else cr.add[out, part]
+    return out.reshape(p * m, n * n)
 
 
 def mul_rows(cr, As, Bs, n):

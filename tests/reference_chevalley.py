@@ -12,9 +12,16 @@ form search: the constraint rows of g^T F g = F collected from the
 products of Laurent-polynomial entries, one bucket per exponent, and
 Gauss-Jordan elimination on lists.  The numpy coefficient-stack system
 and elimination of `check_form_invariance` are tested against them.
+
+`pair_sweep_by_left_factor` is the Borel pair sweep one left factor at a
+time, each a `mul_batch_left` product against every right factor; the
+blocked `chevalley._pair_sweep` is tested against it.
 """
 
+import numpy as np
+
 from abelslab.chevalley import ChevalleyError, _symbolic_generators, reflect
+from abelslab.kernels import mul_batch_left, pack_keys
 
 
 def reflection_permutation(datum, alpha):
@@ -30,6 +37,34 @@ def reflection_permutation(datum, alpha):
 def form_preserved(mats, F):
     """One boolean per Matrix g of `mats`: g^T F g = F."""
     return [g.transpose() @ F @ g == F for g in mats]
+
+
+def pair_sweep_by_left_factor(cr, S, img, pool, source_keys, last, n):
+    """`chevalley._pair_sweep`, with the same arguments and result, one
+    left factor g of `pool` at a time."""
+    right = S[pool]
+    (a2, r2, b2), t2 = img[pool, :3].T, img[pool, 3:]
+    cases = tested = 0
+    closed = True
+    first = None
+    for g in pool:
+        prod = pack_keys(cr, mul_batch_left(cr, S[g], right, n), n)
+        pos = np.searchsorted(source_keys, prod).clip(max=len(source_keys) - 1)
+        inside = source_keys[pos] == prod
+        cases += len(pool)
+        tested += int(inside.sum())
+        closed = closed and bool(inside.all())
+        if first is None:
+            # (a r; 0 b)(a2 r2; 0 b2) = (a a2, a r2 + r b2; 0, b b2)
+            a, r, b = img[g, :3]
+            composed = np.column_stack(
+                [cr.mul[a, a2], cr.add[cr.mul[a, r2], cr.mul[r, b2]], cr.mul[b, b2],
+                 cr.mul[img[g, 3:], t2]]
+            )
+            wrong = np.flatnonzero(inside & (img[last[pos]] != composed).any(axis=1))
+            if wrong.size:
+                first = (g, pool[wrong[0]])
+    return cases, tested, closed, first
 
 
 def _rref_mod_p(rows, ncols, p):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_chevalley as reference
+from test_golden import _quadratic_a1_model
 from abelslab import chevalley
 from abelslab.chevalley import (
     ChevalleyError,
@@ -39,7 +40,7 @@ from abelslab.chevalley import (
     torus_element,
     weyl_element,
 )
-from abelslab.kernels import coded_ring
+from abelslab.kernels import coded_ring, pack_keys
 from abelslab.matrices import Matrix
 from abelslab.reports import Report
 from abelslab.rings import LaurentRing, additive_presentation, make_ring
@@ -567,6 +568,169 @@ def test_borel_gln_pairs_a_sampled_pool():
     assert counts["map-homomorphism"]["cases"] == pool**2 == 97_344
 
 
+SWEEP = chevalley._pair_sweep
+FACTORIZATION = chevalley._factorization_checks
+
+
+def _records(rep):
+    """The report's records as written, without their timings."""
+    return [{k: v for k, v in c.to_dict().items() if k != "elapsed"} for c in rep.checks]
+
+
+def _factorization_records(monkeypatch, run, sweep=SWEEP):
+    """The records of every `_factorization_checks` body that run() calls,
+    with `sweep` as the pair sweep."""
+    reports = []
+
+    def kept(rep, *args):
+        FACTORIZATION(rep, *args)
+        reports.append(rep)
+
+    monkeypatch.setattr(chevalley, "_pair_sweep", sweep)
+    monkeypatch.setattr(chevalley, "_factorization_checks", kept)
+    run()
+    assert reports
+    return [_records(rep) for rep in reports]
+
+
+def _both_sweeps(monkeypatch, run):
+    """(blocked, reference): the records by `_pair_sweep` and by the
+    one-left-factor loop it replaced."""
+    return (
+        _factorization_records(monkeypatch, run),
+        _factorization_records(monkeypatch, run, reference.pair_sweep_by_left_factor),
+    )
+
+
+def _by_id(records):
+    """The records of one report, by check id."""
+    return {r["id"]: r for r in records}
+
+
+@pytest.mark.parametrize("descriptor", ["zmod:2", "zmod:3", "zmod:4", "polyq:2:0,1"])
+def test_pair_sweep_matches_the_left_factor_reference(monkeypatch, descriptor):
+    R = make_ring(descriptor)
+    # B3 and G2 have no model in characteristic 2
+    cases = [
+        (label, idx) for label, idx in borel_cases()
+        if R.characteristic() != 2 or label not in ("B3", "G2")
+    ]
+
+    def run():
+        for label, idx in cases:
+            borel_isomorphism_check(label, idx, R)
+        borel_gln_check(4, 1, 2, R)
+        check_affine_iso(R)
+
+    blocked, ref = _both_sweeps(monkeypatch, run)
+    assert len(blocked) == len(cases) + 2
+    assert blocked == ref
+
+
+def _quadratic_a1():
+    return borel_isomorphism_check(_quadratic_a1_model(), 0)
+
+
+def test_pair_sweep_reference_on_failing_and_sampled_sources(monkeypatch):
+    # the quadratic A1 model leaves its source: FAIL and INCONCLUSIVE records
+    blocked, ref = _both_sweeps(monkeypatch, _quadratic_a1)
+    assert blocked == ref
+    records = _by_id(blocked[0])
+    assert records["source-closed"]["status"] == "fail"
+    assert records["map-homomorphism"]["status"] == "inconclusive"
+    # the sampled pool of test_borel_gln_pairs_a_sampled_pool
+    blocked, ref = _both_sweeps(monkeypatch, lambda: borel_gln_check(3, 1, 2, Z7))
+    assert blocked == ref
+    assert _by_id(blocked[0])["map-homomorphism"]["counts"]["cases"] == 312**2
+
+
+def _swapped_reader(monkeypatch):
+    """Make `_block_reader` exchange the images of the last two source
+    elements: phi stays a bijection onto the target, but not a
+    homomorphism."""
+    reader = chevalley._block_reader
+
+    def swapped(*args):
+        phi = reader(*args)
+
+        def phi_swapped(S):
+            img = phi(S)
+            img[[-2, -1]] = img[[-1, -2]]
+            return img
+
+        return phi_swapped
+
+    monkeypatch.setattr(chevalley, "_block_reader", swapped)
+
+
+def _swapped_gln():
+    return borel_gln_check(3, 1, 2, Z3)
+
+
+def test_map_homomorphism_names_the_first_failing_pair(monkeypatch):
+    _swapped_reader(monkeypatch)
+    blocked, ref = _both_sweeps(monkeypatch, _swapped_gln)
+    assert blocked == ref
+    failed = [(r["id"], r["counterexample"]) for r in blocked[0] if r["status"] == "fail"]
+    assert len(failed) == 1
+    check_id, text = failed[0]
+    assert check_id == "map-homomorphism"
+    # the swapped elements are x(2) d(2,2,1) and x(2) d(2,2,2); the left
+    # factor d(1,1,2) exchanges them, so its pairs hold, and the first pair
+    # that fails is d(1,2,1) * x(1) d(2,1,1) = x(2) d(2,2,1)
+    assert text == "pair ((0, (1, 2, 1)), (1, (2, 1, 1)))"
+
+
+@pytest.mark.parametrize(
+    "perturb,run,pool,n",
+    [
+        (_swapped_reader, _swapped_gln, 3 * 2**3, 3),
+        (lambda monkeypatch: None, _quadratic_a1, 7 * 6, 2),
+    ],
+    ids=["swapped-gln", "quadratic-A1"],
+)
+def test_pair_blocks_keep_the_records(monkeypatch, perturb, run, pool, n):
+    perturb(monkeypatch)
+    whole = _factorization_records(monkeypatch, run)
+    # one left factor per block
+    monkeypatch.setattr(chevalley, "_PAIR_BLOCK", 1)
+    assert _factorization_records(monkeypatch, run) == whole
+    # five left factors per block, which does not divide the pool
+    assert pool % 5
+    monkeypatch.setattr(chevalley, "_PAIR_BLOCK", 5 * pool * n * n)
+    assert _factorization_records(monkeypatch, run) == whole
+    assert _by_id(whole[0])["source-closed"]["counts"]["cases"] == pool**2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    size=st.integers(0, 30),
+    wrong=st.integers(0, 5),
+    per_block=st.sampled_from((1, 2, 5, 1000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_sweep_matches_reference_on_random_sources(size, wrong, per_block, seed):
+    """Random subsets S of the upper triangular group of GL_2(Z/5), the
+    identity last, with phi the block read off S and then changed on a
+    few rows.  With one left factor per block the last block is closed
+    even where S is not."""
+    cr = coded_ring(Z5)
+    rng = np.random.default_rng(seed)
+    a, b, r = np.indices((4, 4, 5)).reshape(3, -1)
+    group = np.column_stack([a + 1, r, np.zeros_like(r), b + 1])
+    S = np.concatenate([group[1 + rng.permutation(len(group) - 1)[:size]], group[:1]])
+    assert (S[-1] == [1, 0, 0, 1]).all()
+    img = S[:, [0, 1, 3]].copy()
+    changed = rng.integers(0, len(S), wrong)
+    img[changed, 1] = rng.integers(0, 5, wrong)
+    keys = pack_keys(cr, S, 2)
+    last = np.argsort(keys)
+    args = (cr, S, img, np.arange(len(S)), keys[last], last, 2)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(chevalley, "_PAIR_BLOCK", per_block * len(S) * 4)
+        assert chevalley._pair_sweep(*args) == reference.pair_sweep_by_left_factor(*args)
+
+
 @pytest.fixture
 def matrix_products(monkeypatch):
     """Counts Matrix.mul calls, `@` included."""
@@ -657,3 +821,49 @@ def test_weyl_conjugation_makes_one_batch_per_simple_root(monkeypatch):
     monkeypatch.setattr(chevalley, "mul_batch_left", counted)
     assert check_weyl_conjugation("D4", Z3).ok
     assert len(calls) == 2 * len(root_system("D4").simples) + 1 == 9
+
+
+def test_factorization_multiplies_one_block_of_left_factors_per_call(monkeypatch):
+    """No `mul_batch_left` call; one `mul_pairs` call per block of left
+    factors, each block at most `_PAIR_BLOCK` product codes."""
+
+    def refuse(*args):
+        raise AssertionError("mul_batch_left in a factorization check")
+
+    calls = []
+    mul_pairs = chevalley.mul_pairs
+
+    def counted(cr, As, Bs, n):
+        calls.append(len(As))
+        return mul_pairs(cr, As, Bs, n)
+
+    monkeypatch.setattr(chevalley, "mul_batch_left", refuse)
+    monkeypatch.setattr(chevalley, "mul_pairs", counted)
+    # 24 sources of 3 x 3 codes: 24 * 24 * 9 codes fit one block
+    assert borel_gln_check(3, 1, 2, Z3).ok
+    assert calls == [24]
+    # the sampled pool of 312: 312 * 9 codes per left factor, 11 per block
+    calls.clear()
+    assert chevalley._PAIR_BLOCK // (312 * 9) == 11
+    assert borel_gln_check(3, 1, 2, Z7).ok
+    assert calls == [11] * 28 + [4]
+    calls.clear()
+    monkeypatch.setattr(chevalley, "_PAIR_BLOCK", 5 * 24 * 9)
+    assert borel_gln_check(3, 1, 2, Z3).ok
+    assert calls == [5, 5, 5, 5, 4]
+
+
+def test_commutator_records_make_three_row_products_each(monkeypatch):
+    """One `mul_rows` call per position for additivity, then three per
+    commutator record over all of its position pairs."""
+    calls = []
+    mul_rows = chevalley.mul_rows
+
+    def counted(*args):
+        calls.append(None)
+        return mul_rows(*args)
+
+    monkeypatch.setattr(chevalley, "mul_rows", counted)
+    assert check_elementary_relations(4, F4).ok
+    positions = 4 * 3
+    assert len(calls) == positions + 3 * 3

@@ -28,6 +28,7 @@ from abelslab.kernels import (
     identity_vec,
     mul_batch_left,
     mul_batch_right,
+    mul_pairs,
     mul_rows,
     pack_keys,
     unpack_keys,
@@ -338,6 +339,38 @@ def test_mul_rows_matches_matrix_mul(descriptor, n, size, density, seed):
     for a, b, ab in zip(As, Bs, out):
         expected = decode_matrix(cr, a, n).mul(decode_matrix(cr, b, n))
         assert decode_matrix(cr, ab, n) == expected
+
+
+# (ring, n): zmod and polyq with int64 keys, and n = 8 over Z/4, the
+# byte-key shape of D4 over Z/4
+PAIR_SHAPES = (("zmod:3", 3), ("zmod:6", 2), ("polyq:2:1,1,1", 3), ("zmod:4", 8))
+
+
+@pytest.mark.parametrize("descriptor,n", PAIR_SHAPES)
+@PROPERTY
+@given(
+    p=st.integers(1, 5),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=1, m=7, seed=0)
+@example(p=4, m=1, seed=0)
+@example(p=1, m=1, seed=0)
+def test_mul_pairs_matches_row_products(descriptor, n, p, m, seed):
+    cr = coded_ring(make_ring(descriptor))
+    assert fits_packing(cr.q, n) == (n < 8)
+    rng = np.random.default_rng(seed)
+    As = rng.integers(0, cr.q, (p, n * n))
+    Bs = rng.integers(0, cr.q, (m, n * n))
+    out = mul_pairs(cr, As, Bs, n)
+    # row a*m + b is As[a] * Bs[b]
+    a, b = np.indices((p, m)).reshape(2, -1)
+    assert out.shape == (p * m, n * n)
+    assert (out == mul_rows(cr, As[a], Bs[b], n)).all()
+    for k in {0, p * m - 1} | set(rng.integers(0, p * m, 3).tolist()):
+        expected = decode_matrix(cr, As[a[k]], n).mul(decode_matrix(cr, Bs[b[k]], n))
+        assert decode_matrix(cr, out[k], n) == expected
+    assert (mul_pairs(cr, As[:1], Bs, n) == mul_batch_left(cr, As[0], Bs, n)).all()
 
 
 SMALL_GROUPS = (
