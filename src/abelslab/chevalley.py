@@ -16,12 +16,17 @@ factorizations of the Borel-type subgroups into two-by-two blocks.
 Over a finite ring the sweeps multiply coded rows from `kernels`: a
 one-parameter family is a code table whose row c is x(decode(c)), a
 diagonal element is its row of diagonal codes, and conjugation by a
-diagonal is entrywise.  A sweep computes one boolean per case, in sweep
-order, and `_record_rows` records it: a break-on-first sweep counts the
-cases up to its first failure, as `reports.first_failure` does.  Matrix
-objects remain for building generators, inverting the Weyl elements, on
-the symbolic routes and for the generator determinants of
-`check_form_invariance`, whose preservation test g^T F g = F runs on codes.
+diagonal is entrywise.  Elementary tables come from
+`kernels.elementary_codes`, and the diagonals of a torus from
+`_diagonal_rows`, which raises the units of each tuple to their exponent
+rows with `_unit_rows`; neither builds a Matrix.  A sweep computes one
+boolean per case, in sweep order, and `_record_rows` records it: a
+break-on-first sweep counts the cases up to and including its first
+failure.  Matrix objects remain for the root subgroup tables of `_family`
+(each x_alpha(r) built from its display, then coded), the Weyl elements
+and their inverses, the symbolic routes, and the generator instances of
+`check_form_invariance`, whose determinants are taken on Matrix objects
+while the preservation test g^T F g = F runs on codes.
 `check_weyl_conjugation` conjugates one batch per simple root alpha: the
 cases of every root whose reflection is tabulated, then x_alpha for the
 double conjugation, in one pair of batch products.
@@ -31,10 +36,12 @@ All three factorization checks,
 `borel_gln_check` (an elementary position times the diagonal of GL_n) and
 `check_affine_iso`, supply a source, a map phi and a target kind to one
 body, `_factorization_checks`, which writes the six records and samples
-the source pairs past `_PAIR_BUDGET`.  There the generators x(r) and
-d(units) are the only Matrix objects: phi selects (or, for G2's short root
-and the affine map, combines) code columns of the coded source, and
-`_affine_target` lists the target as code rows.  `_pair_sweep` tests
+the source pairs past `_PAIR_BUDGET`.  Each passes the code table of x(r)
+(`_family` rows, or one `elementary_codes` position) and the exponent rows
+of d(units) (the model's torus rows, the identity rows of GL_n, or
+((1, 0),)), so the source is coded with no Matrix object: phi selects
+(or, for G2's short root and the affine map, combines) code columns of
+it, and `_affine_target` lists the target as code rows.  `_pair_sweep` tests
 closure and the homomorphism law on the source pairs in blocks of left
 factors, each block one `mul_pairs` product against every right factor,
 so the first failing pair is still the first in left-major order.
@@ -56,6 +63,7 @@ import numpy as np
 from .abels import _retract_codes
 from .kernels import (
     coded_ring,
+    elementary_codes,
     encode_matrices,
     encode_matrix,
     identity_vec,
@@ -294,7 +302,6 @@ class MatrixModel:
         self._neg_displays = dict(neg_displays or {})
         self._h_exps = h_exps
         self.torus_rows = torus_rows
-        self._weyl_signs = {}
 
     @property
     def tabulated_roots(self):
@@ -433,7 +440,7 @@ def _record_rows(rep, check_id, anchor, ok, describe, cases=None):
 
     The counterexample is describe(k) of the first failing case k.  Without
     `cases` the sweep breaks on its first failure: it counts the cases up
-    to that one, as `reports.first_failure` does."""
+    to and including that one."""
     first = np.flatnonzero(~ok)[:1]
     if cases is None:
         cases = int(first[0]) + 1 if first.size else ok.size
@@ -471,6 +478,19 @@ def _unit_rows(cr, exps):
     out = np.zeros((cr.q, len(exps)), np.int64)
     for u in R.units():
         out[R.encode(u)] = [R.encode(R.power(u, k)) for k in exps]
+    return out
+
+
+def _diagonal_rows(cr, rows):
+    """The diagonal codes of d(u) for every tuple u of units, one tuple
+    entry per exponent row, in `itertools.product` order of `R.units()`:
+    d(u)_k = prod over t of u_t**rows[t][k]."""
+    k, n = len(rows), len(rows[0])
+    tuples = cr.unit_codes[np.indices((len(cr.unit_codes),) * k).reshape(k, -1)]
+    powers = _unit_rows(cr, np.ravel(rows)).reshape(cr.q, k, n)
+    out = np.full((tuples.shape[1], n), cr.one)
+    for t, u in enumerate(tuples):
+        out = cr.mul[out, powers[u, t]]
     return out
 
 
@@ -541,21 +561,17 @@ def _g2_torus_display(model, rep, cr, X):
     entrywise: entries 2t, t, -t, -t, -t^2 at fixed positions, t = r/u."""
     R = model.ring
     elements, units = R.elements(), R.units()
-
-    def expected(t):
-        rows = [[R.one if i == j else R.zero for j in range(7)] for i in range(7)]
-        rows[0][1] = R.scale_int(2, t)
-        rows[2][6] = t
-        rows[3][5] = R.neg(t)
-        rows[4][0] = R.neg(t)
-        rows[4][1] = R.neg(R.mul(t, t))
-        return Matrix.from_rows(R, rows)
-
-    E = encode_matrices(cr, [expected(t) for t in elements])
-    tori = [torus_element(model, uv) for uv in itertools.product(units, repeat=2)]
+    # row c is the expected display at the element of code c
+    c = np.arange(cr.q)
+    E = np.tile(identity_vec(cr, 7), (cr.q, 1))
+    E[:, _at(7, 1, 2)] = cr.add[c, c]
+    E[:, _at(7, 3, 7)] = c
+    E[:, _at(7, 4, 6)] = E[:, _at(7, 5, 1)] = cr.neg[c]
+    E[:, _at(7, 5, 2)] = cr.neg[cr.mul[c, c]]
+    tori = _diagonal_rows(cr, model.torus_rows)
     uv, r = np.indices((len(tori), cr.q)).reshape(2, -1)
     t = cr.mul[cr.inv[cr.unit_codes[uv // len(units)]], r]
-    lhs = _conj_diag(cr, encode_matrices(cr, tori)[uv, :: 8], X[r], 7)
+    lhs = _conj_diag(cr, tori[uv], X[r], 7)
     _record_rows(
         rep, "torus-display-conjugation", "two-parameter-torus-display",
         ((lhs == E[t]) & (lhs == X[t])).all(axis=1),
@@ -632,13 +648,12 @@ _NONSIMPLE_SPOT = {"C2": (0, 1), "C3": (0, 1), "B3": (1, 2), "D4": (1, 0), "G2":
 
 
 def _one_sign(rep, cr, check_id, anchor, images, lhs, t, left, flip, where):
-    """Record a constant-sign image check on coded rows; return its sign.
+    """Record a constant-sign image check on coded rows.
 
     Each row of lhs must be the image of t or of -t, with the sign of the
     first row that fixes one; a match where t = -t fixes no sign.  A row
     that matches neither fails with `left`, one whose sign flips with
-    `flip`, each formatted with where(k).  The sign is 0 when the check
-    fails or fixes none."""
+    `flip`, each formatted with where(k)."""
     minus_t = cr.neg[t]
     plus = (lhs == images[t]).all(axis=1)
     minus = (lhs == images[minus_t]).all(axis=1)
@@ -650,7 +665,6 @@ def _one_sign(rep, cr, check_id, anchor, images, lhs, t, left, flip, where):
     _record_rows(
         rep, check_id, anchor, ok, lambda k: (flip if matched[k] else left).format(where(k))
     )
-    return sign if ok.all() else 0
 
 
 def check_weyl_conjugation(model, ring=None):
@@ -707,15 +721,13 @@ def check_weyl_conjugation(model, ring=None):
         ends = np.cumsum([len(X) for X in batch[:-1]])
         images = np.split(conj_w(np.concatenate(batch)), ends)
         for beta, image in zip(betas, images):
-            sign = _one_sign(
+            _one_sign(
                 rep, cr, f"weyl-conjugation:{_rname(alpha)}|{_rname(beta)}",
                 "weyl-reflection-conjugation",
                 xs[reflect(alpha, beta)], image, cases[beta][1],
                 "{}: image not in the reflected root subgroup", "sign flip at {}",
                 lambda k: f"gamma={_rname(simples[k // v.size])} {text_vs(k % v.size)}",
             )
-            if sign:
-                model._weyl_signs[(alpha, beta)] = sign
 
         _one_sign(
             rep, cr, f"weyl-double-conjugation:{_rname(alpha)}",
@@ -857,10 +869,14 @@ def _symmetry_rows(n, kind, p):
 
 
 def _form_system(model, kind, p):
-    """The rows mod p of every generator of `_symbolic_generators`, then
-    the symmetry rows of `kind`: their nullspace is the space of forms."""
+    """The distinct rows mod p of every generator of `_symbolic_generators`
+    and the symmetry rows of `kind`: their nullspace is the space of forms.
+    Generators share many rows (D4 over Z/7 gives 812 rows, 164 of them
+    distinct), and a repeated row does not change the row space."""
     rows = [_preservation_rows(G, p) for _name, G, _L in _symbolic_generators(model)]
-    return np.concatenate(rows + [_symmetry_rows(model.n, kind, p)])
+    rows = np.concatenate(rows + [_symmetry_rows(model.n, kind, p)])
+    rows = rows[np.lexsort(rows.T)]
+    return rows[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
 
 
 def _symbolic_generators(model):
@@ -1018,9 +1034,7 @@ def check_elementary_relations(n, ring):
     elements = R.elements()
     positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     # E[p] is the code table of e_ij for (i, j) = positions[p]
-    E = np.tile(identity_vec(cr, n), (len(positions), q, 1))
-    for p, (i, j) in enumerate(positions):
-        E[p, :, _at(n, i, j)] = np.arange(q)
+    E = elementary_codes(cr, n, positions)
     slot = {pos: p for p, pos in enumerate(positions)}
 
     def describe(pairs, fmt):
@@ -1071,7 +1085,7 @@ def check_elementary_relations(n, ring):
         fmt = "[e({0[0]},{0[1]})({2}), e({1[0]},{1[1]})({3})" + suffix + "]"
         _record_rows(rep, check_id, anchor, ok, describe(pairs, fmt), cases=ok.size)
 
-    tuples = np.array(list(itertools.product(cr.unit_codes, repeat=n)), np.int64)
+    tuples = _diagonal_rows(cr, np.eye(n, dtype=np.int64))
     ti, r = np.indices((len(tuples), q)).reshape(2, -1)
     ok = np.empty((len(tuples), len(positions), q), bool)
     for p, (i, j) in enumerate(positions):
@@ -1114,10 +1128,8 @@ def check_affine_iso(ring):
         return np.column_stack([np.full(len(S), cr.one), cr.mul[S[:, 1], ui], ui])
 
     rep = Report("affine-iso", {"ring": R.descriptor})
-    _factorization_checks(
-        rep, R, lambda r: Matrix.elementary(R, 2, 1, 2, r),
-        lambda tup: Matrix.diagonal(R, (*tup, R.one)), 1, phi, "Aff-", 0,
-    )
+    X = elementary_codes(cr, 2, [(1, 2)])[0]
+    _factorization_checks(rep, R, X, ((1, 0),), phi, "Aff-", 0)
     return rep.ok
 
 
@@ -1130,32 +1142,27 @@ def check_borel_retraction(n, ring):
         raise ChevalleyError("n must be at least 2")
     if not R.finite:
         raise ChevalleyError("exhaustive retraction check needs a finite ring")
-    one = R.one
-    tadd = additive_presentation(R).generators
-    gens = [Matrix.identity(R, n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for t in tadd:
-                gens.append(Matrix.elementary(R, n, i, j, t))
-    for k in range(n):
-        for u in R.units():
-            if u == one:
-                continue
-            entries = [one] * n
-            entries[k] = u
-            gens.append(Matrix.diagonal(R, entries))
-
     cr = coded_ring(R)
+    # the identity, e_ij(t) for i < j and t an additive generator, and the
+    # diagonals with one entry a unit other than one
+    ident = identity_vec(cr, n)
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    tadd = [R.encode(t) for t in additive_presentation(R).generators]
+    units = cr.unit_codes
+    k, u = np.indices((n, len(units) - 1)).reshape(2, -1)
+    diagonals = np.tile(ident, (k.size, 1))
+    diagonals[np.arange(k.size), k * (n + 1)] = units[units != cr.one][u]
+    G = np.concatenate([
+        ident[None], elementary_codes(cr, n, upper)[:, tadd].reshape(-1, n * n), diagonals,
+    ])
     window = ((1, 1), (1, 2), (2, 2))
-    G = encode_matrices(cr, gens)
     RG = _retract_codes(cr, G, n, window)
-    g, h = np.indices((len(gens), len(gens))).reshape(2, -1)
+    g, h = np.indices((len(G), len(G))).reshape(2, -1)
     lhs = _retract_codes(cr, mul_rows(cr, G[g], G[h], n), n, window)
     if not (lhs == mul_rows(cr, RG[g], RG[h], n)).all():
         return False
-    units = cr.unit_codes
     a, b, r = np.indices((len(units), len(units), cr.q)).reshape(3, -1)
-    block = np.tile(identity_vec(cr, n), (r.size, 1))
+    block = np.tile(ident, (r.size, 1))
     block[:, 0], block[:, 1], block[:, n + 1] = units[a], r, units[b]
     return bool((_retract_codes(cr, block, n, window) == block).all())
 
@@ -1260,12 +1267,14 @@ def _pair_sweep(cr, S, img, pool, source_keys, last, n):
     return m * m, tested, closed, first
 
 
-def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
+def _factorization_checks(rep, R, X, rows, phi, kind, tails):
     """The six records of one Borel factorization.
 
-    The source is x(r) d(units) over r in R and units in (R^x)^k, and the
-    predicted size of source and target is |R| |R^x|^k.  Source, map and
-    target are coded: the source S is built by `mul_rows`, phi maps S to
+    The source is x(r) d(units) over r in R and units in (R^x)^k, where
+    row c of the code table X is x(r) for r of code c, and d has the k
+    torus exponent rows `rows`.  The predicted size of source and target
+    is |R| |R^x|^k.  Source, map and target are coded: the source S scales
+    the columns of x(r) by the diagonal codes of d(units), phi maps S to
     rows (a, r, b, *tails), the codes of a two-by-two upper triangular
     block (a r; 0 b) and of `tails` units, and the target is
     `_affine_target(cr, kind, tails)`.  The map records compare sets of
@@ -1276,13 +1285,11 @@ def _factorization_checks(rep, R, x, d, k, phi, kind, tails):
     and forms phi(g) phi(h) from the codes of the two images."""
     units = R.units()
     cr = coded_ring(R)
-    xs = [x(r) for r in R.elements()]
-    n = xs[0].n
-    tups = list(itertools.product(units, repeat=k))
-    params = [(r, tup) for r in R.elements() for tup in tups]
-    ri, ti = np.indices((len(xs), len(tups))).reshape(2, -1)
-    D = encode_matrices(cr, [d(tup) for tup in tups])
-    S = mul_rows(cr, encode_matrices(cr, xs)[ri], D[ti], n)
+    k, n = len(rows), len(rows[0])
+    params = [(r, tup) for r in R.elements() for tup in itertools.product(units, repeat=k)]
+    D = _diagonal_rows(cr, rows)
+    ri, ti = np.indices((cr.q, len(D))).reshape(2, -1)
+    S = cr.mul[X[ri].reshape(-1, n, n), D[ti, None, :]].reshape(-1, n * n)
     keys = pack_keys(cr, S, n)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -1396,14 +1403,7 @@ def borel_isomorphism_check(model, eta, ring=None):
     else:
         phi = _block_reader(cr, n, case["read"], gm)
     _factorization_checks(
-        rep,
-        R,
-        lambda r: root_element(model, root, r),
-        lambda tup: torus_element(model, tup),
-        len(model.torus_rows),
-        phi,
-        case["target"],
-        len(gm),
+        rep, R, _family(cr, model, root), model.torus_rows, phi, case["target"], len(gm),
     )
     return rep
 
@@ -1419,14 +1419,9 @@ def borel_gln_check(n, i, j, ring):
         raise ChevalleyError("exhaustive factorization check needs a finite ring")
     rep = Report("borel-gln", {"n": n, "i": i, "j": j, "ring": R.descriptor})
     gm = tuple(k for k in range(1, n + 1) if k not in (i, j))
+    cr = coded_ring(R)
     _factorization_checks(
-        rep,
-        R,
-        lambda r: Matrix.elementary(R, n, i, j, r),
-        lambda tup: Matrix.diagonal(R, tup),
-        n,
-        _block_reader(coded_ring(R), n, (i, j), gm),
-        "B2",
-        len(gm),
+        rep, R, elementary_codes(cr, n, [(i, j)])[0], np.eye(n, dtype=np.int64),
+        _block_reader(cr, n, (i, j), gm), "B2", len(gm),
     )
     return rep

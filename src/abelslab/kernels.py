@@ -2,11 +2,14 @@
 
 A finite ring with q elements is flattened to int64 lookup tables indexed by
 element codes; an n x n matrix becomes a flat length-n^2 int64 vector of
-codes, and a whole group becomes a 2-d array of such vectors.  ``pack_keys``
-gives each vector one sortable key, which gives sorted-array membership tests
-and canonical minimal coset representatives for free.  Keys come in two
-formats, both ordered like the row-major base-q integer of the codes: an
-int64 holding that integer whenever q**(n*n) < 2**63 (``fits_packing``),
+codes, and a whole group becomes a 2-d array of such vectors.
+``elementary_codes`` writes the elementary matrices e_ij(r) of a list of
+positions straight into such tables, one row per element code, with no
+Matrix object.  ``pack_keys`` gives each vector one sortable key, which
+gives sorted-array membership tests and canonical minimal coset
+representatives for free.  Keys come in two formats, both ordered like
+the row-major base-q integer of the codes: an int64 holding that integer
+whenever q**(n*n) < 2**63 (``fits_packing``),
 and otherwise the codes as big-endian unsigned bytes viewed as ``np.void``.
 Sorting, ``np.unique``, ``searchsorted``, ``isin``, ``intersect1d`` and
 equality work on either; ordering comparisons and ``np.diff`` need int64.
@@ -148,6 +151,18 @@ def encode_matrices(cr, mats):
 def identity_vec(cr, n):
     out = np.full(n * n, cr.zero, np.int64)
     out[:: n + 1] = cr.one
+    return out
+
+
+def elementary_codes(cr, n, positions):
+    """Code tables of elementary matrices: row [p, c] is e_ij(r), for
+    (i, j) = positions[p] (1-based, off-diagonal) and r the element of
+    code c."""
+    out = np.tile(identity_vec(cr, n), (len(positions), cr.q, 1))
+    for p, (i, j) in enumerate(positions):
+        if i == j or not (1 <= i <= n and 1 <= j <= n):
+            raise KernelError(f"no elementary position ({i},{j}) in size {n}")
+        out[p, :, (i - 1) * n + j - 1] = np.arange(cr.q)
     return out
 
 

@@ -146,19 +146,6 @@ class Matrix:
     def __matmul__(self, other):
         return self.mul(other)
 
-    def power(self, k):
-        k = int(k)
-        if k < 0:
-            return self.inverse().power(-k)
-        out = Matrix.identity(self.ring, self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return out
-
     def det(self):
         """Determinant by DP over column subsets; exact over any ring."""
         R = self.ring

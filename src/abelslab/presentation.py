@@ -8,6 +8,9 @@ pattern, parametrized by an additive presentation of the base ring (the
 product expansion m(t,s) comes from the ring's multiplication rows); the
 economic variant drops the top-corner column generators and keeps only the
 two overlapping index windows plus explicit bridging commutators.
+`von_dyck_check` and the corner-element sweep `check_missing_relations`
+multiply coded rows from `kernels`; the sweep's elementary matrices come
+from `elementary_codes`, so it builds no Matrix object.
 
 Todd-Coxeter is HLT with row filling on a column-major table: scan each
 relator at each live coset unless its cycle there is already closed, define
@@ -26,9 +29,11 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .config import BudgetExceeded, get_budget
-from .kernels import closure_order, coded_ring, encode_matrices, identity_vec, mul_rows
+from .kernels import (
+    closure_order, coded_ring, elementary_codes, encode_matrices, identity_vec, mul_rows,
+)
 from .matrices import Matrix, MatrixError
-from .reports import INCONCLUSIVE, PASS, Report, first_failure
+from .reports import INCONCLUSIVE, PASS, Report
 from .rings import additive_presentation
 
 
@@ -801,101 +806,93 @@ def von_dyck_check(pres, assignment):
 
 
 def check_missing_relations(n, ring):
-    """Verify, in the unitriangular matrix group, the corner-element facts
-    that the economic presentation must reproduce.
+    """Verify, in the unitriangular matrix group over a finite ring, the
+    corner-element facts that the economic presentation must reproduce.
 
     The corner element c(t) is defined as the commutator of the (1,2) and
     (2,n) elementaries.  Checks: c(t) equals the (1,n) elementary; mixed
     first-row/last-column commutators vanish; every (1,j)/(j,n) chain
     reproduces c(t); c(s) is central against all elementaries; c respects
-    the additive relators.
+    the additive relators.  Each sweep is one batch of code rows:
+    e_ij(t)^-1 is e_ij(-t), [a, b]^-1 is [b, a], and powers of c(t) are
+    taken by square-and-multiply.  A record counts its cases up to and
+    including the first that fails.
     """
     if n < 4:
         raise PresentationError(f"corner checks need n >= 4, got {n}")
-    rep = Report(
-        suite="missing-relations", config={"n": n, "ring": ring.descriptor}
-    )
+    rep = Report(suite="missing-relations", config={"n": n, "ring": ring.descriptor})
     pres = additive_presentation(ring)
-    T = pres.generators
+    T, show, cr = pres.generators, ring.element_repr, coded_ring(ring)
+    m = len(T)
+    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    E = dict(zip(positions, elementary_codes(cr, n, positions)))
+    ident = identity_vec(cr, n)
+    tc, ones = np.array([ring.encode(t) for t in T], np.int64), np.full(m, cr.one)
+    t, s = np.indices((m, m)).reshape(2, -1)
 
-    def e(i, j, r):
-        return Matrix.elementary(ring, n, i, j, r)
+    def e(poss, c):
+        """(e_ij(c), e_ij(-c)) as code rows for every (i, j) of `poss` and
+        every code of the array c, position-major."""
+        return tuple(np.concatenate([E[pos][x] for pos in poss]) for x in (c, cr.neg[c]))
 
-    def comm(a, b):
-        return a.mul(b).mul(a.inverse()).mul(b.inverse())
+    def comm(x, y):
+        """[x, y] = x y x^-1 y^-1 row by row, for (rows, inverse rows) x, y."""
+        (a, ainv), (b, binv) = x, y
+        return mul_rows(cr, mul_rows(cr, mul_rows(cr, a, b, n), ainv, n), binv, n)
 
-    corner = {t: comm(e(1, 2, t), e(2, n, ring.one)) for t in T}
-    ident = Matrix.identity(ring, n)
-    one = ring.one
-    show = ring.element_repr
+    def power(x, k):
+        """x^k row by row, for (rows, inverse rows) x and integers k."""
+        base, k = np.where((k < 0)[:, None], x[1], x[0]), np.abs(k)
+        out = np.tile(ident, (len(k), 1))
+        while k.any():
+            out = np.where((k & 1)[:, None] == 1, mul_rows(cr, out, base, n), out)
+            base, k = mul_rows(cr, base, base, n), k >> 1
+        return out
 
-    def corner_word(row):
-        acc = ident
-        for coeff, t in zip(row, T):
-            acc = acc.mul(corner[t].power(coeff))
-        return acc
+    def fails(a, b):
+        return ~(a == b).all(axis=1)
+
+    def pair_text(pairs, names):
+        def text(k):
+            p, ti, si = np.unravel_index(k, (len(pairs), m, m))
+            return f"{names}=({pairs[p][0]},{pairs[p][1]}), t={show(T[ti])}, s={show(T[si])}"
+        return text
+
+    # c(t) for every additive generator t, with its inverse
+    x12, x2n = e([(1, 2)], tc), e([(2, n)], ones)
+    corner = (comm(x12, x2n), comm(x2n, x12))
+    jk = [(j, k) for j in range(2, n) for k in range(2, n) if j != k and (j, k) != (2, n - 1)]
+    disjoint = comm(e([(1, j) for j, _ in jk], tc[t]), e([(k, n) for _, k in jk], tc[s]))
+    rows, cols = [(1, j) for j in range(2, n)], [(j, n) for j in range(2, n)]
+    chain = np.tile(corner[0], (n - 2, 1))
+    second = fails(comm(e(rows, tc), e(cols, ones)), chain)
+    first = fails(comm(e(rows, ones), e(cols, tc)), chain)
+    around = tuple(np.tile(c[s], (len(positions), 1)) for c in corner)
+    coeffs = np.array(pres.relators, np.int64).reshape(-1, m)
+    word = np.tile(ident, (len(coeffs), 1))
+    for ti, k in enumerate(coeffs.T):
+        c_t = tuple(np.tile(c[ti], (len(k), 1)) for c in corner)
+        word = mul_rows(cr, word, power(c_t, k), n)
 
     sweeps = (
-        (
-            "corner-definition",
-            "corner-element-matches-elementary",
-            (
-                None if corner[t] == e(1, n, t) else f"corner element at t={show(t)}"
-                for t in T
-            ),
-        ),
-        (
-            "disjoint-row-column",
-            "mixed-corner-commutators-vanish",
-            (
-                None
-                if comm(e(1, j, t), e(k, n, s)) == ident
-                else f"(j,k)=({j},{k}), t={show(t)}, s={show(s)}"
-                for j in range(2, n)
-                for k in range(2, n)
-                if j != k and (j, k) != (2, n - 1)
-                for t in T
-                for s in T
-            ),
-        ),
-        (
-            "chain-through-column",
-            "corner-chain-commutators-agree",
-            (
-                f"chain j={j}, t={show(t)} (unit second)"
-                if comm(e(1, j, t), e(j, n, one)) != corner[t]
-                else f"chain j={j}, t={show(t)} (unit first)"
-                if comm(e(1, j, one), e(j, n, t)) != corner[t]
-                else None
-                for j in range(2, n)
-                for t in T
-            ),
-        ),
-        (
-            "corner-central",
-            "corner-element-is-central",
-            (
-                None
-                if comm(e(i, j, t), corner[s]) == ident
-                else f"(i,j)=({i},{j}), t={show(t)}, s={show(s)}"
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-                for t in T
-                for s in T
-            ),
-        ),
-        (
-            "corner-additive",
-            "corner-element-additive-relations",
-            (
-                None if corner_word(row) == ident else f"additive row {row}"
-                for row in pres.relators
-            ),
-        ),
+        ("corner-definition", "corner-element-matches-elementary",
+         fails(corner[0], e([(1, n)], tc)[0]), lambda k: f"corner element at t={show(T[k])}"),
+        ("disjoint-row-column", "mixed-corner-commutators-vanish",
+         fails(disjoint, ident), pair_text(jk, "(j,k)")),
+        ("chain-through-column", "corner-chain-commutators-agree", second | first,
+         lambda k: f"chain j={k // m + 2}, t={show(T[k % m])} "
+                   f"(unit {'second' if second[k] else 'first'})"),
+        ("corner-central", "corner-element-is-central",
+         fails(comm(e(positions, tc[t]), around), ident), pair_text(positions, "(i,j)")),
+        ("corner-additive", "corner-element-additive-relations",
+         fails(word, ident), lambda k: f"additive row {pres.relators[k]}"),
     )
-    for check_id, anchor, results in sweeps:
-        cases, bad = first_failure(results)
-        rep.check(check_id, anchor, counts={"cases": cases}, counterexample=bad)
+    for check_id, anchor, bad, describe in sweeps:
+        k = np.flatnonzero(bad)[:1]
+        rep.check(
+            check_id, anchor, counts={"cases": int(k[0]) + 1 if k.size else bad.size},
+            counterexample=describe(int(k[0])) if k.size else None,
+        )
     return rep
 
 

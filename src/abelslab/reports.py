@@ -12,8 +12,6 @@ the time a suite spends between records is charged to the next one, and a
 `run` check is timed from the start of its thunk.
 `check` derives the status when none is given: FAIL if there is a
 counterexample, PASS otherwise.  INCONCLUSIVE is always explicit.
-`first_failure` runs a break-on-first sweep and returns its case count
-and first counterexample.
 """
 
 import json
@@ -180,18 +178,6 @@ class Report:
             verdict = "PASS (with inconclusive checks)"
         lines.append(f"{self.suite}: {verdict}")
         return lines
-
-
-def first_failure(results):
-    """(cases, counterexample) of a lazy sweep whose items are None for a
-    case that holds or a counterexample string; the sweep stops at the
-    first string, so later cases are never evaluated."""
-    cases = 0
-    for bad in results:
-        cases += 1
-        if bad is not None:
-            return cases, bad
-    return cases, None
 
 
 def merge_reports(reports, suite="merged"):

@@ -10,8 +10,12 @@ separate per-position additive-relator loop.  They are kept, unchanged,
 only so the tests can require the current functions to give exactly the
 same coset tables and presentations.  `evaluate_word` multiplies a word's
 letters as Matrix objects, one product per letter; the coded
-`von_dyck_check` is tested against it.  `coset_action` reads the
-permutation a generator induces on the cosets of a complete table.
+`von_dyck_check` is tested against it.  `missing_relations` is the
+corner-element sweep on Matrix objects, each sweep a lazy generator that
+`first_failure` stops at its first counterexample, with powers by
+`power`; the coded `check_missing_relations` must give the same records.
+`coset_action` reads the permutation a generator induces on the cosets
+of a complete table.
 """
 
 from abelslab.config import get_budget
@@ -26,6 +30,8 @@ from abelslab.presentation import (
     free_reduce,
     power_word,
 )
+from abelslab.reports import Report
+from abelslab.rings import additive_presentation
 
 
 def coset_action(table, gen):
@@ -359,3 +365,122 @@ def evaluate_word(word, images, ring, n, inverses=None):
             m = m.inverse() if inverses is None else inverses[-x - 1]
         out = out.mul(m)
     return out
+
+
+def first_failure(results):
+    """(cases, counterexample) of a lazy sweep whose items are None for a
+    case that holds or a counterexample string; the sweep stops at the
+    first string, so later cases are never evaluated."""
+    cases = 0
+    for bad in results:
+        cases += 1
+        if bad is not None:
+            return cases, bad
+    return cases, None
+
+
+def power(m, k):
+    """The Matrix m to the integer power k, by square-and-multiply."""
+    k = int(k)
+    if k < 0:
+        return power(m.inverse(), -k)
+    out = Matrix.identity(m.ring, m.n)
+    base = m
+    while k:
+        if k & 1:
+            out = out.mul(base)
+        base = base.mul(base)
+        k >>= 1
+    return out
+
+
+def missing_relations(n, ring):
+    """The records of `check_missing_relations`, every case on Matrix
+    objects."""
+    if n < 4:
+        raise PresentationError(f"corner checks need n >= 4, got {n}")
+    rep = Report(
+        suite="missing-relations", config={"n": n, "ring": ring.descriptor}
+    )
+    pres = additive_presentation(ring)
+    T = pres.generators
+
+    def e(i, j, r):
+        return Matrix.elementary(ring, n, i, j, r)
+
+    def comm(a, b):
+        return a.mul(b).mul(a.inverse()).mul(b.inverse())
+
+    corner = {t: comm(e(1, 2, t), e(2, n, ring.one)) for t in T}
+    ident = Matrix.identity(ring, n)
+    one = ring.one
+    show = ring.element_repr
+
+    def corner_word(row):
+        acc = ident
+        for coeff, t in zip(row, T):
+            acc = acc.mul(power(corner[t], coeff))
+        return acc
+
+    sweeps = (
+        (
+            "corner-definition",
+            "corner-element-matches-elementary",
+            (
+                None if corner[t] == e(1, n, t) else f"corner element at t={show(t)}"
+                for t in T
+            ),
+        ),
+        (
+            "disjoint-row-column",
+            "mixed-corner-commutators-vanish",
+            (
+                None
+                if comm(e(1, j, t), e(k, n, s)) == ident
+                else f"(j,k)=({j},{k}), t={show(t)}, s={show(s)}"
+                for j in range(2, n)
+                for k in range(2, n)
+                if j != k and (j, k) != (2, n - 1)
+                for t in T
+                for s in T
+            ),
+        ),
+        (
+            "chain-through-column",
+            "corner-chain-commutators-agree",
+            (
+                f"chain j={j}, t={show(t)} (unit second)"
+                if comm(e(1, j, t), e(j, n, one)) != corner[t]
+                else f"chain j={j}, t={show(t)} (unit first)"
+                if comm(e(1, j, one), e(j, n, t)) != corner[t]
+                else None
+                for j in range(2, n)
+                for t in T
+            ),
+        ),
+        (
+            "corner-central",
+            "corner-element-is-central",
+            (
+                None
+                if comm(e(i, j, t), corner[s]) == ident
+                else f"(i,j)=({i},{j}), t={show(t)}, s={show(s)}"
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                for t in T
+                for s in T
+            ),
+        ),
+        (
+            "corner-additive",
+            "corner-element-additive-relations",
+            (
+                None if corner_word(row) == ident else f"additive row {row}"
+                for row in pres.relators
+            ),
+        ),
+    )
+    for check_id, anchor, results in sweeps:
+        cases, bad = first_failure(results)
+        rep.check(check_id, anchor, counts={"cases": cases}, counterexample=bad)
+    return rep

@@ -40,7 +40,7 @@ from abelslab.chevalley import (
     torus_element,
     weyl_element,
 )
-from abelslab.kernels import coded_ring, pack_keys
+from abelslab.kernels import coded_ring, elementary_codes, encode_matrices, pack_keys
 from abelslab.matrices import Matrix
 from abelslab.reports import Report
 from abelslab.rings import LaurentRing, additive_presentation, make_ring
@@ -235,14 +235,6 @@ def test_weyl_spot_check_fails_on_a_non_unipotent_image(monkeypatch):
     rep = check_weyl_conjugation("C2", Z5)
     failed = [(c.id, c.counterexample) for c in rep.checks if c.status == "fail"]
     assert failed == [("weyl-nonsimple-membership", "s=1: image is not unipotent")]
-
-
-def test_weyl_signs_cached():
-    m = matrix_model("A2", Z5)
-    rep = check_weyl_conjugation(m)
-    assert rep.ok
-    assert m._weyl_signs
-    assert set(m._weyl_signs.values()) <= {1, -1}
 
 
 def test_form_invariance_types():
@@ -770,17 +762,76 @@ def test_borel_unreadable_element():
 
 
 def test_factorizations_read_no_matrix_entries(monkeypatch):
-    # the maps read columns of the coded source, so no Matrix product or
-    # inverse is formed once the generators are built
+    # the maps read columns of the coded source and the generators are
+    # written as codes, so no Matrix product or inverse is formed, and no
+    # elementary or diagonal Matrix is built
     def refuse(*args):
         raise AssertionError("Matrix arithmetic in a factorization check")
 
     monkeypatch.setattr(Matrix, "mul", refuse)
     monkeypatch.setattr(Matrix, "inverse", refuse)
+    monkeypatch.setattr(Matrix, "elementary", refuse)
+    monkeypatch.setattr(Matrix, "diagonal", refuse)
+    monkeypatch.setattr(chevalley, "torus_element", refuse)
     for label, idx in borel_cases():
         assert borel_isomorphism_check(label, idx, Z3).ok, (label, idx)
     assert borel_gln_check(4, 1, 2, Z4).ok
     assert check_affine_iso(Z4)
+    assert check_borel_retraction(4, Z4)
+
+
+def test_borel_target_cardinality_fails_on_a_short_target(monkeypatch):
+    # one target row dropped: 23 of the 24 elements of B2 x (Z/3)^x
+    real = chevalley._affine_target
+    monkeypatch.setattr(
+        chevalley, "_affine_target", lambda cr, kind, tails: real(cr, kind, tails)[1:]
+    )
+    rep = borel_gln_check(3, 1, 2, Z3)
+    failed = {c.id: c.counterexample for c in rep.checks if c.status == "fail"}
+    assert failed == {
+        "target-cardinality": "target 23, source 24, predicted 24",
+        "map-bijective": "image differs from the enumerated target",
+    }
+
+
+GENERATOR_RINGS = ("zmod:3", "zmod:4", "zmod:6", "gf:5", "polyq:2:0,0,1", "polyq:2:1,1,1")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    descriptor=st.sampled_from(GENERATOR_RINGS),
+    label=st.sampled_from(SUPPORTED_LABELS),
+    n=st.integers(2, 4),
+    data=st.data(),
+)
+def test_generator_codes_match_matrix_encodings(descriptor, label, n, data):
+    """elementary_codes against Matrix.elementary, and _diagonal_rows
+    against Matrix.diagonal (the identity rows of GL_n) and torus_element
+    (a model's torus rows), every tuple of units in turn."""
+    R = make_ring(descriptor)
+    cr = coded_ring(R)
+    position = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    positions = data.draw(st.lists(position, min_size=1, max_size=3))
+    E = elementary_codes(cr, n, positions)
+    for table, (i, j) in zip(E, positions):
+        mats = [Matrix.elementary(R, n, i, j, r) for r in R.elements()]
+        assert np.array_equal(table, encode_matrices(cr, mats))
+
+    units = R.units()
+    gl = [Matrix.diagonal(R, tup) for tup in itertools.product(units, repeat=n)]
+    assert np.array_equal(
+        chevalley._diagonal_rows(cr, np.eye(n, dtype=np.int64)),
+        encode_matrices(cr, gl)[:, :: n + 1],
+    )
+    if label in ("B3", "G2") and R.characteristic() == 2:
+        return
+    model = matrix_model(label, R)
+    k = len(model.torus_rows)
+    tori = [torus_element(model, tup) for tup in itertools.product(units, repeat=k)]
+    assert np.array_equal(
+        chevalley._diagonal_rows(cr, model.torus_rows),
+        encode_matrices(cr, tori)[:, :: model.n + 1],
+    )
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from abelslab.kernels import (
     closure_order,
     coded_ring,
     coset_labels,
+    elementary_codes,
     encode_matrices,
     encode_matrix,
     fits_packing,
@@ -80,6 +81,13 @@ def test_encode_decode_roundtrip():
     assert decode_matrix(cr, vec, 3) == m
     ident = identity_vec(cr, 3)
     assert decode_matrix(cr, ident, 3).is_identity()
+
+
+def test_elementary_codes_refuse_a_position_off_the_matrix():
+    cr = coded_ring(make_ring("zmod:3"))
+    for position in ((2, 2), (0, 1), (1, 4)):
+        with pytest.raises(KernelError, match="no elementary position"):
+            elementary_codes(cr, 3, [position])
 
 
 def test_packing_guard():

@@ -186,14 +186,6 @@ def test_det_multiplicative():
         assert a.mul(b).det() == Z7.mul(a.det(), b.det())
 
 
-def test_power():
-    e = Matrix.elementary(Z5, 2, 1, 2, 1)
-    assert e.power(0).is_identity()
-    assert e.power(5).is_identity()
-    assert e.power(3) == Matrix.elementary(Z5, 2, 1, 2, 3)
-    assert e.power(-1) == Matrix.elementary(Z5, 2, 1, 2, 4)
-
-
 def test_weyl_element_shape():
     # x(1) x(-1)^T-ish sandwich: e12(1) e21(-1) e12(1) = ((0,1),(-1,0))
     x = Matrix.elementary(Z5, 2, 1, 2, 1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -540,6 +542,147 @@ def test_missing_relation_sweep(n, ring):
         "corner-additive",
     }
     assert all(c.status == "pass" for c in rep.checks)
+
+
+def _records(rep):
+    return [
+        (c.id, c.anchor, c.status, c.counts, c.counterexample) for c in rep.checks
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,descriptor", [(4, "zmod:3"), (5, "zmod:2"), (4, "polyq:2:1,1,1"), (6, "zmod:2")]
+)
+def test_missing_relations_match_the_matrix_route(n, descriptor):
+    ring = make_ring(descriptor)
+    assert _records(check_missing_relations(n, ring)) == _records(
+        reference.missing_relations(n, ring)
+    )
+
+
+def test_missing_relations_form_no_matrix_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Matrix arithmetic in the corner sweep")
+
+    monkeypatch.setattr(Matrix, "mul", refuse)
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    assert check_missing_relations(5, F4Q).ok
+
+
+def _failed(rep):
+    return [(c.id, c.counts["cases"], c.counterexample) for c in rep.checks if c.status == "fail"]
+
+
+def _patched_codes(monkeypatch, position, change):
+    """elementary_codes, as presentation reads it, with the table T of
+    `position` replaced by change(cr, T).  The sweep reads row -c as the
+    inverse of row c, so the change must keep that true."""
+    real = presentation.elementary_codes
+
+    def patched(cr, n, positions):
+        E = real(cr, n, positions)
+        p = positions.index(position)
+        E[p] = change(cr, E[p])
+        return E
+
+    monkeypatch.setattr(presentation, "elementary_codes", patched)
+
+
+def _doubled(cr, T):
+    """Row c holds e(2r), r of code c."""
+    c = np.arange(cr.q)
+    return T[cr.add[c, c]]
+
+
+def _squared(cr, T):
+    """Row c holds e(r^2), r of code c: in characteristic 2, -r = r."""
+    c = np.arange(cr.q)
+    return T[cr.mul[c, c]]
+
+
+def _with_entry(n, i, j):
+    """Row c also holds r at (i, j): a commuting factor e_ij(r)."""
+    def change(cr, T):
+        T = T.copy()
+        T[:, (i - 1) * n + j - 1] = np.arange(cr.q)
+        return T
+    return change
+
+
+def test_corner_definition_fails_on_a_doubled_corner_table(monkeypatch):
+    # e_14(t) read as e_14(2t): still central, but not c(t)
+    _patched_codes(monkeypatch, (1, 4), _doubled)
+    rep = check_missing_relations(4, Z3)
+    assert _failed(rep) == [("corner-definition", 1, "corner element at t=1")]
+
+
+def test_disjoint_commutator_fails_on_a_row_that_reaches_the_corner(monkeypatch):
+    # e_24(s) read as e_24(s) e_34(s): c(t) = [e_12(t), e_24(1) e_34(1)]
+    # is unchanged, but [e_13(t), e_24(s) e_34(s)] = e_14(ts)
+    _patched_codes(monkeypatch, (2, 4), _with_entry(4, 3, 4))
+    rep = check_missing_relations(4, Z3)
+    assert _failed(rep) == [("disjoint-row-column", 1, "(j,k)=(3,2), t=1, s=1")]
+
+
+def test_chain_fails_with_the_unit_second(monkeypatch):
+    # e_34(s) read as e_34(2s): [e_13(t), e_34(1)] is e_14(2t), not c(t)
+    _patched_codes(monkeypatch, (3, 4), _doubled)
+    rep = check_missing_relations(4, Z3)
+    assert _failed(rep) == [("chain-through-column", 2, "chain j=3, t=1 (unit second)")]
+
+
+def test_chain_fails_with_the_unit_first(monkeypatch):
+    # over F_2[x]/(x^2), e_34(s) read as e_34(s^2): e_34(1) is right, so
+    # the unit-second case holds, and [e_13(1), e_34(x)] is the identity
+    _patched_codes(monkeypatch, (3, 4), _squared)
+    rep = check_missing_relations(4, F4Q)
+    x = F4Q.element_repr(additive_presentation(F4Q).generators[1])
+    assert _failed(rep) == [("chain-through-column", 4, f"chain j=3, t={x} (unit first)")]
+
+
+def test_corner_central_fails_on_an_element_that_reaches_the_first_column(monkeypatch):
+    # for n = 5 only the central sweep reads e_23; read as e_23(t) e_51(t)
+    # it does not commute with c(s) = e_15(s).  (2,3) is the fifth position.
+    _patched_codes(monkeypatch, (2, 3), _with_entry(5, 5, 1))
+    rep = check_missing_relations(5, Z3)
+    assert _failed(rep) == [("corner-central", 5, "(i,j)=(2,3), t=1, s=1")]
+
+
+def test_corner_additive_fails_on_a_relator_that_does_not_hold(monkeypatch):
+    """c(1) has order 3 over Z/3: the rows (3,) and (-3,) hold, (2,) does
+    not; both routes agree on the records."""
+    for module in (presentation, reference):
+        real = module.additive_presentation
+        monkeypatch.setattr(
+            module, "additive_presentation",
+            lambda ring, real=real: dataclasses.replace(real(ring), relators=((3,), (-3,), (2,))),
+        )
+    rep = check_missing_relations(4, Z3)
+    assert _failed(rep) == [("corner-additive", 3, "additive row (2,)")]
+    assert _records(rep) == _records(reference.missing_relations(4, Z3))
+
+
+def test_first_failure_stops_at_the_first_counterexample():
+    seen = []
+
+    def sweep(results):
+        for value in results:
+            seen.append(value)
+            yield value
+
+    assert reference.first_failure(sweep([None, None, "bad 3", "bad 4", None])) == (3, "bad 3")
+    assert seen == [None, None, "bad 3"]
+    assert reference.first_failure(iter([None] * 5)) == (5, None)
+    assert reference.first_failure(()) == (0, None)
+
+
+def test_power():
+    Z5 = make_ring("zmod:5")
+    e = Matrix.elementary(Z5, 2, 1, 2, 1)
+    assert reference.power(e, 0).is_identity()
+    assert reference.power(e, 5).is_identity()
+    assert reference.power(e, 3) == Matrix.elementary(Z5, 2, 1, 2, 3)
+    assert reference.power(e, -1) == Matrix.elementary(Z5, 2, 1, 2, 4)
 
 
 # -- cayley presentations ------------------------------------------------------

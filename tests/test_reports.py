@@ -7,7 +7,6 @@ from abelslab.reports import (
     INCONCLUSIVE,
     PASS,
     Report,
-    first_failure,
     merge_reports,
     report_from_dict,
 )
@@ -190,16 +189,3 @@ def test_merge_reports_keeps_every_elapsed(clock):
     ]
     assert merged.config == {"part0": "one", "part1": "two"}
 
-
-def test_first_failure_stops_at_the_first_counterexample():
-    seen = []
-
-    def sweep(results):
-        for value in results:
-            seen.append(value)
-            yield value
-
-    assert first_failure(sweep([None, None, "bad 3", "bad 4", None])) == (3, "bad 3")
-    assert seen == [None, None, "bad 3"]
-    assert first_failure(iter([None] * 5)) == (5, None)
-    assert first_failure(()) == (0, None)
