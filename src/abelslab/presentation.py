@@ -640,64 +640,61 @@ def _map_word(word, images):
     return free_reduce(out)
 
 
-def _word_trivial_in(pres, word, budget):
-    """True if the word is provably trivial, False if provably not,
-    None if the regular-representation enumeration overflowed."""
-    if not word:
-        return True
-    relset = set(pres.relators) | {inverse_word(r) for r in pres.relators}
-    if word in relset:
-        return True
-    table = todd_coxeter(pres, (), budget)
-    if table.status != "complete":
-        return None
-    return all(table.trace(a, word) == a for a in range(table.count))
-
-
 def colimit_presentation(diagram, budget=None):
     """Glue node presentations along edge identifications.
 
     Generators are node generators prefixed with the node name; for each
     edge generator one relator equates its two endpoint images (first
     endpoint's image written first).  Every edge relator must map to a
-    trivial word in both endpoint nodes, decided by enumerating each node
-    within the budget (4096 cosets when none is given).
+    trivial word in both endpoint nodes.  A mapped word that is empty or a
+    listed relator (or its inverse) passes as it is; any other is traced
+    from coset 0 of the node's regular coset table, which is enumerated
+    within the budget at most once per node, and only when such a word
+    occurs.
     """
+    budget = get_budget(budget)
     names = []
     offsets = []
     for node_name, pres in diagram.nodes:
         offsets.append(len(names))
         for g in pres.generators:
             names.append(f"{node_name}.{g}")
-    relators = []
-    for (node_name, pres), off in zip(diagram.nodes, offsets):
-        for w in pres.relators:
-            relators.append(
-                tuple(x + off if x > 0 else x - off for x in w)
-            )
-    vbudget = budget if budget is not None else 4096
+
+    def shift(word, off):
+        return tuple(x + off if x > 0 else x - off for x in word)
+
+    relators = [
+        shift(w, off)
+        for (_, pres), off in zip(diagram.nodes, offsets)
+        for w in pres.relators
+    ]
+    relsets = [
+        set(pres.relators) | {inverse_word(r) for r in pres.relators}
+        for _, pres in diagram.nodes
+    ]
+    tables = {}
     for a, b, epres, wa, wb in diagram.edges:
         for r in epres.relators:
             for side, words in ((a, wa), (b, wb)):
-                verdict = _word_trivial_in(
-                    diagram.nodes[side][1], _map_word(r, words), vbudget
-                )
-                if verdict is False:
+                word = _map_word(r, words)
+                if not word or word in relsets[side]:
+                    continue
+                if side not in tables:
+                    tables[side] = todd_coxeter(diagram.nodes[side][1], (), budget)
+                table = tables[side]
+                if table.status != "complete":
+                    raise PresentationError(
+                        f"edge relator validation overflowed the budget of "
+                        f"{budget} cosets"
+                    )
+                # cosets of the trivial subgroup: the group acts regularly,
+                # so a word fixes every coset when it fixes coset 0
+                if table.trace(0, word) != 0:
                     raise PresentationError(
                         f"edge relator maps to a nontrivial word in node {side}"
                     )
-                if verdict is None:
-                    raise PresentationError(
-                        f"edge relator validation overflowed the budget of "
-                        f"{vbudget} cosets"
-                    )
-        for k in range(len(epres.generators)):
-            left = tuple(
-                x + offsets[a] if x > 0 else x - offsets[a] for x in wa[k]
-            )
-            right = tuple(
-                x + offsets[b] if x > 0 else x - offsets[b] for x in wb[k]
-            )
+        for left, right in zip(wa, wb):
+            left, right = shift(left, offsets[a]), shift(right, offsets[b])
             relators.append(free_reduce(left + inverse_word(right)))
     return Presentation(tuple(names), tuple(relators))
 
@@ -1060,6 +1057,7 @@ def family_diagram(family, budget=None):
 def tits_criterion_check(group, family, budget=None):
     """Both directions of the nerve criterion, independently computed.
 
+    The group order is the number of elements ``coset_complex`` closed.
     Connectivity of the coset complex is compared against surjectivity of
     the natural map (closure of the union of family generators); simple
     connectivity is compared against the colimit presentation enumerating
@@ -1070,18 +1068,17 @@ def tits_criterion_check(group, family, budget=None):
     from . import complexes
 
     budget = get_budget(budget)
-    group_gens = generator_list(group)
-    ring = group_gens[0].ring
+    ring = generator_list(group)[0].ring
     if not ring.finite:
         raise PresentationError(f"{ring.descriptor} is not finite")
     rep = Report(
         suite="tits",
         config={"family_size": len(family), "ring": ring.descriptor},
     )
-    order = closure_order(ring, group_gens, budget)
+    cx = complexes.coset_complex(group, family, budget=budget)
+    order = len(cx.keys)
     rep.config["group_order"] = order
 
-    cx = complexes.coset_complex(group, family, budget=budget)
     components = complexes.connected_components(cx)
     union_gens = []
     for member in family:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 
 import numpy as np
@@ -202,6 +203,16 @@ def test_steinberg_symbolic_over_z():
     assert all(c.status == "pass" for c in rep.checks)
     rep2 = check_steinberg("G2", ZZ)
     assert rep2.ok
+
+
+def test_steinberg_symbolic_term_budget_is_inconclusive(monkeypatch):
+    # one term per Laurent element: r + s already has two
+    monkeypatch.setattr(chevalley, "LaurentRing", functools.partial(LaurentRing, max_terms=1))
+    rep = check_steinberg("A2", ZZ)
+    assert [(c.id, c.status, c.counts) for c in rep.checks] == [
+        ("symbolic-budget", "inconclusive", {"cases": 0})
+    ]
+    assert rep.config["budget_note"] == "symbolic term count 2 exceeds budget"
 
 
 def test_steinberg_char2_refused():

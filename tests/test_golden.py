@@ -62,6 +62,12 @@ CLI_CASES = {
     "tits-n4-zmod2-max-cosets-50": [
         "tits", "--n", "4", "--ring", "zmod:2", "--max-cosets", "50",
     ],
+    "tits-n4-zmod2-horospherical": [
+        "tits", "--n", "4", "--ring", "zmod:2", "--family", "horospherical",
+    ],
+    "tits-n5-zmod2-horospherical": [
+        "tits", "--n", "5", "--ring", "zmod:2", "--family", "horospherical",
+    ],
     "abels-n4-zmod16-max-order-5000": [
         "abels", "--n", "4", "--ring", "zmod:16", "--max-order", "5000",
     ],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference_presentation as reference
 from abelslab import complexes, presentation
-from abelslab.abels import contracting_family, unipotent_and_torus
+from abelslab.abels import contracting_family, subgroup_family, unipotent_and_torus
 from abelslab.complexes import coset_complex, fundamental_group
 from abelslab.config import BudgetExceeded
 from abelslab.matrices import Matrix
@@ -760,6 +760,26 @@ def test_colimit_validation_overflow_names_the_budget():
         colimit_presentation(diagram, budget=1)
 
 
+@pytest.mark.parametrize("family,expected", [("horospherical", 3), ("contracting", 0)])
+def test_colimit_enumerates_each_node_at_most_once(monkeypatch, family, expected):
+    # a node is enumerated only for an edge word that is not a listed
+    # relator; every edge word of the window presentations is one
+    diagram = family_diagram(subgroup_family(family, 4, Z2)[1])
+    nodes = [pres for _, pres in diagram.nodes]
+    enumerate_cosets = presentation.todd_coxeter
+    enumerated = []
+
+    def counted(pres, subgroup_words=(), budget=None):
+        enumerated.append(pres)
+        return enumerate_cosets(pres, subgroup_words, budget)
+
+    monkeypatch.setattr(presentation, "todd_coxeter", counted)
+    colimit_presentation(diagram)
+    assert len(enumerated) == expected
+    assert all(any(pres is node for node in nodes) for pres in enumerated)
+    assert len({id(pres) for pres in enumerated}) == expected
+
+
 @pytest.mark.parametrize(
     "n,ring,expected",
     [(4, Z2, 64), (4, Z3, 729), (5, Z2, 1024)],
@@ -845,6 +865,17 @@ def test_tits_simply_connected_with_a_wrong_colimit_index_fails(monkeypatch):
     check = tits_verdict(unipotent_and_torus(4, Z2)[0], contracting_family(4, Z2))
     assert check.status == "fail"
     assert check.counterexample == "simply connected but colimit index 65 != 64"
+
+
+def test_tits_connected_but_not_generated_fails(monkeypatch):
+    # the group order comes from the coset complex, so a short closure of
+    # the family's generators contradicts the connected complex
+    monkeypatch.setattr(presentation, "closure_order", lambda ring, gens, budget: 1)
+    rep = tits_criterion_check(*subgroup_family("contracting", 4, Z2))
+    (check,) = [c for c in rep.checks if c.id == "connectivity-vs-generation"]
+    assert check.status == "fail"
+    assert check.counterexample == "components=1, generated=1, order=64"
+    assert check.counts == {"components": 1, "generated": 1, "group_order": 64}
 
 
 def test_tits_not_simply_connected_with_the_group_index_fails(monkeypatch):
