@@ -896,6 +896,46 @@ def check_missing_relations(n, ring):
 # -- Tits criterion ------------------------------------------------------------
 
 
+def _enumerated_order(pres, images, subgroup, budget):
+    """Order of the group C that ``pres`` presents, or None when its
+    enumeration overflows the budget.
+
+    ``images`` are matrices, one per generator, on which every relator of
+    ``pres`` holds (None when that is not known); ``subgroup`` lists the
+    1-based indices of some generators.  Let H be the matrix group their
+    images generate, K the subgroup of C they generate, and P_H the
+    presentation on them whose relators are those of ``pres`` in their
+    letters alone.  P_H maps onto K and K onto H, so |H| <= |K| <= |P_H|,
+    and when P_H enumerates to exactly |H| cosets, |C| = [C : K] * |H|:
+    the index is enumerated relative to K, and |H| is a coded closure.
+    When the images are missing, P_H or the index overflows the budget,
+    or |P_H| != |H|, C is enumerated over the trivial subgroup.  An order
+    above the budget is an overflow either way, since a complete table of
+    C holds that many live cosets.
+    """
+    table = None
+    if images is not None:
+        number = {g: k + 1 for k, g in enumerate(subgroup)}
+        p_h = Presentation(
+            tuple(pres.generators[g - 1] for g in subgroup),
+            tuple(
+                tuple(number[x] if x > 0 else -number[-x] for x in w)
+                for w in pres.relators
+                if all(abs(x) in number for x in w)
+            ),
+        )
+        sub = todd_coxeter(p_h, (), budget)
+        # |H| <= |P_H| <= budget, so the closure fits when P_H is complete
+        if sub.status == "complete" and sub.count == closure_order(
+            images[0].ring, [images[g - 1] for g in subgroup], budget
+        ):
+            table, order_h = todd_coxeter(pres, [(g,) for g in subgroup], budget), sub.count
+    if table is None or table.status != "complete":
+        table, order_h = todd_coxeter(pres, (), budget), 1
+    order = table.count * order_h
+    return order if table.status == "complete" and order <= budget else None
+
+
 def verify_presentations(n, ring, budget=None):
     """Enumerate the triangular presentations against the matrix group.
 
@@ -904,6 +944,15 @@ def verify_presentations(n, ring, budget=None):
     matrices must generate the whole group; together the three checks pin
     the presented group exactly.  The corner-element sweep is appended for
     sizes where the economic variant exists.
+
+    The order is |C| = [C : K] * |H| (``_enumerated_order``), K the
+    subgroup of the last-column generators, at positions (k, n), and H the
+    matrix group of their elementary images.  The lemma needs the
+    relators to hold on the elementary matrices, and the variant's
+    relators in those generators alone to enumerate to exactly |H|
+    cosets; else, or when the index overflows, the variant is enumerated
+    over the trivial subgroup.  An order above the budget is INCONCLUSIVE
+    either way.
     """
     if n < 2:
         raise PresentationError(f"ambient size must be >= 2, got {n}")
@@ -922,16 +971,29 @@ def verify_presentations(n, ring, budget=None):
             ("economic", un_economic_presentation(n, ringpres), True)
         )
     for name, pres, economic in variants:
-        table = todd_coxeter(pres, (), budget)
-        if table.status == "complete":
-            ok = table.count == expected
+        positions = _variant_positions(n, economic)
+        images = {}
+        last_column = []
+        for pos_idx, (i, j) in enumerate(positions):
+            for ti, t in enumerate(T):
+                images[pres.generators[pos_idx * len(T) + ti]] = (
+                    Matrix.elementary(ring, n, i, j, t)
+                )
+                if j == n:
+                    last_column.append(len(images))
+        holds = von_dyck_check(pres, images)
+
+        order = _enumerated_order(
+            pres, list(images.values()) if holds else None, last_column, budget
+        )
+        if order is not None:
             rep.check(
                 f"{name}-index",
                 "enumeration-matches-group-order",
-                counts={"index": table.count, "expected": expected},
+                counts={"index": order, "expected": expected},
                 counterexample=None
-                if ok
-                else f"enumerated {table.count} cosets, expected {expected}",
+                if order == expected
+                else f"enumerated {order} cosets, expected {expected}",
             )
         else:
             rep.check(
@@ -942,14 +1004,6 @@ def verify_presentations(n, ring, budget=None):
                 counterexample="inconclusive-budget: enumeration overflowed",
             )
 
-        positions = _variant_positions(n, economic)
-        images = {}
-        for pos_idx, (i, j) in enumerate(positions):
-            for ti, t in enumerate(T):
-                images[pres.generators[pos_idx * len(T) + ti]] = (
-                    Matrix.elementary(ring, n, i, j, t)
-                )
-        holds = von_dyck_check(pres, images)
         rep.check(
             f"{name}-relators-hold",
             "relators-vanish-on-elementary-matrices",
@@ -1064,6 +1118,13 @@ def tits_criterion_check(group, family, budget=None):
     to exactly the group order.  Overflow on the colimit side downgrades a
     verdict to inconclusive instead of failing.  An infinite ring is
     refused before any closure runs.
+
+    The colimit order comes from ``_enumerated_order`` relative to the
+    node of the largest member.  That route is taken only when
+    ``von_dyck_check`` confirms the colimit relators on the members'
+    generators and the colimit relators in that node's generators alone
+    enumerate to the member's order; else the colimit is enumerated over
+    the trivial subgroup.  An order above the budget is an overflow.
     """
     from . import complexes
 
@@ -1100,12 +1161,21 @@ def tits_criterion_check(group, family, budget=None):
 
     diagram = family_diagram(family, budget)
     colim = colimit_presentation(diagram, budget=budget)
-    table = todd_coxeter(colim, (), budget)
+    # node generators are the members' generators, in order; the largest
+    # member has the fewest cosets in the complex
+    images = [m for member in family for m in generator_list(member)]
+    holds = von_dyck_check(colim, dict(zip(colim.generators, images)))
+    largest = min(range(len(family)), key=cx.colors.count)
+    start = sum(len(pres.generators) for _, pres in diagram.nodes[:largest])
+    size = len(diagram.nodes[largest][1].generators)
+    colim_order = _enumerated_order(
+        colim, images if holds else None, range(start + 1, start + size + 1), budget
+    )
     rep.check(
         "colimit-index",
         "colimit-enumeration",
-        PASS if table.status == "complete" else INCONCLUSIVE,
-        counts={"index": table.count if table.status == "complete" else 0},
+        PASS if colim_order is not None else INCONCLUSIVE,
+        counts={"index": colim_order or 0},
     )
 
     status = detail = None
@@ -1117,16 +1187,16 @@ def tits_criterion_check(group, family, budget=None):
         verdict = complexes.is_simply_connected(cx, budget=budget)
         counts = {"components": 1}
         if verdict == "yes":
-            if table.status != "complete":
+            if colim_order is None:
                 status = INCONCLUSIVE
-            elif table.count != order:
-                detail = f"simply connected but colimit index {table.count} != {order}"
+            elif colim_order != order:
+                detail = f"simply connected but colimit index {colim_order} != {order}"
         elif verdict == "no":
-            if table.status != "complete":
+            if colim_order is None:
                 # complex side is decisive; enumeration overflow is the
                 # expected behavior for an infinite colimit
                 counts["colimit_overflow"] = 1
-            elif table.count == order:
+            elif colim_order == order:
                 detail = f"not simply connected but colimit index equals {order}"
         else:
             status = INCONCLUSIVE

@@ -954,6 +954,7 @@ def test_presentations_relators_fail_on_a_wrong_image(monkeypatch):
         return check(pres, images)
 
     monkeypatch.setattr(presentation, "von_dyck_check", swapped)
+    calls = recorded_enumerations(monkeypatch)
     records = presentation_records(4, Z2)
     for variant in ("canonical", "economic"):
         holds = records[f"{variant}-relators-hold"]
@@ -961,6 +962,12 @@ def test_presentations_relators_fail_on_a_wrong_image(monkeypatch):
         assert holds.counterexample == "a relator evaluates to a non-identity matrix"
         assert records[f"{variant}-index"].status == "pass"
         assert records[f"{variant}-generates"].status == "pass"
+    # relators that fail on the images certify no subgroup order, so each
+    # variant is enumerated over the trivial subgroup alone
+    assert [(pres, words) for pres, words, _ in calls] == [
+        (un_canonical_presentation(4, P_Z2), ()),
+        (un_economic_presentation(4, P_Z2), ()),
+    ]
 
 
 def test_presentations_generation_fails_on_a_short_closure(monkeypatch):
@@ -976,3 +983,114 @@ def test_presentations_generation_fails_on_a_short_closure(monkeypatch):
     assert generates.counterexample == "images generate 7 elements, expected 8"
     assert records["canonical-index"].status == "pass"
     assert records["canonical-relators-hold"].status == "pass"
+
+
+# -- relative enumeration of group orders --------------------------------------
+
+
+def recorded_enumerations(monkeypatch, change=None):
+    """(presentation, subgroup words, table) of every enumeration that the
+    presentation module makes; ``change`` may rewrite a presentation
+    before it is enumerated."""
+    enumerate_cosets = presentation.todd_coxeter
+    calls = []
+
+    def recorded(pres, subgroup_words=(), budget=None):
+        if change is not None:
+            pres = change(pres)
+        table = enumerate_cosets(pres, subgroup_words, budget)
+        calls.append((pres, tuple(subgroup_words), table))
+        return table
+
+    monkeypatch.setattr(presentation, "todd_coxeter", recorded)
+    return calls
+
+
+def record_fields(rep):
+    return [(c.id, c.status, c.counts, c.counterexample) for c in rep.checks]
+
+
+@pytest.mark.parametrize(
+    "n,descriptor",
+    [(n, d) for d in ("zmod:2", "zmod:3") for n in (2, 3, 4, 5)]
+    + [(n, "polyq:2:0,1") for n in (2, 3, 4)],
+)
+def test_presentations_relative_order_equals_plain_enumeration(monkeypatch, n, descriptor):
+    ring = make_ring(descriptor)
+    ringpres = additive_presentation(ring)
+    variants = {"canonical": un_canonical_presentation(n, ringpres)}
+    if n >= 4:
+        variants["economic"] = un_economic_presentation(n, ringpres)
+    calls = recorded_enumerations(monkeypatch)
+    records = presentation_records(n, ring)
+    # each variant is enumerated relative to its last column, and only the
+    # presentations of that column (generators e<k><n>t<i>) are enumerated
+    # over the trivial subgroup
+    assert [pres for pres, words, _ in calls if words] == list(variants.values())
+    assert all(g[2] == str(n) for pres, words, _ in calls if not words for g in pres.generators)
+    for name, pres in variants.items():
+        assert records[f"{name}-index"].counts["index"] == todd_coxeter(pres).count
+
+
+@pytest.mark.parametrize("family", ["contracting", "horospherical"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_tits_relative_order_equals_plain_enumeration(monkeypatch, family, n):
+    group, members = subgroup_family(family, n, Z2)
+    colim = colimit_presentation(family_diagram(members))
+    calls = recorded_enumerations(monkeypatch)
+    rep = tits_criterion_check(group, members)
+    assert [pres for pres, words, _ in calls if words] == [colim]
+    assert all(pres != colim for pres, words, _ in calls if not words)
+    index = {c.id: c for c in rep.checks}["colimit-index"]
+    assert index.counts["index"] == todd_coxeter(colim).count
+
+
+def test_presentations_define_fewer_cosets_than_the_group_order(monkeypatch):
+    # an enumeration over the trivial subgroup defines at least
+    # |U_5(Z/2)| = 1 024 cosets for either variant
+    calls = recorded_enumerations(monkeypatch)
+    verify_presentations(5, Z2)
+    assert sum(table.defined for *_, table in calls) < 1024
+
+
+def test_presentations_fall_back_when_the_column_presentation_is_too_big(monkeypatch):
+    # the last column of U_3(Z/2) is presented by two commutators and the
+    # squares of e13 and e23; without e23^2 it presents Z/2 x Z, which
+    # overflows, so the plain enumeration decides the index
+    expected = record_fields(verify_presentations(3, Z2, budget=100))
+
+    def drop_last(pres):
+        if len(pres.generators) == 2:
+            return Presentation(pres.generators, pres.relators[:-1])
+        return pres
+
+    calls = recorded_enumerations(monkeypatch, drop_last)
+    rep = verify_presentations(3, Z2, budget=100)
+    assert record_fields(rep) == expected
+    column, full = calls
+    assert (column[0].generators, column[2].status) == (("e13t0", "e23t0"), "overflow")
+    assert (full[0], full[1], full[2].count) == (un_canonical_presentation(3, P_Z2), (), 8)
+
+
+def test_presentations_relative_order_above_the_budget_is_inconclusive(monkeypatch):
+    # U_4(Z/2): the last column has order 8 and index 8, both within 60
+    # cosets, but the order 64 is not; a plain enumeration would overflow
+    calls = recorded_enumerations(monkeypatch)
+    records = {c.id: c for c in verify_presentations(4, Z2, budget=60).checks}
+    index = records["canonical-index"]
+    assert index.status == "inconclusive"
+    assert index.counterexample == "inconclusive-budget: enumeration overflowed"
+    relative = [table for _, words, table in calls if words]
+    assert [(t.status, t.count) for t in relative] == [("complete", 8), ("complete", 16)]
+    assert all(words for pres, words, _ in calls if len(pres.generators) > 3)
+
+
+def test_tits_enumerates_the_plain_colimit_when_its_relators_fail(monkeypatch):
+    group, members = subgroup_family("contracting", 4, Z2)
+    colim = colimit_presentation(family_diagram(members))
+    monkeypatch.setattr(presentation, "von_dyck_check", lambda pres, assignment: False)
+    calls = recorded_enumerations(monkeypatch)
+    rep = tits_criterion_check(group, members)
+    assert rep.ok
+    assert [(pres, words) for pres, words, _ in calls] == [(colim, ())]
+    assert {c.id: c for c in rep.checks}["colimit-index"].counts["index"] == 64
