@@ -445,9 +445,7 @@ def export_complex_cmd(n, descriptor, family, max_order, out, fmt):
                 "family": family,
                 "vertices": [[c, int(k)] for c, k in cx.vertices],
                 "colors": list(cx.colors),
-                "simplices": [
-                    [list(s) for s in level] for level in cx.simplices
-                ],
+                "simplices": [level.tolist() for level in cx.simplices],
             },
             indent=2,
             sort_keys=True,

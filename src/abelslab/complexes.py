@@ -4,15 +4,28 @@ The complex of a subgroup family assigns one color per family member,
 one vertex per left coset, and a simplex to every set of cosets with a
 common element.  Every simplex extends to a chamber (the cosets of a
 single group element through all colors), so the complex is homogeneous
-of dimension one less than the family size.  Connectivity, fundamental
-group, and low homology are computed combinatorially: union-find for
-components; integer Smith form of the coreduced 2-skeleton's Morse
-boundary for H_1; and rational ranks of the unreduced boundary maps, by
-column reduction in cell order, for Betti numbers.  pi_1 is trivial when
-the coreduction's matching, checked from the boundary maps alone, leaves
-one critical vertex and no critical edge (Forman, *Morse theory for cell
-complexes*, 1998); otherwise the second route enumerates a spanning-tree
-presentation of the edge-path group after Tietze reduction.
+of dimension one less than the family size.
+
+Each level ``simplices[k]`` is one sorted (f_k, k + 1) int64 array whose
+rows are strictly increasing vertex ids.  A row's key is its base-V
+integer, V the number of vertices, so the keys of a level sort like its
+rows.  Two lookups serve every use of faces.  ``_face_index`` finds each
+one-vertex-deleted face of a level's rows in the level below, by
+``searchsorted`` on keys, or -1 where it is missing: validation, boundary
+maps and the triangle relators of pi_1 read it.  ``_faces`` lists the
+distinct rows over every choice of some columns of an array: it builds
+and deduplicates the levels, and the homogeneity check compares each
+level with the faces of the top one.
+
+Connectivity, fundamental group, and low homology are computed
+combinatorially: union-find for components; integer Smith form of the
+coreduced 2-skeleton's Morse boundary for H_1; and rational ranks of the
+unreduced boundary maps, by column reduction in cell order, for Betti
+numbers.  pi_1 is trivial when the coreduction's matching, checked from
+the boundary maps alone, leaves one critical vertex and no critical edge
+(Forman, *Morse theory for cell complexes*, 1998); otherwise the second
+route enumerates a spanning-tree presentation of the edge-path group
+after Tietze reduction.
 """
 
 from itertools import combinations
@@ -48,10 +61,16 @@ class ComplexError(ValueError):
 
 
 class SimplicialComplex:
-    """Vertices with colors plus simplex lists per dimension.
+    """Vertices with colors plus one array of simplices per dimension.
 
-    Simplices are strictly increasing vertex tuples; the lists are sorted
-    and closed under taking faces (dimension 0 lists every vertex).
+    ``simplices[k]`` is an (f_k, k + 1) int64 array of strictly increasing
+    vertex ids, its rows sorted and free of repeats; the levels are closed
+    under taking faces, and dimension 0 lists every vertex when there is
+    one.  An array level is read without conversion; a level of tuples is
+    converted.  Each level is checked for range and order, sorted by its
+    base-V keys with repeats refused (``_faces``), and its rows' faces are
+    looked up in the level below (``_face_index``).  A level of k-simplices
+    with V^(k+1) >= 2^63, whose keys would not fit int64, is refused.
     """
 
     def __init__(self, vertices, colors, simplices):
@@ -60,32 +79,21 @@ class SimplicialComplex:
         if len(self.colors) != len(self.vertices):
             raise ComplexError("one color per vertex required")
         nv = len(self.vertices)
-        cleaned = []
-        for dim, level in enumerate(simplices):
-            level = tuple(tuple(int(v) for v in s) for s in level)
-            for s in level:
-                if len(s) != dim + 1:
-                    raise ComplexError(f"simplex {s} has wrong dimension")
-                if any(not 0 <= v < nv for v in s):
-                    raise ComplexError(f"simplex {s} out of range")
-                if any(s[a] >= s[a + 1] for a in range(len(s) - 1)):
-                    raise ComplexError(f"simplex {s} is not strictly increasing")
-            if sorted(set(level)) != sorted(level):
+        levels = [_rows(level, k) for k, level in enumerate(simplices)]
+        while levels and not len(levels[-1]):
+            levels.pop()
+        for k, level in enumerate(levels):
+            inside = (level[:, 0] >= 0) & (level[:, -1] < nv)
+            if not inside.all() or (level[:, 1:] <= level[:, :-1]).any():
+                raise ComplexError(f"a {k}-simplex is not increasing in range({nv})")
+            levels[k] = _faces(level, k + 1, nv)
+            if len(levels[k]) < len(level):
                 raise ComplexError("duplicate simplices in one dimension")
-            cleaned.append(tuple(sorted(level)))
-        while cleaned and not cleaned[-1]:
-            cleaned.pop()
-        self.simplices = tuple(cleaned)
-        if self.simplices and set(self.simplices[0]) != {
-            (v,) for v in range(nv)
-        }:
+            if k and (_face_index(levels, k, nv) < 0).any():
+                raise ComplexError(f"a face of a {k}-simplex is missing")
+        if nv != (len(levels[0]) if levels else 0):
             raise ComplexError("dimension 0 must list every vertex")
-        for dim in range(1, len(self.simplices)):
-            lower = set(self.simplices[dim - 1])
-            for s in self.simplices[dim]:
-                for a in range(len(s)):
-                    if s[:a] + s[a + 1 :] not in lower:
-                        raise ComplexError(f"face of {s} missing")
+        self.simplices = tuple(levels)
 
     @property
     def dim(self):
@@ -100,7 +108,8 @@ class SimplicialComplex:
             isinstance(other, SimplicialComplex)
             and self.vertices == other.vertices
             and self.colors == other.colors
-            and self.simplices == other.simplices
+            and len(self.simplices) == len(other.simplices)
+            and all(map(np.array_equal, self.simplices, other.simplices))
         )
 
     def __repr__(self):
@@ -113,6 +122,45 @@ class CosetComplex(SimplicialComplex):
     def __init__(self, vertices, colors, simplices, keys):
         super().__init__(vertices, colors, simplices)
         self.keys = keys
+
+
+def _rows(level, k):
+    """Level k as an (f_k, k + 1) array; only tuple input is converted."""
+    if not isinstance(level, np.ndarray):
+        level = [tuple(s) for s in level]
+        if any(len(s) != k + 1 for s in level):
+            raise ComplexError(f"a simplex of dimension {k} has the wrong size")
+        level = np.array(level, dtype=np.int64).reshape(-1, k + 1)
+    if level.ndim != 2 or level.shape[1] != k + 1:
+        raise ComplexError(f"a simplex of dimension {k} has the wrong size")
+    return level
+
+
+def _keys(rows, nv):
+    """The base-nv integer of each row, refusing rows that do not fit int64."""
+    if nv ** rows.shape[1] >= 2**63:
+        raise ComplexError(f"{rows.shape[1]} of {nv} vertices overflow int64 keys")
+    return rows @ nv ** np.arange(rows.shape[1] - 1, -1, -1)
+
+
+def _face_index(levels, k, nv):
+    """For each row of ``levels[k]`` and each column a, the row of
+    ``levels[k - 1]`` that lists the face without column a, or -1 where that
+    level has no such row.  ``levels[k - 1]`` must be sorted."""
+    rows = levels[k]
+    faces = np.stack([_keys(np.delete(rows, a, 1), nv) for a in range(k + 1)], 1)
+    lower = _keys(levels[k - 1], nv)
+    pos = np.searchsorted(lower, faces)
+    return np.where(np.append(lower, -1)[pos] == faces, pos, -1)
+
+
+def _faces(top, size, nv):
+    """The distinct rows, sorted, of ``top`` restricted to every choice of
+    ``size`` of its columns; rows of vertex ids below nv."""
+    choices = combinations(range(top.shape[1]), size)
+    rows = np.concatenate([top[:, list(cols)] for cols in choices])
+    _, first = np.unique(_keys(rows, nv), return_index=True)
+    return rows[first]
 
 
 # -- construction -------------------------------------------------------------
@@ -171,18 +219,14 @@ def coset_complex(group, family, budget=None):
             vertices.append((color, _base_q(cr.q, elems[r])))
             colors.append(color)
 
-    m = len(family)
-    stacked = np.stack([lab for lab, _ in labels], axis=1)
-    for color in range(m):
-        stacked[:, color] += offsets[color]
-    chambers = sorted({tuple(int(v) for v in row) for row in stacked})
-
-    levels = [set() for _ in range(m)]
-    for ch in chambers:
-        for size in range(1, m + 1):
-            for sub in combinations(ch, size):
-                levels[size - 1].add(sub)
-    simplices = tuple(tuple(sorted(level)) for level in levels)
+    nv, m = len(vertices), len(family)
+    chambers = np.stack([lab for lab, _ in labels], axis=1)
+    chambers += offsets
+    # one row per group element: deduplicated in place of ``_faces``, which
+    # would copy all |G| rows twice
+    _, first = np.unique(_keys(chambers, nv), return_index=True)
+    chambers = chambers[first]
+    simplices = [_faces(chambers, size, nv) for size in range(1, m + 1)]
     return CosetComplex(vertices, colors, simplices, keys)
 
 
@@ -202,7 +246,7 @@ def connected_components(cx):
         return k
 
     if cx.dim >= 1:
-        for u, v in cx.simplices[1]:
+        for u, v in cx.simplices[1].tolist():
             ru, rv = rep(u), rep(v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
@@ -221,45 +265,39 @@ def fundamental_group(cx, basepoint=0):
         raise ComplexError(f"basepoint {basepoint} out of range")
     if connected_components(cx) != 1:
         raise ComplexError("fundamental group needs a connected complex")
-    edges = cx.simplices[1] if cx.dim >= 1 else ()
+    edges = cx.simplices[1].tolist() if cx.dim >= 1 else []
     adj = [[] for _ in range(nv)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    for e, (u, v) in enumerate(edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
     for lst in adj:
         lst.sort()
-    tree = set()
+    letter = [None] * len(edges)  # 0 on tree edges, a generator elsewhere
     seen = {basepoint}
     frontier = [basepoint]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in adj[u]:
+            for v, e in adj[u]:
                 if v not in seen:
                     seen.add(v)
-                    tree.add((min(u, v), max(u, v)))
+                    letter[e] = 0
                     nxt.append(v)
         frontier = nxt
-    letter = {}
     names = []
-    for e in edges:
-        if e not in tree:
-            letter[e] = len(names) + 1
+    for e, g in enumerate(letter):
+        if g is None:
             names.append(f"x{len(names) + 1}")
+            letter[e] = len(names)
 
-    def word(u, v):
-        e = (min(u, v), max(u, v))
-        if e in tree:
-            return ()
-        g = letter[e]
-        return (g,) if u < v else (-g,)
+    def word(e):
+        return (letter[e],) if letter[e] else ()
 
     relators = []
     if cx.dim >= 2:
-        for a, b, c in cx.simplices[2]:
-            relators.append(
-                free_reduce(word(a, b) + word(b, c) + inverse_word(word(a, c)))
-            )
+        # the faces of a triangle (a, b, c) without a, b and c: bc, ac, ab
+        for bc, ac, ab in _face_index(cx.simplices, 2, nv).tolist():
+            relators.append(free_reduce(word(ab) + word(bc) + inverse_word(word(ac))))
     return Presentation(tuple(names), tuple(relators))
 
 
@@ -299,12 +337,15 @@ def _boundary_matrix(cx, k):
     """Rows indexed by (k-1)-simplices, columns by k-simplices."""
     if not 1 <= k <= cx.dim:
         raise ComplexError(f"no boundary map in dimension {k}")
-    lower = {s: i for i, s in enumerate(cx.simplices[k - 1])}
-    triplets = []
-    for j, s in enumerate(cx.simplices[k]):
-        for a in range(len(s)):
-            face = s[:a] + s[a + 1 :]
-            triplets.append((lower[face], j, (-1) ** a))
+    index = _face_index(cx.simplices, k, len(cx.vertices))
+    # simplex-major, then deleted vertex a ascending with sign (-1)^a: the
+    # coreduction's matching depends on this order.  Each row number is one
+    # int object, shared by the triplets that name it.
+    rows = list(range(len(cx.simplices[k - 1])))
+    faces = [[rows[i] for i in column] for column in index.T.tolist()]
+    triplets = [
+        (i, j, (-1) ** a) for j, f in enumerate(zip(*faces)) for a, i in enumerate(f)
+    ]
     return triplets, (len(cx.simplices[k - 1]), len(cx.simplices[k]))
 
 
@@ -367,28 +408,24 @@ def check_homogeneous_colorable(cx, expected_dim):
     extends to one of dimension exactly expected_dim."""
     if cx.dim != expected_dim:
         return False
-    for level in cx.simplices:
-        for s in level:
-            cols = [cx.colors[v] for v in s]
-            if len(set(cols)) != len(cols):
-                return False
-    top = set()
-    for s in cx.simplices[expected_dim]:
-        for size in range(1, len(s) + 1):
-            top.update(combinations(s, size))
-    for level in cx.simplices:
-        for s in level:
-            if s not in top:
-                return False
-    return True
+    # every level must be the faces of the top one, so a color repeated in
+    # any simplex is repeated in a top simplex
+    top = cx.simplices[expected_dim]
+    colors = np.sort(np.asarray(cx.colors)[top], axis=1)
+    if (colors[:, 1:] == colors[:, :-1]).any():
+        return False
+    return all(
+        np.array_equal(level, _faces(top, k + 1, len(cx.vertices)))
+        for k, level in enumerate(cx.simplices)
+    )
 
 
 def export_complex(cx):
     """One line per simplex: dimension then vertex ids, all dims ascending."""
     lines = []
     for dim, level in enumerate(cx.simplices):
-        for s in level:
-            lines.append(" ".join([str(dim)] + [str(v) for v in s]))
+        for s in level.tolist():
+            lines.append(" ".join(map(str, [dim] + s)))
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import reference_chevalley as reference
 from test_golden import _quadratic_a1_model
 from abelslab import chevalley
+from abelslab.cli import _borel_suite
 from abelslab.chevalley import (
     ChevalleyError,
     MatrixModel,
@@ -484,6 +485,20 @@ def test_borel_retraction():
     assert check_borel_retraction(4, Z4)
     with pytest.raises(ChevalleyError):
         check_borel_retraction(1, Z3)
+
+
+def test_borel_retraction_can_fail(monkeypatch):
+    # a retraction that also keeps entry (1,3) is not a homomorphism on the
+    # generator pairs, so the check answers False before the block test
+    retract = chevalley._retract_codes
+    monkeypatch.setattr(
+        chevalley,
+        "_retract_codes",
+        lambda cr, vecs, n, window: retract(cr, vecs, n, window + ((1, 3),)),
+    )
+    assert not check_borel_retraction(4, Z3)
+    rep = _borel_suite("zmod:3", 4)
+    assert [c.id for c in rep.checks if c.status == "fail"] == ["triangular-retraction"]
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,24 @@ def test_simplicial_complex_validation():
         SimplicialComplex(
             verts, cols, (((0,), (1,), (2,)), ((0, 1), (0, 1)))
         )
+    # vertices but no level 0
+    with pytest.raises(ComplexError):
+        SimplicialComplex(("u", "v"), (0, 0), ())
+    assert SimplicialComplex((), (), ()).dim == -1
+
+
+def test_levels_must_pack_into_int64_keys():
+    # on 2**16 vertices a triangle's keys stay below 2**48, but a
+    # tetrahedron's would reach 2**64 and wrap: that level is refused
+    nv = 2**16
+    tetrahedron = np.array([[0, 1, 2, 3]])
+    levels = [np.arange(nv).reshape(-1, 1)] + [
+        np.array(list(combinations(range(4), k + 1))) for k in (1, 2)
+    ]
+    cx = SimplicialComplex(range(nv), (0,) * nv, levels)
+    assert cx.f_vector == (nv, 6, 4)
+    with pytest.raises(ComplexError, match="overflow int64 keys"):
+        SimplicialComplex(range(nv), (0,) * nv, levels + [tetrahedron])
 
 
 def test_missing_face_rejected():
@@ -196,7 +214,9 @@ def test_byte_keys_match_int64_keys():
     plain = coset_complex([a, b], ([a], [b]))
     assert plain == nerve_oracle([a, b], ([a], [b]))
     assert plain.f_vector == (6, 6)
-    assert (plain.colors, plain.simplices) == (coded.colors, coded.simplices)
+    assert plain.colors == coded.colors
+    assert len(plain.simplices) == len(coded.simplices)
+    assert all(map(np.array_equal, plain.simplices, coded.simplices))
     assert homology_h1(plain) == (1, ())
     assert is_simply_connected(plain) == "no"
 
