@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import BudgetExceeded, get_budget
 from .kernels import (
+    KernelError,
     coded_ring,
     coset_labels,
     encode_matrices,
@@ -179,7 +180,14 @@ def coset_complex(group, family, budget=None):
 
     One color per family member; vertex payloads are (color, base-q integer
     of the minimal coset element's codes) so vertex identity is stable
-    across runs and key formats.
+    across runs and key formats.  The ambient group is closed once, as
+    sorted keys, and each member's cosets are labelled by ``coset_labels``
+    from the member's generators alone; a member inside the ambient group
+    has at most |G| <= budget elements, so it needs no closure.  A member
+    is closed only when one of its generators lies outside the ambient
+    group: past the budget that raises "inconclusive-budget: member
+    closure overflowed", and otherwise ComplexError.  Only the
+    representatives' keys are unpacked, for the vertex payloads.
     """
     budget = get_budget(budget)
     family = list(family)
@@ -196,27 +204,27 @@ def coset_complex(group, family, budget=None):
     status, keys = group_closure(cr, encode_matrices(cr, gens), n, budget=budget)
     if status != "complete":
         raise BudgetExceeded("inconclusive-budget: group closure overflowed")
-    elems = unpack_keys(keys, cr, n)
     labels = []
     for member in family:
-        mstatus, mkeys = group_closure(
-            cr, encode_matrices(cr, generator_list(member)), n, budget=budget
-        )
-        if mstatus != "complete":
-            raise BudgetExceeded("inconclusive-budget: member closure overflowed")
-        if not np.isin(mkeys, keys).all():
+        mgens = encode_matrices(cr, generator_list(member))
+        try:
+            labels.append(coset_labels(cr, keys, mgens, n))
+        except KernelError:
+            if group_closure(cr, mgens, n, budget=budget)[0] != "complete":
+                raise BudgetExceeded(
+                    "inconclusive-budget: member closure overflowed"
+                ) from None
             raise ComplexError(
                 "family member is not contained in the ambient group"
-            )
-        labels.append(coset_labels(cr, elems, keys, unpack_keys(mkeys, cr, n), n))
+            ) from None
 
     vertices = []
     colors = []
     offsets = []
     for color, (lab, reps) in enumerate(labels):
         offsets.append(len(vertices))
-        for r in reps:
-            vertices.append((color, _base_q(cr.q, elems[r])))
+        for codes in unpack_keys(keys[reps], cr, n).tolist():
+            vertices.append((color, _base_q(cr.q, codes)))
             colors.append(color)
 
     nv, m = len(vertices), len(family)

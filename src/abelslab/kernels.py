@@ -59,11 +59,11 @@ keys are computed once and gathered per generator.
 
 The route rule is one predicate, ``_keyed``, read only by
 ``_product_steps`` (behind ``product_keys`` and ``center_mask``),
-``entry_keys`` and ``group_closure``: the key route runs exactly when the
-keys are int64 (``fits_packing``) and q**n <= TABLE_CAP.  Every other
-input (byte keys, or longer lines) takes the chunked gather, which is
-also the only route of ``mul_batch_left``, ``mul_batch_right``,
-``mul_pairs``, ``mul_rows`` and ``coset_labels``.
+``entry_keys``, ``group_closure`` and ``coset_labels``: the key route
+runs exactly when the keys are int64 (``fits_packing``) and
+q**n <= TABLE_CAP.  Every other input (byte keys, or longer lines) takes
+the chunked gather, which is also the only route of ``mul_batch_left``,
+``mul_batch_right``, ``mul_pairs`` and ``mul_rows``.
 
 The closure is ``group_closure``, a coded BFS that gives the sorted keys
 of the generated group.  On the key route each level's products by a
@@ -72,11 +72,14 @@ across the generators before the known keys are probed, so the probe is
 one sorted ``searchsorted`` per block; the chunk route probes once per
 generator.  ``unpack_keys`` turns keys back into codes where a caller
 needs them, and ``closure_order`` runs the closure on Matrix
-generators for callers that need only the order.  Every kernel needs a
-finite ring: ``coded_ring`` refuses an infinite one.  ``closure_python``
-builds the closure as a set of Matrix objects; no caller in the package
-uses it, and it stays here as the oracle the tests check the coded
-closure against.
+generators for callers that need only the order.  ``coset_labels``
+labels the left cosets of a subgroup from its generators alone: each
+generator's right products over the whole group give one step array, and
+an element's coset is the orbit of its index under the steps.  Every
+kernel needs a finite ring: ``coded_ring`` refuses an infinite one.
+``closure_python`` builds the closure as a set of Matrix objects; no
+caller in the package uses it, and it stays here as the oracle the tests
+check the coded closure against.
 """
 
 from functools import lru_cache
@@ -586,31 +589,68 @@ def center_mask(cr, elems, gens, n):
     return mask
 
 
-def coset_labels(cr, elems, keys, sub, n):
-    """Left-coset labels g*H over a group sorted by its ``pack_keys`` keys.
+# elements per block of coset_labels' products, which bounds their arrays
+_LABEL_BLOCK = 1 << 16
 
-    Labels are assigned in element (key) order, so the representative of
-    each coset is automatically its minimal element.  Returns (labels,
-    rep_indices).  The subgroup's chunk keys are computed once and every
-    representative only builds its own gather tables.
+
+def coset_labels(cr, keys, gens, n):
+    """Left-coset labels g*H over a group G given by its sorted ``pack_keys``
+    keys, H the subgroup generated by the coded ``gens``.
+
+    Each generator s gives one step array: the index in ``keys`` of g*s,
+    for every g in G.  The products are keyed in blocks of ``_LABEL_BLOCK``
+    elements, on the key route from G's row keys and ``_key_tables``
+    (G's codes are never unpacked), otherwise by ``mul_batch_right`` and
+    ``pack_keys``, and each block is located by one ``searchsorted``.  A
+    product outside ``keys`` (H is not inside G) raises KernelError.
+
+    In a finite group the orbit of g under right multiplication by the
+    generators is gH, so g's coset is named by the least index of its
+    orbit.  ``lab = minimum(lab, lab[step])`` over the steps, then
+    pointer jumping ``lab = lab[lab]``, is repeated until ``lab`` is
+    fixed; every index then holds its orbit's least one.  Returns
+    (labels, rep_indices): each coset's representative is its minimal
+    element, and cosets are numbered in the key order of their
+    representatives, as a walk of G in key order would number them.
     """
-    N = elems.shape[0]
-    w = _width(cr.q, n, sub.shape[0])
-    sub_keys = _batch_keys(cr, sub.reshape(-1, n, n), w)
-    members = np.empty((sub.shape[0], n, n), np.int64)
-    labels = np.full(N, -1, np.int64)
-    reps = []
-    for i in range(N):
-        if labels[i] >= 0:
-            continue
-        _gather(cr, _tables(cr, elems[i].reshape(n, n), w), sub_keys, members)
-        mk = pack_keys(cr, members.reshape(-1, n * n), n)
-        pos = np.searchsorted(keys, mk)
-        if (pos >= N).any() or (keys[pos.clip(max=N - 1)] != mk).any():
-            raise KernelError("coset member escapes the element set")
-        labels[pos] = len(reps)
-        reps.append(i)
-    return labels, np.array(reps, np.int64)
+    N = keys.shape[0]
+    if _keyed(cr.q, n):
+        Q = cr.q**n
+        place = _powers(Q, n)
+        tables = _key_tables(cr, gens, n, right=True)
+
+        def products(block):
+            rows = block[:, None] // place % Q
+            return (P[rows] @ place for P in tables)
+
+    else:
+
+        def products(block):
+            X = unpack_keys(block, cr, n)
+            return (pack_keys(cr, mul_batch_right(cr, X, g, n), n) for g in gens)
+
+    steps = np.empty((len(gens), N), np.int64)
+    for lo in range(0, N, _LABEL_BLOCK):
+        block = steps[:, lo : lo + _LABEL_BLOCK]
+        for pk, step in zip(products(keys[lo : lo + _LABEL_BLOCK]), block):
+            step[:] = np.searchsorted(keys, pk).clip(max=N - 1)
+            if (keys[step] != pk).any():
+                raise KernelError("coset member escapes the element set")
+    lab = np.arange(N)
+    while True:
+        new = lab
+        for step in steps:
+            new = np.minimum(new, new[step])
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    reps = np.flatnonzero(lab == np.arange(N))
+    number = np.empty(N, np.int64)
+    number[reps] = np.arange(reps.shape[0])
+    return number[lab], reps
 
 
 def closure_python(ring, gen_mats, budget=None):

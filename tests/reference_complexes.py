@@ -48,16 +48,19 @@ def nerve_oracle(group, family, budget=200):
             raise ComplexError(
                 "family member is not contained in the ambient group"
             )
-        seen = set()
+        # the cosets partition the group: an element of a coset already
+        # listed gives that coset again
+        covered = set()
         for g in elements:
+            if g in covered:
+                continue
             coset = frozenset(g.mul(h) for h in mset)
-            if coset not in seen:
-                seen.add(coset)
-                cosets.append((color, coset))
-                vertices.append((color, _base_q(ring.order(), min(
-                    _python_element_key(ring, m) for m in coset
-                ))))
-                colors.append(color)
+            covered |= coset
+            cosets.append((color, coset))
+            vertices.append((color, _base_q(ring.order(), min(
+                _python_element_key(ring, m) for m in coset
+            ))))
+            colors.append(color)
     nv = len(vertices)
     levels = [tuple((v,) for v in range(nv))]
     current = [((v,), cosets[v][1]) for v in range(nv)]

@@ -191,9 +191,44 @@ def test_construction_guards():
         coset_complex([S3_A, S3_B], ())
     with pytest.raises(ComplexError):
         coset_complex([], ([S3_A],))
-    # the family member must sit inside the ambient group
+    # the family member must sit inside the ambient group; the nerve
+    # oracle refuses the same input with the same text
+    outside = r"^family member is not contained in the ambient group$"
+    for build in (coset_complex, nerve_oracle):
+        with pytest.raises(ComplexError, match=outside):
+            build([S3_CYC], ([S3_B],))
+
+
+@pytest.mark.parametrize("family", ["contracting", "horospherical"])
+def test_coset_complex_closes_only_the_ambient_group(monkeypatch, family):
+    # members are labelled from their generators; a member is closed only
+    # when one of its generators lies outside the ambient group
+    close = complexes.group_closure
+    closed = []
+
+    def counted(cr, gens, n, budget=None):
+        closed.append(gens.shape[0])
+        return close(cr, gens, n, budget)
+
+    monkeypatch.setattr(complexes, "group_closure", counted)
+    amb, members = abels.subgroup_family(family, 4, Z2)
+    assert coset_complex(amb, members).f_vector == (40, 192, 224, 64)
+    assert len(closed) == 1
+    closed.clear()
     with pytest.raises(ComplexError):
         coset_complex([S3_CYC], ([S3_B],))
+    assert closed == [1, 1]
+    closed.clear()
+    with pytest.raises(BudgetExceeded, match="member closure overflowed"):
+        coset_complex([S3_A], ([S3_A, S3_B],), budget=2)
+    assert closed == [1, 2]
+
+
+@pytest.mark.parametrize("n,descriptor", [(4, "zmod:3"), (5, "zmod:2")])
+def test_contracting_complex_matches_nerve_oracle(n, descriptor):
+    # |U| = 729 and 1 024: past the oracle's default budget of 200
+    amb, fam = abels.subgroup_family("contracting", n, make_ring(descriptor))
+    assert coset_complex(amb, fam) == nerve_oracle(amb, fam, budget=1024)
 
 
 def test_byte_keys_match_int64_keys():

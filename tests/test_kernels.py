@@ -39,6 +39,7 @@ from abelslab.presentation import tits_criterion_check, verify_presentations
 from abelslab.rings import RingError, ZModRing, make_ring
 from reference_abels import spec_elements, subgroup_by_name
 from reference_complexes import nerve_oracle
+import reference_kernels
 from reference_kernels import closure_set, decode_matrix
 
 # deterministic and bounded, so the properties run the same way every time
@@ -209,9 +210,11 @@ def test_coset_labels():
     gens = encode_matrices(cr, unitriangular_generators(R, n))
     status, keys = group_closure(cr, gens, n)
     elems = unpack_keys(keys, cr, n)
-    sub_mats = [Matrix.identity(R, n), Matrix.elementary(R, n, 1, 2, 1)]
-    sub = encode_matrices(cr, sub_mats)
-    labels, reps = coset_labels(cr, elems, keys, sub, n)
+    # H = {1, e_12(1)}, generated by these two, the identity included
+    sub_gens = encode_matrices(
+        cr, [Matrix.identity(R, n), Matrix.elementary(R, n, 1, 2, 1)]
+    )
+    labels, reps = coset_labels(cr, keys, sub_gens, n)
     assert labels.min() == 0
     assert labels.max() == len(reps) - 1
     assert len(reps) == elems.shape[0] // 2
@@ -221,6 +224,9 @@ def test_coset_labels():
     for c, rep_idx in enumerate(reps):
         members = np.where(labels == c)[0]
         assert members.min() == rep_idx
+        g = decode_matrix(cr, elems[rep_idx], n)
+        coset = {g, g.mul(Matrix.elementary(R, n, 1, 2, 1))}
+        assert {decode_matrix(cr, elems[i], n) for i in members} == coset
 
 
 def test_coset_labels_escape_detected():
@@ -228,13 +234,64 @@ def test_coset_labels_escape_detected():
     cr = coded_ring(R)
     n = 3
     # element set missing most of the group: subgroup products escape
-    sub_mats = [Matrix.identity(R, n), Matrix.elementary(R, n, 2, 3, 1)]
-    sub = encode_matrices(cr, sub_mats)
+    sub_gens = encode_matrices(
+        cr, [Matrix.identity(R, n), Matrix.elementary(R, n, 2, 3, 1)]
+    )
     only = encode_matrices(cr, [Matrix.elementary(R, n, 1, 2, 1)])
-    keys = pack_keys(cr, only, n)
-    order = np.argsort(keys)
-    with pytest.raises(KernelError):
-        coset_labels(cr, only[order], keys[order], sub, n)
+    keys = np.sort(pack_keys(cr, only, n))
+    with pytest.raises(KernelError, match="^coset member escapes the element set$"):
+        coset_labels(cr, keys, sub_gens, n)
+    # the same on byte keys, whose products take the chunk route
+    a, b = perm_matrix((1, 0), size=8), perm_matrix((0, 2, 1), size=8)
+    assert not fits_packing(2, 8)
+    keys = np.sort(pack_keys(cr, encode_matrices(cr, [Matrix.identity(R, 8), a]), 8))
+    with pytest.raises(KernelError, match="^coset member escapes the element set$"):
+        coset_labels(cr, keys, encode_matrices(cr, [b]), 8)
+
+
+# ambient groups of the coset-label property, one route each: key tables
+# (A_4(Z/2), U_3(Z/3)); int64 keys with q**n > TABLE_CAP (U_3(Z/17)); and
+# byte keys (U3 of A_4(Z/16))
+LABEL_GROUPS = (
+    ("A", 4, "zmod:2"),
+    ("U", 3, "zmod:3"),
+    ("U", 3, "zmod:17"),
+    ("U3", 4, "zmod:16"),
+)
+
+
+@PROPERTY
+@given(
+    case=st.sampled_from(LABEL_GROUPS),
+    picks=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    identity=st.booleans(),
+    repeat=st.booleans(),
+)
+# the trivial subgroup, given by the identity alone, and the whole group
+@example(case=("U", 3, "zmod:17"), picks=[0], identity=False, repeat=True)
+@example(case=("U3", 4, "zmod:16"), picks=[1, 16, 17], identity=True, repeat=True)
+def test_coset_labels_match_per_coset_loop(case, picks, identity, repeat):
+    name, n, descriptor = case
+    cr = coded_ring(make_ring(descriptor))
+    spec = subgroup_by_name(name, n, cr.ring)
+    status, keys = group_closure(cr, encode_matrices(cr, spec.generators), n)
+    assert status == "complete"
+    assert kernels._keyed(cr.q, n) == (descriptor in ("zmod:2", "zmod:3"))
+    assert fits_packing(cr.q, n) == (descriptor != "zmod:16")
+    elems = unpack_keys(keys, cr, n)
+    # random elements of the group generate H, with repeats and the
+    # identity (index 0: the identity's key is the least in a unitriangular
+    # group) among them when drawn
+    index = [p % keys.shape[0] for p in picks]
+    index += [0] * identity + index[:1] * repeat
+    gens = elems[index]
+    assert np.array_equal(elems[0], identity_vec(cr, n))
+    sub = unpack_keys(group_closure(cr, gens, n)[1], cr, n)
+    labels, reps = coset_labels(cr, keys, gens, n)
+    expected = reference_kernels.coset_labels(cr, elems, keys, sub, n)
+    assert np.array_equal(labels, expected[0])
+    assert np.array_equal(reps, expected[1])
+    assert reps.shape[0] * sub.shape[0] == keys.shape[0]
 
 
 def test_trivial_generator_closure():
